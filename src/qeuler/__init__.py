@@ -33,7 +33,6 @@ from .euler import (
     weighted_recurrence,
 )
 from .exactq import BigRat, QPoly, QRatFn, XPoly, q_integer, qpoly_gcd
-from .kernels import HAVE_COMPILED, active_kernel_name
 from .padic import (
     ConvergenceReport,
     ConvergenceRow,
@@ -53,7 +52,6 @@ __all__ = [
     "ConvergenceReport",
     "ConvergenceRow",
     "FrobeniusSeq",
-    "HAVE_COMPILED",
     "IdentityInstance",
     "IdentityReport",
     "PAdicNum",
@@ -64,7 +62,6 @@ __all__ = [
     "ShiftDefect",
     "XPoly",
     "__version__",
-    "active_kernel_name",
     "bernstein_moment_lhs",
     "bernstein_moment_rhs",
     "bernstein_operator",

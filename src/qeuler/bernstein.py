@@ -155,8 +155,9 @@ def padic_moment_crosscheck(
 ) -> list[tuple[int, int, tuple[padic.ConvergenceRow, ...]]]:
     """Numeric cross-check: partial integrals of B_{k,n} vs the exact moment.
 
-    Small ranges only (cost is O(p^N) per cell); returns, per (n, k), the
-    defect's valuation floor across the requested levels.
+    Each level costs O(n^2 + log p^N) modular operations per cell (the
+    partial sum is in closed form); returns, per (n, k), the defect's
+    valuation floor across the requested levels.
     """
     qc = padic.QChoice(p, Fraction(q))
     out = []

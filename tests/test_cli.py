@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -184,6 +185,18 @@ def test_padic_nonmonotone_cell_exits_one(capsys):
     code, out, _ = run_cli(capsys, "padic", "--n", "3", "--p", "3", "--N-max", "6")
     assert code == 1
     assert "VIOLATED" in out
+
+
+def test_padic_deep_levels_exit_cleanly(capsys):
+    # 3^20 terms: a level this deep must run, not raise, in both exit paths
+    code, out, err = run_cli(capsys, "padic", "--n", "6", "--p", "3", "--N-max", "20", "--json")
+    assert (code, err) == (0, "")
+    assert [row["N"] for row in OutputRecord.parse(out).payload] == list(range(1, 21))
+
+    code, out, err = run_cli(capsys, "padic", "--n", "3", "--p", "3", "--N-max", "20")
+    assert (code, err) == (1, "")
+    vals = [int(m) for m in re.findall(r"^N=\d+\tdefect valuation >= (\d+)", out, re.M)]
+    assert len(vals) == 20 and vals[:6] == [5, 4, 5, 6, 7, 8]
 
 
 # ---------------------------------------------------------------------------

@@ -1,61 +1,53 @@
-"""The two partial-sum kernel twins must be exactly interchangeable."""
-
-import random
+"""The closed-form alternating power sum against the direct per-x sum."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qeuler import _altsum_py, kernels
+from qeuler.padic import alt_weighted_power_sum
+
+PRIMES = (3, 5, 7, 11, 13)
 
 
-def _reference(coeffs, q, modulus, count):
+def _direct_sum(coeffs, q, modulus, count):
+    """Oracle: sum_{x<count} P(x) (-q)^x in exact integers, reduced at the end."""
     total = 0
     for x in range(count):
-        px = sum(c * x**j for j, c in enumerate(coeffs))
-        total += px * (-q) ** x
+        total += sum(c * x**j for j, c in enumerate(coeffs)) * (-q) ** x
     return total % modulus
 
 
-def test_python_kernel_against_direct_sum():
-    rng = random.Random(7)
-    for _ in range(25):
-        coeffs = [rng.randrange(-50, 50) for _ in range(rng.randrange(1, 6))]
-        q = rng.randrange(1, 100)
-        modulus = rng.choice([3**10, 5**8, 7**6, 11**5])
-        count = rng.randrange(1, 60)
-        assert _altsum_py.alt_weighted_power_sum(coeffs, q, modulus, count) == _reference(
-            coeffs, q, modulus, count
-        )
+@st.composite
+def cases(draw, unit=True):
+    p = draw(st.sampled_from(PRIMES))
+    modulus = p ** draw(st.integers(1, 19))
+    t = draw(st.integers(0, 10**6))
+    q = 1 + p * t if unit else p * t - 1  # q = 1 mod p, or 1 + q = 0 mod p
+    coeffs = draw(st.lists(st.integers(-10**9, 10**9), max_size=9))
+    return coeffs, q, modulus, draw(st.integers(0, 400))
 
 
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="extension not built")
-def test_compiled_matches_python():
-    from qeuler import _altsum_cy
-
-    rng = random.Random(11)
-    for _ in range(40):
-        coeffs = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 8))]
-        q = rng.randrange(0, 10**9)
-        modulus = rng.choice([3**16, 5**16, 2**62 + 2**40, 97**8])
-        count = rng.randrange(0, 700)
-        assert _altsum_cy.alt_weighted_power_sum(
-            coeffs, q, modulus, count
-        ) == _altsum_py.alt_weighted_power_sum(coeffs, q, modulus, count)
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_closed_form_against_direct_sum(case):
+    assert alt_weighted_power_sum(*case) == _direct_sum(*case)
 
 
-@pytest.mark.skipif(not kernels.HAVE_COMPILED, reason="extension not built")
-def test_compiled_rejects_oversized_modulus():
-    from qeuler import _altsum_cy
+@settings(max_examples=60, deadline=None)
+@given(cases(unit=False).filter(lambda case: case[0]))
+def test_nonunit_one_plus_q_raises(case):
+    with pytest.raises(ValueError, match="not a unit"):
+        alt_weighted_power_sum(*case)
 
-    with pytest.raises(OverflowError):
-        _altsum_cy.alt_weighted_power_sum([1], 2, 1 << 63, 10)
 
-
-def test_selector_handles_any_modulus():
-    # beyond 2^63 the selector must quietly use the pure twin
-    big = (1 << 70) + 9
-    got = kernels.alt_weighted_power_sum([1, 1], 2, big, 20)
-    assert got == _altsum_py.alt_weighted_power_sum([1, 1], 2, big, 20)
+def test_closed_form_handles_any_modulus():
+    for modulus in ((1 << 70) + 9, 10**40 + 1, 1):
+        for count in (0, 1, 20, 333):
+            want = _direct_sum([1, 1, -3], 4, modulus, count)
+            assert alt_weighted_power_sum([1, 1, -3], 4, modulus, count) == want
 
 
 def test_empty_polynomial_sums_to_zero():
-    assert kernels.alt_weighted_power_sum([], 5, 3**10, 100) == 0
+    assert alt_weighted_power_sum([], 5, 3**10, 100) == 0
+    assert alt_weighted_power_sum([7, 1], 4, 3**10, 0) == 0
+    assert alt_weighted_power_sum([0, 0, 0], 1, 3**10, 50) == 0

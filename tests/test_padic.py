@@ -184,11 +184,6 @@ def test_integral_rejects_p_in_denominator():
         fermionic_integral_partial(bad, QC3, 1)
 
 
-def test_integral_rejects_oversized_level():
-    with pytest.raises(ValueError, match="budget"):
-        fermionic_integral_partial(XPoly.one(), QC3, 25)
-
-
 def test_convergence_report_monotone_growth():
     # (p=3, n=3) is excluded: its observed valuations dip at N=2 (see the
     # dedicated test below); every other desk-scale cell is monotone.
@@ -222,6 +217,21 @@ def _exact_defect_valuation(n: int, q: Fraction, p: int, N: int) -> int:
         den //= p
         v -= 1
     return v
+
+
+def test_integral_defect_valuation_equals_level():
+    # The first moment's defect against -q/(1+q) = -4/5 has valuation exactly
+    # N, pinned against the Fraction oracle for N <= 8.  Levels 16 and 25
+    # (4.3e7 and 8.5e11 terms) are reachable only through the closed form.
+    target = PAdicNum.from_rational(Fraction(-4, 5), 3, 40)
+
+    def defect_valuation(N):
+        return (fermionic_integral_partial(XPoly((0, 1)), QC3, N, 40) - target).valuation
+
+    small = range(1, 9)
+    assert [defect_valuation(N) for N in small] == list(small)
+    assert [_exact_defect_valuation(1, Fraction(4), 3, N) for N in small] == list(small)
+    assert [defect_valuation(N) for N in (11, 16, 25)] == [11, 16, 25]
 
 
 def test_convergence_p3_n3_observed_dip():
