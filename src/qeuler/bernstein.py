@@ -25,8 +25,10 @@ from .euler import (
     ZERO,
     IdentityInstance,
     IdentityReport,
+    _alternating_sum,
     _instance,
     _q_euler_entries,
+    _reflected_entry,
 )
 from .exactq import BigRat, QRatFn, XPoly
 
@@ -87,11 +89,10 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    e = _q_euler_entries(n)
     q_sq = Q * Q
     total = ZERO
     for l in range(k + 1):
-        term = q_sq * e[n - l].subst_q_inverse()
+        term = q_sq * _reflected_entry(n - l)
         if variant == "full":
             term = term + ONE + Q
         total = total + term * (comb(k, l) * (-1) ** (k + l))
@@ -121,11 +122,8 @@ def verify_theorem8(n_max: int) -> IdentityReport:
         raise ValueError("n_max must be >= 1")
     instances: list[IdentityInstance] = []
     for n in range(1, n_max + 1):
-        e = _q_euler_entries(n)
-        lhs0 = ZERO
-        for l in range(n + 1):
-            lhs0 = lhs0 + e[l] * (comb(n, l) * (-1) ** l)
-        remark_rhs = Q * Q * e[n].subst_q_inverse()
+        lhs0 = _alternating_sum(n)
+        remark_rhs = Q * Q * _reflected_entry(n)
         instances.append(
             _instance(
                 (n, 0, "k0-remark"),

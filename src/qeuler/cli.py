@@ -13,6 +13,7 @@ persist computed sequence tables between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -20,26 +21,11 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bernstein, euler
+from . import euler
 from .exactq import QPoly, QRatFn, XPoly, poly_str
 from .padic import DEFAULT_PRECISION, QChoice, convergence_report, is_odd_prime
 
 TABLE_KINDS = ("qeuler", "frobenius", "weighted", "qeuler-poly")
-SUITES = (
-    "all",
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "thm7",
-    "thm8",
-    "cor3",
-    "classical",
-    "erratum",
-    "weighted",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +166,37 @@ def _cache_path(kind: str, alpha: "int | None") -> "str | None":
     root = os.environ.get("QEULER_CACHE_DIR")
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
     name = kind if alpha is None else f"{kind}-a{alpha}"
     return os.path.join(root, f"{name}.json")
 
 
+def _cached_row_ok(kind: str, n: int, row: dict) -> bool:
+    """Whether a cached row is shaped as the table command writes it: n is its index,
+    each coefficient a canonical rational string, num trimmed and den monic (no gcd)."""
+    pairs = row["x_coeffs"] if kind == "qeuler-poly" else [row]
+    return type(row["n"]) is int and row["n"] == n and all(
+        all(str(Fraction(s)) == s for s in p["num"] + p["den"])
+        and p["num"][-1:] != ["0"]
+        and p["den"][-1:] == ["1"]
+        for p in pairs
+    )
+
+
 def _cache_load(kind: str, alpha: "int | None", n_max: int) -> "list[dict] | None":
     path = _cache_path(kind, alpha)
-    if path is None or not os.path.exists(path):
+    if path is None:
         return None
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("version") != _CACHE_VERSION or data.get("kind") != kind:
             return None
-        rows = data["rows"]
-        if len(rows) < n_max + 1:
+        rows = data["rows"][: n_max + 1]
+        if len(rows) < n_max + 1 or not all(_cached_row_ok(kind, n, row) for n, row in enumerate(rows)):
             return None
-        return rows[: n_max + 1]
-    except (OSError, ValueError, KeyError):
-        return None
+        return rows
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        return None  # absent, unreadable or malformed: recompute
 
 
 def _cache_store(kind: str, alpha: "int | None", rows: "list[dict]") -> None:
@@ -207,16 +204,17 @@ def _cache_store(kind: str, alpha: "int | None", rows: "list[dict]") -> None:
     if path is None:
         return
     payload = {"version": _CACHE_VERSION, "kind": kind, "alpha": alpha, "rows": rows}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except OSError:  # an unusable cache directory means no cache
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -275,38 +273,11 @@ def cmd_table(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _reports_for_suite(suite: str, n_max: int) -> list[euler.IdentityReport]:
-    euler_ids = {
-        "thm1": "thm1",
-        "thm2": "thm2",
-        "thm3": "cor3",  # the third numbered result is a corollary
-        "thm4": "thm4",
-        "thm5": "thm5",
-        "thm6": "thm6",
-        "thm7": "thm7",
-        "cor3": "cor3",
-        "classical": "classical",
-        "weighted": "weighted",
-    }
-    if suite in euler_ids:
-        return [euler.verify_identity(euler_ids[suite], n_max)]
-    if suite == "thm8":
-        if n_max < 1:
-            return [euler.IdentityReport("thm8", ())]
-        return [bernstein.verify_theorem8(n_max)]
-    if suite == "erratum":
-        return [
-            euler.verify_identity("k0-remark", max(n_max, 1)),
-            euler.verify_identity("thm7", max(n_max, 1)),
-        ]
-    if suite == "all":
-        out = []
-        for ident in ("thm1", "thm2", "cor3", "thm4", "thm5", "thm6", "thm7",
-                      "classical", "weighted", "k0-remark"):
-            out.append(euler.verify_identity(ident, n_max))
-        if n_max >= 1:
-            out.append(bernstein.verify_theorem8(n_max))
-        return out
-    raise ValueError(f"unknown suite {suite!r}")
+    return [
+        euler.verify_identity(run.identity, max(n_max, run.n_floor))
+        for run in euler.SUITES[suite]
+        if n_max >= run.n_from
+    ]
 
 
 def _report_payload(report: euler.IdentityReport) -> dict:
@@ -440,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
+    p_verify.add_argument("--suite", choices=list(euler.SUITES), default="all")
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)

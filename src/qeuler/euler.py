@@ -4,15 +4,15 @@ the symbolic identity suite.
 Everything is exact: sequence entries are canonical ``QRatFn`` values, so
 an identity "holds" exactly when both sides have identical representations.
 
-Two independent derivation routes exist on purpose and are never merged:
+One integer recurrence, run over the known denominators, serves every
+weight alpha >= 0; weight 0 is its alpha = 0 case.  Two independent routes
+check it and are never merged with it:
 
-* weight-0 numbers come from the recurrence
-  ``(1+q)*E_n = -q * sum_{k<n} C(n,k) E_k`` while Frobenius-Euler numbers
-  use ``H_n = (sum_{k<n} C(n,k) H_k) / (u-1)``; their agreement at
-  u = -1/q is a verified identity, not a definition.
-* the weighted numbers are produced both by their recurrence and by the
-  alternating closed-form sum; ``q_euler_numbers_weighted`` cross-checks
-  the two before returning.
+* Frobenius-Euler numbers use ``H_n = (sum_{k<n} C(n,k) H_k) / (u-1)`` in
+  generic ``QRatFn`` arithmetic; their agreement with weight 0 at u = -1/q
+  is a verified identity, not a definition.
+* for alpha >= 1, the alternating closed-form sum;
+  ``q_euler_numbers_weighted`` cross-checks the two before returning.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactq import (
     QPoly,
@@ -71,16 +71,8 @@ class FrobeniusSeq:
         return len(self.entries)
 
 
-@lru_cache(maxsize=None)
 def _q_euler_entries(n_max: int) -> tuple[QRatFn, ...]:
-    if n_max == 0:
-        return (ONE,)
-    prev = _q_euler_entries(n_max - 1)
-    n = n_max
-    s = ZERO
-    for k in range(n):
-        s = s + prev[k] * comb(n, k)
-    return prev + (-(Q * s) / TWO_Q,)
+    return tuple(weighted_recurrence(0, n_max))
 
 
 def _warm(cache_fn, n_max: int, *args) -> None:
@@ -97,7 +89,6 @@ def q_euler_numbers(n_max: int) -> QEulerSeq:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _warm(_q_euler_entries, n_max)
     return QEulerSeq(_q_euler_entries(n_max))
 
 
@@ -128,10 +119,10 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
 
 
 # ---------------------------------------------------------------------------
-# weighted sequences, two independent routes
+# weighted sequences: the integer recurrence, and the closed form for a >= 1
 # ---------------------------------------------------------------------------
 #
-# For integer weight a >= 1 the denominators are structurally known:
+# For integer weight a >= 0 the denominators are structurally known:
 # products of (1 + q^(a*k+1)) factors plus, for the closed form, powers of
 # (1-q) and [a]_q.  All of those split into cyclotomic polynomials, so the
 # canonical form is reached by trial-dividing the numerator by each known
@@ -215,7 +206,7 @@ def _check_weight(alpha: int, minimum: int) -> None:
 
 @lru_cache(maxsize=None)
 def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Unreduced numerators N_n with N_n / prod_{k<=n} (1+q^(alpha*k+1)) = E^(alpha)_n."""
+    """Unreduced numerators N_n with N_n / prod_{1<=k<=n} (1+q^(alpha*k+1)) = E^(alpha)_n."""
     if n_max == 0:
         return ((1,),)
     nums = _weighted_numerators(alpha, n_max - 1)
@@ -237,23 +228,22 @@ def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     return nums + (tuple([0] + [-c for c in s]),)  # N_n = -q * S
 
 
+@lru_cache(maxsize=None)
+def _weighted_entry(alpha: int, n: int) -> QRatFn:
+    """E^(alpha)_n in canonical form; callers warm ``_weighted_numerators`` first."""
+    factors: Counter = Counter()
+    for k in range(1, n + 1):
+        factors.update(one_plus_q_power_factors(alpha * k + 1))
+    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), factors)
+
+
 def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
     """Weight-alpha numbers from E_n*(1+q^(alpha*n+1)) = -q*sum_{k<n} C(n,k) q^(alpha*k) E_k."""
     _check_weight(alpha, 0)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if alpha == 0:
-        _warm(_q_euler_entries, n_max)
-        return list(_q_euler_entries(n_max))
     _warm(_weighted_numerators, n_max, alpha)
-    nums = _weighted_numerators(alpha, n_max)
-    out = []
-    factors: Counter = Counter()
-    for n in range(n_max + 1):
-        if n > 0:
-            factors.update(one_plus_q_power_factors(alpha * n + 1))
-        out.append(_reduce_over_cyclotomics(list(nums[n]), factors))
-    return out
+    return [_weighted_entry(alpha, n) for n in range(n_max + 1)]
 
 
 def weighted_closed_form(alpha: int, n: int) -> QRatFn:
@@ -469,16 +459,27 @@ def _check_thm6(n_max: int, _m_max: int) -> list[IdentityInstance]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _alternating_sum(n: int) -> QRatFn:
+    """sum_{l=0..n} C(n,l) (-1)^l E_l, the left side of thm7, the k=0 remark and thm8's k=0 rows."""
+    e = _q_euler_entries(n)
+    total = ZERO
+    for l in range(n + 1):
+        total = total + e[l] * ((-1) ** l * comb(n, l))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _reflected_entry(n: int) -> QRatFn:
+    """E_{n,1/q}: the weight-0 number under q -> 1/q."""
+    return _q_euler_entries(n)[n].subst_q_inverse()
+
+
 def _check_thm7(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    out = []
-    for n in range(1, n_max + 1):
-        e = _q_euler_entries(n)
-        left = ZERO
-        for k in range(n + 1):
-            left = left + e[k] * ((-1) ** k * comb(n, k))
-        right = ONE + Q + Q * Q * e[n].subst_q_inverse()
-        out.append(_instance((n,), left, right))
-    return out
+    return [
+        _instance((n,), _alternating_sum(n), ONE + Q + Q * Q * _reflected_entry(n))
+        for n in range(1, n_max + 1)
+    ]
 
 
 def _check_k0_remark(n_max: int, _m_max: int) -> list[IdentityInstance]:
@@ -488,15 +489,11 @@ def _check_k0_remark(n_max: int, _m_max: int) -> list[IdentityInstance]:
     every instance is expected to fail; witnesses carry both canonical
     sides.
     """
-    out = []
-    for n in range(1, n_max + 1):
-        e = _q_euler_entries(n)
-        left = ZERO
-        for l in range(n + 1):
-            left = left + e[l] * ((-1) ** l * comb(n, l))
-        right = Q * Q * e[n].subst_q_inverse()
-        out.append(_instance((n,), left, right, expected=FAIL, note="contradicts thm7"))
-    return out
+    return [
+        _instance((n,), _alternating_sum(n), Q * Q * _reflected_entry(n),
+                  expected=FAIL, note="contradicts thm7")
+        for n in range(1, n_max + 1)
+    ]
 
 
 def _check_classical(n_max: int, _m_max: int) -> list[IdentityInstance]:
@@ -514,20 +511,55 @@ def _check_weighted(n_max: int, _m_max: int) -> list[IdentityInstance]:
     return out
 
 
-_CHECKS: dict[str, Callable[[int, int], list[IdentityInstance]]] = {
-    "thm1": _check_thm1,
-    "thm2": _check_thm2,
-    "cor3": _check_cor3,
-    "thm4": _check_thm4,
-    "thm5": _check_thm5,
-    "thm6": _check_thm6,
-    "thm7": _check_thm7,
-    "k0-remark": _check_k0_remark,
-    "classical": _check_classical,
-    "weighted": _check_weighted,
+def _check_thm8(n_max: int, _m_max: int) -> tuple[IdentityInstance, ...]:
+    from . import bernstein  # imported here because bernstein imports this module
+
+    return bernstein.verify_theorem8(n_max).instances if n_max >= 1 else ()
+
+
+class SuiteRun(NamedTuple):
+    """One identity a suite runs, at max(n_max, n_floor); left out when n_max < n_from."""
+
+    identity: str
+    check: Callable[[int, int], Sequence[IdentityInstance]]
+    n_floor: int = 0
+    n_from: int = 0
+
+
+# Every suite the CLI's ``verify --suite`` offers, in the order it lists them.
+SUITES: dict[str, tuple[SuiteRun, ...]] = {
+    "all": (
+        SuiteRun("thm1", _check_thm1),
+        SuiteRun("thm2", _check_thm2),
+        SuiteRun("cor3", _check_cor3),
+        SuiteRun("thm4", _check_thm4),
+        SuiteRun("thm5", _check_thm5),
+        SuiteRun("thm6", _check_thm6),
+        SuiteRun("thm7", _check_thm7),
+        SuiteRun("classical", _check_classical),
+        SuiteRun("weighted", _check_weighted),
+        SuiteRun("k0-remark", _check_k0_remark),
+        SuiteRun("thm8", _check_thm8, n_from=1),
+    ),
+    "thm1": (SuiteRun("thm1", _check_thm1),),
+    "thm2": (SuiteRun("thm2", _check_thm2),),
+    "thm3": (SuiteRun("cor3", _check_cor3),),  # the third numbered result is a corollary
+    "thm4": (SuiteRun("thm4", _check_thm4),),
+    "thm5": (SuiteRun("thm5", _check_thm5),),
+    "thm6": (SuiteRun("thm6", _check_thm6),),
+    "thm7": (SuiteRun("thm7", _check_thm7),),
+    "thm8": (SuiteRun("thm8", _check_thm8),),
+    "cor3": (SuiteRun("cor3", _check_cor3),),
+    "classical": (SuiteRun("classical", _check_classical),),
+    # the k=0 remark fails by design; thm7 is the full form it gets wrong
+    "erratum": (
+        SuiteRun("k0-remark", _check_k0_remark, n_floor=1),
+        SuiteRun("thm7", _check_thm7, n_floor=1),
+    ),
+    "weighted": (SuiteRun("weighted", _check_weighted),),
 }
 
-IDENTITY_IDS = tuple(_CHECKS)
+_CHECK_BY_ID = {run.identity: run.check for runs in SUITES.values() for run in runs}
 
 
 def verify_identity(identity_id: str, n_max: int, m_max: int = 15) -> IdentityReport:
@@ -536,13 +568,11 @@ def verify_identity(identity_id: str, n_max: int, m_max: int = 15) -> IdentityRe
     Both sides of every instance are built independently from the
     operations above and compared in canonical form; failures are data
     (witness attached), not errors.  ``m_max`` only affects ``cor3``.
-    The Bernstein-moment identity ("thm8") lives in the bernstein module.
+    "thm8" runs the Bernstein-moment suite of the bernstein module.
     """
     key = identity_id.lower()
-    if key not in _CHECKS:
-        raise ValueError(f"unknown identity {identity_id!r}; known: {sorted(_CHECKS)}")
+    if key not in _CHECK_BY_ID:
+        raise ValueError(f"unknown identity {identity_id!r}; known: {sorted(_CHECK_BY_ID)}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if key != "weighted":
-        _warm(_q_euler_entries, n_max)
-    return IdentityReport(key, tuple(_CHECKS[key](n_max, m_max)))
+    return IdentityReport(key, tuple(_CHECK_BY_ID[key](n_max, m_max)))

@@ -133,6 +133,47 @@ def test_verify_single_suites_exit_zero(capsys):
         assert code == 0, (suite, out)
 
 
+_ALL_AT_0 = ["thm1", "thm2", "cor3", "thm4", "thm5", "thm6", "thm7", "classical", "weighted",
+             "k0-remark"]
+
+# every --suite choice in the order --help lists it: (report ids at --n-max 0, at --n-max 2)
+SUITE_REPORT_IDS = {
+    "all": (_ALL_AT_0, _ALL_AT_0 + ["thm8"]),  # thm8 has no instance below n = 1
+    "thm1": (["thm1"], ["thm1"]),
+    "thm2": (["thm2"], ["thm2"]),
+    "thm3": (["cor3"], ["cor3"]),  # the third numbered result is a corollary
+    "thm4": (["thm4"], ["thm4"]),
+    "thm5": (["thm5"], ["thm5"]),
+    "thm6": (["thm6"], ["thm6"]),
+    "thm7": (["thm7"], ["thm7"]),
+    "thm8": (["thm8"], ["thm8"]),
+    "cor3": (["cor3"], ["cor3"]),
+    "classical": (["classical"], ["classical"]),
+    "erratum": (["k0-remark", "thm7"], ["k0-remark", "thm7"]),
+    "weighted": (["weighted"], ["weighted"]),
+}
+
+
+@pytest.mark.parametrize("n_max", [0, 2])
+@pytest.mark.parametrize("suite", list(SUITE_REPORT_IDS))
+def test_verify_suite_registry(capsys, suite, n_max):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    choices = re.search(r"--suite \{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert choices.split(",") == list(SUITE_REPORT_IDS)
+
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", str(n_max), "--json")
+    assert (code, err) == (0, "")
+    record = OutputRecord.parse(out)
+    assert record.metadata == {"suite": suite, "n_max": n_max, "ok": True}
+    assert [r["identity"] for r in record.payload] == SUITE_REPORT_IDS[suite][n_max > 0]
+    if suite == "erratum" and n_max == 0:
+        # both erratum reports run at n_max = 1, the first n with an instance
+        assert [[i["params"] for i in r["instances"]] for r in record.payload] == [[[1]], [[1]]]
+    if suite == "thm8" and n_max == 0:
+        assert record.payload[0]["total"] == 0 and record.payload[0]["instances"] == []
+
+
 def test_verify_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "erratum", "--n-max", "4", "--json")
     assert code == 0
@@ -232,3 +273,53 @@ def test_cache_disabled_without_env(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "table", "qeuler", "--n-max", "2")
     assert code == 0
     assert not os.listdir(tmp_path)
+
+
+def test_cache_dir_that_is_a_file_is_no_cache(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    monkeypatch.setenv("QEULER_CACHE_DIR", str(blocker))
+    code, out, err = run_cli(capsys, "table", "qeuler", "--n-max", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1\t(-q)/(1 + q)"
+    assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
+
+
+def _number_rows(*pairs):
+    return [{"n": n, "num": num, "den": den} for n, (num, den) in enumerate(pairs)]
+
+
+_E0, _E1 = (["1"], ["1"]), (["0", "-1"], ["1", "1"])
+_P0 = {"n": 0, "x_coeffs": [{"num": ["1"], "den": ["1"]}]}
+
+
+def _poly_row1(const):
+    return {"n": 1, "x_coeffs": [const, {"num": ["1"], "den": ["1"]}]}
+
+
+@pytest.mark.parametrize(
+    "kind,content",
+    [
+        ("qeuler", []),  # a top-level list, not a record
+        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows((["x"], ["1"]), _E1)}),
+        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows((["1"], ["2"]), _E1)}),
+        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E0, (["0", "-2/2"], ["1", "1"]))}),
+        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E1, _E0)[::-1]}),
+        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E0, ([], []))}),
+        ("qeuler-poly", {"version": 1, "kind": "qeuler-poly",
+                         "rows": [_P0, _poly_row1({"num": ["0", "-1"], "den": ["1", "2"]})]}),
+        ("qeuler-poly", {"version": 1, "kind": "qeuler-poly",
+                         "rows": [_P0, _poly_row1({"num": ["x"], "den": ["1"]})]}),
+    ],
+    ids=["list", "num-x", "den-not-monic", "non-canonical-coeff", "n-not-index", "empty-den",
+         "poly-den-not-monic", "poly-num-x"],
+)
+def test_cache_malformed_file_recomputed(capsys, tmp_path, monkeypatch, kind, content):
+    monkeypatch.delenv("QEULER_CACHE_DIR", raising=False)
+    fresh = [run_cli(capsys, "table", kind, "--n-max", "1", "--format", fmt)[1]
+             for fmt in ("text", "json")]
+    monkeypatch.setenv("QEULER_CACHE_DIR", str(tmp_path))
+    for fmt, expected in zip(("text", "json"), fresh):
+        (tmp_path / f"{kind}.json").write_text(json.dumps(content))
+        code, out, err = run_cli(capsys, "table", kind, "--n-max", "1", "--format", fmt)
+        assert (code, out, err) == (0, expected, "")

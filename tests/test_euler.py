@@ -75,13 +75,16 @@ def _series_coeffs(f, order):
 
 def test_weight0_power_series_oracle():
     # Independent route: as a formal power series in q the n-th number is
-    # (1+q) * sum_{m>=0} (-1)^m m^n q^m, one term per power of q.
-    order = 14
-    seq = q_euler_numbers(8)
-    for n in range(9):
+    # (1+q) * sum_{m>=0} (-1)^m m^n q^m, one term per power of q.  With
+    # numerator and denominator degrees <= n+1, agreement to order 2n+3
+    # pins E_n exactly (Pade uniqueness), for every n the tables print.
+    seq = q_euler_numbers(40)
+    for n in range(41):
+        order = 2 * n + 3
+        assert seq[n].num.degree <= n + 1 and seq[n].den.degree <= n + 1
         alt = [Fraction((-1) ** m * m**n) for m in range(order)]
         expected = [alt[0]] + [alt[m] + alt[m - 1] for m in range(1, order)]
-        assert _series_coeffs(seq[n], order) == expected
+        assert _series_coeffs(seq[n], order) == expected, n
 
 
 def _stirling2(n, k, _cache={}):
