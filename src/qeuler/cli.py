@@ -6,18 +6,14 @@ stdout (UTF-8); diagnostics go to stderr.
 
 JSON output is one ``OutputRecord`` object per invocation; coefficients
 serialize as exact decimal-free rational strings in ascending-power
-arrays, so records round-trip losslessly.  Set ``QEULER_CACHE_DIR`` to
-persist computed sequence tables between runs.
+arrays, so records round-trip losslessly.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,68 +152,6 @@ def _latex_row(kind: str, row: dict, alpha: "int | None") -> str:
 
 
 # ---------------------------------------------------------------------------
-# sequence cache (QEULER_CACHE_DIR)
-# ---------------------------------------------------------------------------
-
-_CACHE_VERSION = 1
-
-
-def _cache_path(kind: str, alpha: "int | None") -> "str | None":
-    root = os.environ.get("QEULER_CACHE_DIR")
-    if not root:
-        return None
-    name = kind if alpha is None else f"{kind}-a{alpha}"
-    return os.path.join(root, f"{name}.json")
-
-
-def _cached_row_ok(kind: str, n: int, row: dict) -> bool:
-    """Whether a cached row is shaped as the table command writes it: n is its index,
-    each coefficient a canonical rational string, num trimmed and den monic (no gcd)."""
-    pairs = row["x_coeffs"] if kind == "qeuler-poly" else [row]
-    return type(row["n"]) is int and row["n"] == n and all(
-        all(str(Fraction(s)) == s for s in p["num"] + p["den"])
-        and p["num"][-1:] != ["0"]
-        and p["den"][-1:] == ["1"]
-        for p in pairs
-    )
-
-
-def _cache_load(kind: str, alpha: "int | None", n_max: int) -> "list[dict] | None":
-    path = _cache_path(kind, alpha)
-    if path is None:
-        return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("version") != _CACHE_VERSION or data.get("kind") != kind:
-            return None
-        rows = data["rows"][: n_max + 1]
-        if len(rows) < n_max + 1 or not all(_cached_row_ok(kind, n, row) for n, row in enumerate(rows)):
-            return None
-        return rows
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
-        return None  # absent, unreadable or malformed: recompute
-
-
-def _cache_store(kind: str, alpha: "int | None", rows: "list[dict]") -> None:
-    path = _cache_path(kind, alpha)
-    if path is None:
-        return
-    payload = {"version": _CACHE_VERSION, "kind": kind, "alpha": alpha, "rows": rows}
-    tmp = None
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:  # an unusable cache directory means no cache
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-
-
-# ---------------------------------------------------------------------------
 # table command
 # ---------------------------------------------------------------------------
 
@@ -244,13 +178,10 @@ def cmd_table(args, parser) -> int:
     if args.n_max < 0:
         parser.error("--n-max must be >= 0")
     alpha = args.alpha
-    rows = _cache_load(args.kind, alpha, args.n_max)
-    if rows is None:
-        try:
-            rows = _compute_table_rows(args.kind, args.n_max, alpha)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _cache_store(args.kind, alpha, rows)
+    try:
+        rows = _compute_table_rows(args.kind, args.n_max, alpha)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.format == "json":
         meta = {"kind_param": args.kind, "n_max": args.n_max}

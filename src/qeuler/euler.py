@@ -28,7 +28,9 @@ from .exactq import (
     QPoly,
     QRatFn,
     XPoly,
-    cyclotomic,
+    _icyclotomic,
+    _ishift_add,
+    _ishift_div,
     one_plus_q_power_factors,
     q_integer,
 )
@@ -104,6 +106,12 @@ def _frobenius_entries(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
     return prev + (s / (u - ONE),)
 
 
+def _frobenius_prefix(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
+    """H_0(u)..H_n_max(u); the only way callers reach ``_frobenius_entries``."""
+    _warm(_frobenius_entries, n_max, u)
+    return _frobenius_entries(u, n_max)
+
+
 def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
     """Frobenius-Euler numbers: H_0 = 1, H_n = (sum_{k<n} C(n,k) H_k)/(u-1).
 
@@ -114,8 +122,7 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
         raise ValueError("n_max must be >= 0")
     if u == ONE:
         raise ValueError("singular Frobenius parameter u = 1")
-    _warm(_frobenius_entries, n_max, u)
-    return FrobeniusSeq(u, _frobenius_entries(u, n_max))
+    return FrobeniusSeq(u, _frobenius_prefix(u, n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +143,6 @@ def _itrim(cs: list[int]) -> list[int]:
     return cs
 
 
-def _ishift_add(cs: list[int], m: int) -> list[int]:
-    """cs * (1 + q^m) on ascending int coefficients."""
-    out = cs + [0] * m
-    for i, c in enumerate(cs):
-        out[i + m] += c
-    return out
-
-
-def _imul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def _idivmod_monic(A: "list[int] | tuple[int, ...]", B: "tuple[int, ...]") -> tuple[list[int], list[int]]:
     """Long division by a monic integer polynomial, int arithmetic only."""
     rem = list(A)
@@ -170,32 +160,35 @@ def _idivmod_monic(A: "list[int] | tuple[int, ...]", B: "tuple[int, ...]") -> tu
     return quot, _itrim(rem)
 
 
-@lru_cache(maxsize=None)
-def _icyclotomic(d: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in cyclotomic(d).coeffs)
+def _cyclotomic_remainder(num: list[int], d: int) -> list[int]:
+    """num mod Phi_d, taken from num mod (q^d - 1), of which Phi_d is a factor."""
+    return _idivmod_monic([sum(num[i::d]) for i in range(d)], _icyclotomic(d))[1]
 
 
-def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
+def _one_plus_q_powers(ms) -> tuple[list[int], Counter]:
+    """prod (1 + q^m) over ms, and the index d of each Phi_d in it, counted with multiplicity."""
+    prod, factors = [1], Counter()
+    for m in ms:
+        prod = _ishift_add(prod, m)
+        factors.update(one_plus_q_power_factors(m))
+    return prod, factors
+
+
+def _reduce_over_cyclotomics(num: list[int], den: list[int], factors: Counter) -> QRatFn:
+    """num/den in canonical form, for a monic den = prod of Phi_d^factors[d].
+
+    Each Phi_d is divided out of both while it still divides num.
+    """
     _itrim(num)
     if not num:
         return ZERO
-    remaining: list[tuple[int, int]] = []
     for d in sorted(factors):
-        e = factors[d]
         phi = _icyclotomic(d)
-        while e > 0:
-            quot, rem = _idivmod_monic(num, phi)
-            if rem:
+        for _ in range(factors[d]):
+            if _cyclotomic_remainder(num, d):
                 break
-            num = quot
-            e -= 1
-        if e:
-            remaining.append((d, e))
-    den = [1]
-    for d, e in remaining:
-        phi = list(_icyclotomic(d))
-        for _ in range(e):
-            den = _imul(den, phi)
+            num = _idivmod_monic(num, phi)[0]
+            den = _idivmod_monic(den, phi)[0]
     return QRatFn._raw(QPoly(num), QPoly(den))
 
 
@@ -231,10 +224,8 @@ def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _weighted_entry(alpha: int, n: int) -> QRatFn:
     """E^(alpha)_n in canonical form; callers warm ``_weighted_numerators`` first."""
-    factors: Counter = Counter()
-    for k in range(1, n + 1):
-        factors.update(one_plus_q_power_factors(alpha * k + 1))
-    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), factors)
+    den, factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), den, factors)
 
 
 def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
@@ -246,55 +237,63 @@ def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
     return [_weighted_entry(alpha, n) for n in range(n_max + 1)]
 
 
+def _alternating_numerator(alpha: int, n: int) -> list[int]:
+    """T_n = sum_{l=0..n} C(n,l)(-1)^l prod_{j=0..n, j != l} (1+q^(alpha*j+1))."""
+    full, _ = _one_plus_q_powers(alpha * j + 1 for j in range(n + 1))
+    t = [0] * len(full)
+    for l in range(n + 1):
+        c = comb(n, l) * (-1) ** l
+        for i, b in enumerate(_ishift_div(full, alpha * l + 1)):
+            t[i] += c * b
+    return t
+
+
 def weighted_closed_form(alpha: int, n: int) -> QRatFn:
     """Weight-alpha number from the alternating closed-form sum,
 
-        [2]_q / ((1-q)^n [alpha]_q^n) * sum_{l=0..n} C(n,l)(-1)^l / (1+q^(alpha*l+1)).
+        [2]_q / ((1-q)^n [alpha]_q^n) * sum_{l=0..n} C(n,l)(-1)^l / (1+q^(alpha*l+1)),
+
+    which is T_n / ((1-q^alpha)^n D_n) with T_n from ``_alternating_numerator``
+    and D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.
     """
     _check_weight(alpha, 1)
     if n < 0:
         raise ValueError("n must be >= 0")
-    ms = [alpha * l + 1 for l in range(n + 1)]
-    d_all = [1]
-    for m in ms:
-        d_all = _ishift_add(d_all, m)
-    num = [0] * len(d_all)
-    for l, m in enumerate(ms):
-        quot, rem = _idivmod_monic(d_all, (1,) + (0,) * (m - 1) + (1,))
-        if rem:
-            raise ArithmeticError("structural factor failed to divide")
-        c = comb(n, l) * (-1) ** l
-        for i, qc in enumerate(quot):
-            num[i] += c * qc
-    num = _ishift_add(num, 1)  # times [2]_q
-    if n % 2:
-        num = [-c for c in num]  # sign from (1-q)^n = (-1)^n (q-1)^n
-    factors: Counter = Counter()
-    for m in ms:
-        factors.update(one_plus_q_power_factors(m))
-    factors[1] += n
-    for d in range(2, alpha + 1):
+    den, factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+    for _ in range(n):
+        den = _ishift_add(den, alpha, -1)  # times 1 - q^alpha = (1-q) [alpha]_q
+    for d in range(1, alpha + 1):
         if alpha % d == 0:
             factors[d] += n
-    return _reduce_over_cyclotomics(num, factors)
+    sign = (-1) ** n  # the leading coefficient of (1-q^alpha)^n; dividing it out makes den monic
+    return _reduce_over_cyclotomics(
+        [sign * c for c in _alternating_numerator(alpha, n)], [sign * c for c in den], factors
+    )
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> list[QRatFn]:
     """Weight-alpha numbers computed by both independent routes.
 
-    The recurrence and the closed form must produce identical canonical
-    values; a mismatch would mean a kernel bug and raises.
+    The recurrence gives E_n = N_n / D_n with D_n = prod_{1<=k<=n} (1+q^(alpha*k+1))
+    (``_weighted_numerators``), and the closed form gives
+    E_n = T_n / ((1-q^alpha)^n D_n) (``weighted_closed_form``).  Both share
+    the nonzero D_n, so the two values are equal in the field exactly when
+    the integer polynomials T_n and (1-q^alpha)^n N_n are equal.  That
+    identity is checked for every n; a mismatch would mean a kernel bug and
+    raises.  The values returned are the recurrence's, in canonical form.
     """
     _check_weight(alpha, 1)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rec = weighted_recurrence(alpha, n_max)
-    for n in range(n_max + 1):
-        closed = weighted_closed_form(alpha, n)
-        if closed != rec[n]:
+    for n, num in enumerate(_weighted_numerators(alpha, n_max)):
+        scaled = list(num)
+        for _ in range(n):
+            scaled = _ishift_add(scaled, alpha, -1)
+        if _itrim(_alternating_numerator(alpha, n)) != _itrim(scaled):
             raise ArithmeticError(
                 f"weighted routes disagree at alpha={alpha}, n={n}: "
-                f"{rec[n]} vs {closed}"
+                f"T_n != (1-q^{alpha})^n N_n"
             )
     return rec
 
@@ -317,7 +316,7 @@ def frobenius_polynomial(u: QRatFn, n: int) -> XPoly:
         raise ValueError("n must be >= 0")
     if u == ONE:
         raise ValueError("singular Frobenius parameter u = 1")
-    h = _frobenius_entries(u, n)
+    h = _frobenius_prefix(u, n)
     return XPoly([h[n - j] * comb(n, j) for j in range(n + 1)])
 
 
@@ -388,7 +387,7 @@ def _instance(params: tuple, left, right, expected: str = PASS, note: str = "") 
 
 def _check_thm1(n_max: int, _m_max: int) -> list[IdentityInstance]:
     e = _q_euler_entries(n_max)
-    h = _frobenius_entries(MINUS_Q_INV, n_max)
+    h = _frobenius_prefix(MINUS_Q_INV, n_max)
     return [_instance((n,), e[n], h[n]) for n in range(n_max + 1)]
 
 
@@ -410,7 +409,7 @@ def _check_cor3(n_max: int, m_max: int) -> list[IdentityInstance]:
         qn = QRatFn.from_poly(QPoly.monomial(n))
         for m in range(m_max + 1):
             h_poly = frobenius_polynomial(MINUS_Q_INV, m)
-            left = qn * h_poly.eval(QRatFn.const(n)) + _frobenius_entries(MINUS_Q_INV, m)[m]
+            left = qn * h_poly.eval(QRatFn.const(n)) + _frobenius_prefix(MINUS_Q_INV, m)[m]
             right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
             out.append(_instance((n, m), left, right))
     return out

@@ -337,18 +337,63 @@ def q_integer(x: int) -> QPoly:
     return QPoly((1,) * x)
 
 
+def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
+    """cs * (1 + c*q^m) on ascending int coefficients."""
+    out = cs + [0] * m
+    for i, a in enumerate(cs):
+        out[i + m] += c * a
+    return out
+
+
+def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
+    """cs / (1 + c*q^m), the inverse of ``_ishift_add``; raises if it is not exact."""
+    out = list(cs)
+    for i in range(m, len(out)):
+        out[i] -= c * out[i - m]
+    top = max(len(out) - m, 0)
+    if any(out[top:]):
+        raise ArithmeticError(f"1 + {c}*q^{m} does not divide the polynomial")
+    return out[:top]
+
+
 @lru_cache(maxsize=None)
+def _icyclotomic(n: int) -> tuple[int, ...]:
+    """Ascending int coefficients of Phi_n, monic.
+
+    For n >= 2, Phi_n = prod_{d | n} (1 - q^d)^mu(n/d); the sparse
+    multiplications come first, so every division that follows is exact.
+    """
+    if n == 1:
+        return (-1, 1)
+    primes, rest, p = [], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    mul, div = [], []
+    for mask in range(1 << len(primes)):
+        e = 1  # a squarefree divisor of n, with mu(e) = (-1)^popcount(mask)
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                e *= p
+        (div if bin(mask).count("1") % 2 else mul).append(n // e)
+    cs = [1]
+    for d in mul:
+        cs = _ishift_add(cs, d, -1)
+    for d in div:
+        cs = _ishift_div(cs, d, -1)
+    return tuple(cs)
+
+
 def cyclotomic(n: int) -> QPoly:
     """n-th cyclotomic polynomial (integer coefficients, monic)."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    if n == 1:
-        return QPoly((-1, 1))
-    p = QPoly((-1,) + (0,) * (n - 1) + (1,))  # q^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            p = p.divexact(cyclotomic(d))
-    return p
+    return QPoly(_icyclotomic(n))
 
 
 def one_plus_q_power_factors(m: int) -> list[int]:

@@ -1,12 +1,17 @@
-"""CLI contract: flags, formats, exit codes, JSON round-trips, caching."""
+"""CLI contract: flags, formats, exit codes, JSON round-trips."""
 
+import io
 import json
 import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qeuler.cli import OutputRecord, main
+from qeuler.cli import TABLE_KINDS, OutputRecord, main
+from qeuler.euler import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -241,85 +246,75 @@ def test_padic_deep_levels_exit_cleanly(capsys):
 
 
 # ---------------------------------------------------------------------------
-# sequence cache
+# environment and the exit-code contract
 # ---------------------------------------------------------------------------
 
-def test_cache_roundtrip(capsys, tmp_path, monkeypatch):
+def test_table_ignores_qeuler_cache_dir(capsys, tmp_path, monkeypatch):
+    # a well-formed table file with a wrong E_0 = 7, as an old sequence cache wrote it
+    planted = {"version": 1, "kind": "qeuler", "alpha": None,
+               "rows": [{"n": 0, "num": ["7"], "den": ["1"]},
+                        {"n": 1, "num": ["0", "-1"], "den": ["1", "1"]}]}
+    (tmp_path / "qeuler.json").write_text(json.dumps(planted))
     monkeypatch.setenv("QEULER_CACHE_DIR", str(tmp_path))
-    code1, out1, _ = run_cli(capsys, "table", "qeuler", "--n-max", "6", "--format", "json")
-    assert code1 == 0
-    cache_file = tmp_path / "qeuler.json"
-    assert cache_file.exists()
-    data = json.loads(cache_file.read_text())
-    assert len(data["rows"]) == 7
-    # second run must serve identical output from the cache (larger request recomputes)
-    code2, out2, _ = run_cli(capsys, "table", "qeuler", "--n-max", "6", "--format", "json")
-    assert (code2, out2) == (0, out1)
-    code3, out3, _ = run_cli(capsys, "table", "qeuler", "--n-max", "4", "--format", "json")
-    assert code3 == 0
-    assert OutputRecord.parse(out3).payload == OutputRecord.parse(out1).payload[:5]
+    code, out, err = run_cli(capsys, "table", "qeuler", "--n-max", "1")
+    assert (code, out, err) == (0, "0\t(1)/(1)\n1\t(-q)/(1 + q)\n", "")
+    assert os.listdir(tmp_path) == ["qeuler.json"]
+    assert json.loads((tmp_path / "qeuler.json").read_text()) == planted
 
 
-def test_cache_corrupt_file_recomputed(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("QEULER_CACHE_DIR", str(tmp_path))
-    (tmp_path / "qeuler.json").write_text("{not json")
-    code, out, _ = run_cli(capsys, "table", "qeuler", "--n-max", "1")
-    assert code == 0
-    assert "(-q)/(1 + q)" in out
+_OPTIONS = {
+    "table": ["--n-max", "--alpha", "--format"],
+    "verify": ["--suite", "--n-max", "--json"],
+    "padic": ["--n", "--p", "--q-offset", "--K", "--N-max", "--json"],
+    "bogus": ["--json"],
+}
+_VALUES = {
+    "--n-max": ["-1", "0", "1", "3", "x"],
+    "--alpha": ["-1", "0", "1", "3", "x"],
+    "--format": ["text", "json", "latex", "yaml"],
+    "--suite": list(SUITES) + ["thm9"],
+    "--n": ["-1", "0", "3", "x"],
+    "--p": ["2", "3", "5", "9", "x"],
+    "--q-offset": ["-1", "0", "1", "3"],
+    "--K": ["-1", "0", "1", "8"],
+    "--N-max": ["-1", "0", "1", "4"],
+}
 
 
-def test_cache_disabled_without_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("QEULER_CACHE_DIR", raising=False)
-    code, _, _ = run_cli(capsys, "table", "qeuler", "--n-max", "2")
-    assert code == 0
-    assert not os.listdir(tmp_path)
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(list(_OPTIONS)))
+    argv = [command]
+    if command == "table":
+        argv.append(draw(st.sampled_from(list(TABLE_KINDS) + ["nonsense"])))
+    if command == "verify":  # its default --n-max 20 takes seconds
+        argv += ["--n-max", "2"]
+    for opt in draw(st.lists(st.sampled_from(_OPTIONS[command]), max_size=4)):
+        argv.append(opt)
+        if opt != "--json":
+            argv.append(draw(st.sampled_from(_VALUES[opt])))
+    return argv
 
 
-def test_cache_dir_that_is_a_file_is_no_cache(capsys, tmp_path, monkeypatch):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("keep")
-    monkeypatch.setenv("QEULER_CACHE_DIR", str(blocker))
-    code, out, err = run_cli(capsys, "table", "qeuler", "--n-max", "2")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[1] == "1\t(-q)/(1 + q)"
-    assert os.listdir(tmp_path) == ["blocker"] and blocker.read_text() == "keep"
-
-
-def _number_rows(*pairs):
-    return [{"n": n, "num": num, "den": den} for n, (num, den) in enumerate(pairs)]
-
-
-_E0, _E1 = (["1"], ["1"]), (["0", "-1"], ["1", "1"])
-_P0 = {"n": 0, "x_coeffs": [{"num": ["1"], "den": ["1"]}]}
-
-
-def _poly_row1(const):
-    return {"n": 1, "x_coeffs": [const, {"num": ["1"], "den": ["1"]}]}
-
-
-@pytest.mark.parametrize(
-    "kind,content",
-    [
-        ("qeuler", []),  # a top-level list, not a record
-        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows((["x"], ["1"]), _E1)}),
-        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows((["1"], ["2"]), _E1)}),
-        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E0, (["0", "-2/2"], ["1", "1"]))}),
-        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E1, _E0)[::-1]}),
-        ("qeuler", {"version": 1, "kind": "qeuler", "rows": _number_rows(_E0, ([], []))}),
-        ("qeuler-poly", {"version": 1, "kind": "qeuler-poly",
-                         "rows": [_P0, _poly_row1({"num": ["0", "-1"], "den": ["1", "2"]})]}),
-        ("qeuler-poly", {"version": 1, "kind": "qeuler-poly",
-                         "rows": [_P0, _poly_row1({"num": ["x"], "den": ["1"]})]}),
-    ],
-    ids=["list", "num-x", "den-not-monic", "non-canonical-coeff", "n-not-index", "empty-den",
-         "poly-den-not-monic", "poly-num-x"],
-)
-def test_cache_malformed_file_recomputed(capsys, tmp_path, monkeypatch, kind, content):
-    monkeypatch.delenv("QEULER_CACHE_DIR", raising=False)
-    fresh = [run_cli(capsys, "table", kind, "--n-max", "1", "--format", fmt)[1]
-             for fmt in ("text", "json")]
-    monkeypatch.setenv("QEULER_CACHE_DIR", str(tmp_path))
-    for fmt, expected in zip(("text", "json"), fresh):
-        (tmp_path / f"{kind}.json").write_text(json.dumps(content))
-        code, out, err = run_cli(capsys, "table", kind, "--n-max", "1", "--format", fmt)
-        assert (code, out, err) == (0, expected, "")
+@settings(max_examples=120, deadline=None)
+@given(argv=_argv(), cache_dir=st.one_of(
+    st.none(),
+    st.sampled_from(["", "/dev/null"]),
+    st.text(alphabet="ab-_ /", max_size=8).map(lambda t: t.lstrip("/")),  # under the test's temp dir
+))
+def test_cli_exit_code_contract(tmp_path_factory, argv, cache_dir):
+    # any argv and any QEULER_CACHE_DIR: exit 0, 1 or 2, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        if cache_dir is None:
+            mp.delenv("QEULER_CACHE_DIR", raising=False)
+        elif cache_dir in ("", "/dev/null"):
+            mp.setenv("QEULER_CACHE_DIR", cache_dir)
+        else:
+            mp.setenv("QEULER_CACHE_DIR", str(tmp_path_factory.getbasetemp() / cache_dir))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

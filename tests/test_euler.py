@@ -1,10 +1,15 @@
 """Sequences, polynomials, and the symbolic identity suite."""
 
+import inspect
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qeuler import euler
 from qeuler.euler import (
     MINUS_Q_INV,
     classical_euler_numbers,
@@ -17,7 +22,7 @@ from qeuler.euler import (
     weighted_closed_form,
     weighted_recurrence,
 )
-from qeuler.exactq import QPoly, QRatFn, XPoly
+from qeuler.exactq import QPoly, QRatFn, XPoly, cyclotomic
 
 ONE = QRatFn.one()
 
@@ -142,6 +147,17 @@ def test_frobenius_umbral_invariant():
             assert acc == u * h[n]
 
 
+def test_frobenius_polynomial_first_request_does_not_recurse_per_n():
+    # u = 5 is used by no other test, so n = 80 is a first request from an empty cache
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        poly = frobenius_polynomial(QRatFn.const(5), 80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert poly.degree == 80 and poly.coeffs[0] == frobenius_numbers(QRatFn.const(5), 80)[80]
+
+
 def test_frobenius_singular_parameter():
     with pytest.raises(ValueError, match="u = 1"):
         frobenius_numbers(ONE, 3)
@@ -187,6 +203,32 @@ def test_weighted_routes_agree():
         rec = weighted_recurrence(alpha, 10)
         for n in range(11):
             assert rec[n] == weighted_closed_form(alpha, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=40), st.integers(1, 30), st.booleans())
+def test_cyclotomic_remainder_matches_long_division(num, d, multiple):
+    phi = cyclotomic(d)
+    if multiple:  # make Phi_d divide num
+        num = [int(c) for c in (QPoly(num) * phi).coeffs]
+    expected = euler._idivmod_monic(num, tuple(int(c) for c in phi.coeffs))[1]
+    assert euler._cyclotomic_remainder(num, d) == expected
+    assert not expected or not multiple
+
+
+def test_weighted_routes_disagreeing_raise(monkeypatch):
+    honest = euler._alternating_numerator
+
+    def perturbed(alpha, n):
+        t = honest(alpha, n)
+        if n == 3:
+            t[len(t) // 2] += 1
+        return t
+
+    monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
+    q_euler_numbers_weighted(2, 2)  # accepted: the perturbed n = 3 is not reached
+    with pytest.raises(ArithmeticError, match="alpha=2, n=3"):
+        q_euler_numbers_weighted(2, 4)
 
 
 def test_weighted_alpha0_recurrence_is_weight0():

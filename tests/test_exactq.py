@@ -10,6 +10,8 @@ from qeuler.exactq import (
     QPoly,
     QRatFn,
     XPoly,
+    _ishift_add,
+    _ishift_div,
     cyclotomic,
     one_plus_q_power_factors,
     poly_str,
@@ -93,6 +95,33 @@ def test_cyclotomic_basics():
         for d in one_plus_q_power_factors(m):
             prod = prod * cyclotomic(d)
         assert prod == QPoly((1,) + (0,) * (m - 1) + (1,))
+
+
+def test_cyclotomic_product_over_divisors():
+    # the defining identity q^n - 1 = prod_{d | n} Phi_d, checked for every n the tables reach
+    for n in range(1, 200):
+        prod = QPoly.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * cyclotomic(d)
+        assert prod == QPoly((-1,) + (0,) * (n - 1) + (1,)), n
+
+
+ints = st.lists(st.integers(-50, 50), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints, st.integers(1, 6), st.sampled_from([1, -1]), ints)
+def test_ishift_div_inverts_ishift_add(a, m, c, low):
+    assert _ishift_div(_ishift_add(a, m, c), m, c) == a
+    # adding a nonzero remainder of degree < m leaves a non-multiple of 1 + c*q^m
+    low = low[:m]
+    if any(low):
+        b = _ishift_add(a, m, c)
+        for i, r in enumerate(low):
+            b[i] += r
+        with pytest.raises(ArithmeticError):
+            _ishift_div(b, m, c)
 
 
 # ---------------------------------------------------------------------------
