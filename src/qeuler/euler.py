@@ -28,9 +28,13 @@ from .exactq import (
     QPoly,
     QRatFn,
     XPoly,
+    _cyclotomic_remainder,
     _icyclotomic,
     _ishift_add,
     _ishift_div,
+    _itrim,
+    _pdivmod,
+    _qpoly,
     one_plus_q_power_factors,
     q_integer,
 )
@@ -134,36 +138,8 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
 # (1-q) and [a]_q.  All of those split into cyclotomic polynomials, so the
 # canonical form is reached by trial-dividing the numerator by each known
 # cyclotomic factor -- no large generic gcd is ever needed.  The numerators
-# have integer coefficients throughout, so this entire path runs on plain
-# int lists and converts to QPoly only at the very end.
-
-def _itrim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _idivmod_monic(A: "list[int] | tuple[int, ...]", B: "tuple[int, ...]") -> tuple[list[int], list[int]]:
-    """Long division by a monic integer polynomial, int arithmetic only."""
-    rem = list(A)
-    if len(rem) < len(B):
-        return [], _itrim(rem)
-    d = len(B) - 1
-    quot = [0] * (len(rem) - d)
-    while len(rem) - 1 >= d:
-        c = rem.pop()
-        if c:
-            k = len(rem) - d
-            quot[k] = c
-            for i in range(d):
-                rem[k + i] -= c * B[i]
-    return quot, _itrim(rem)
-
-
-def _cyclotomic_remainder(num: list[int], d: int) -> list[int]:
-    """num mod Phi_d, taken from num mod (q^d - 1), of which Phi_d is a factor."""
-    return _idivmod_monic([sum(num[i::d]) for i in range(d)], _icyclotomic(d))[1]
-
+# have integer coefficients throughout, so this entire path runs on the
+# exactq kernel's int lists and becomes a QPoly only at the very end.
 
 def _one_plus_q_powers(ms) -> tuple[list[int], Counter]:
     """prod (1 + q^m) over ms, and the index d of each Phi_d in it, counted with multiplicity."""
@@ -187,9 +163,9 @@ def _reduce_over_cyclotomics(num: list[int], den: list[int], factors: Counter) -
         for _ in range(factors[d]):
             if _cyclotomic_remainder(num, d):
                 break
-            num = _idivmod_monic(num, phi)[0]
-            den = _idivmod_monic(den, phi)[0]
-    return QRatFn._raw(QPoly(num), QPoly(den))
+            num = _pdivmod(num, phi)[0]
+            den = _pdivmod(den, phi)[0]
+    return QRatFn._raw(_qpoly(num), _qpoly(den))
 
 
 def _check_weight(alpha: int, minimum: int) -> None:

@@ -4,7 +4,10 @@ Three layers, all immutable and safe to share between threads:
 
 * ``BigRat`` -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``QPoly`` -- dense univariate polynomials in the indeterminate q over
-  ``BigRat``, stored ascending by power with no trailing zeros.
+  ``BigRat``, each a rational content times a primitive integer polynomial
+  (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
+  One integer pseudo-division, ``_pdivmod``, serves division, the gcd and
+  the euler module's cyclotomic reductions.
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 BigRat = Fraction
@@ -27,314 +30,65 @@ RatLike = Union[Fraction, int]
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial gcd (subresultant PRS)
+# integer polynomials: ascending int lists
 # ---------------------------------------------------------------------------
 
-def _int_primitive(cs: list[int]) -> list[int]:
-    """Divide out the integer content and make the leading coefficient > 0."""
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
-        return cs
-    if cs[-1] < 0:
-        g = -g
-    return [c // g for c in cs]
+def _itrim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
-def _prem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B, integer exact."""
-    dB = len(B) - 1
-    lead = B[-1]
-    R = list(A)
-    e = len(A) - len(B) + 1
-    while R and len(R) - 1 >= dB:
-        s = R[-1]
-        R = [lead * c for c in R]
-        shift = len(R) - len(B)
-        for i, bc in enumerate(B):
-            R[shift + i] -= s * bc
-        while R and R[-1] == 0:
-            R.pop()
-        e -= 1
-    if e > 0 and R:
-        le = lead ** e
-        R = [le * c for c in R]
-    return R
+def _pdivmod(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (Q, R, e) with lc(B)^e * A = Q*B + R and deg R < deg B.
 
-
-def _int_poly_gcd(F: list[int], G: list[int]) -> list[int]:
-    """Primitive gcd of two nonzero integer polynomials (ascending coeffs).
-
-    Subresultant PRS; keeps intermediate coefficient growth polynomial,
-    unlike monic Euclid over the rationals.
+    A step scales by lc(B) only when the leading coefficient left is not a
+    multiple of it.  So a division by a monic B, or an exact division by a
+    primitive B (Gauss's lemma), is plain long division with e = 0.
     """
-    if len(F) < len(G):
-        F, G = G, F
-    A = _int_primitive(F)
-    B = _int_primitive(G)
+    lead, d = B[-1], len(B) - 1
+    R = list(A)
+    Q = [0] * max(len(R) - d, 0)
+    e = 0
+    for k in range(len(Q) - 1, -1, -1):
+        c = R.pop()
+        if not c:
+            continue
+        if lead != 1:
+            if c % lead:
+                R = [lead * r for r in R]
+                Q = [lead * x for x in Q]
+                e += 1
+            else:
+                c //= lead
+        Q[k] = c
+        for i in range(d):
+            R[k + i] -= c * B[i]
+    return Q, _itrim(R), e
+
+
+def _int_poly_gcd(A: Sequence[int], B: Sequence[int]) -> Sequence[int]:
+    """An integer multiple of the gcd of two primitive nonzero integer polynomials.
+
+    Subresultant PRS (Knuth 4.6.1, Algorithm C); keeps intermediate
+    coefficient growth polynomial, unlike monic Euclid over the rationals.
+    """
+    if len(A) < len(B):
+        A, B = B, A
     g = h = 1
     while True:
-        delta = (len(A) - 1) - (len(B) - 1)
-        R = _prem(A, B)
+        delta = len(A) - len(B)
+        _, R, e = _pdivmod(A, B)
         if not R:
-            return _int_primitive(B)
+            return B
         if len(R) == 1:
             return [1]
-        A, B = B, [c // (g * h**delta) for c in R]
+        # R times lc(B)^(delta+1-e) is the pseudo-remainder lc(B)^(delta+1) * A mod B
+        scale, div = B[-1] ** (delta + 1 - e), g * h**delta
+        A, B = B, [c * scale // div for c in R]
         g = A[-1]
         if delta > 0:
             h = g**delta // h ** (delta - 1)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in q
-# ---------------------------------------------------------------------------
-
-class QPoly:
-    """Dense polynomial in q with exact rational coefficients.
-
-    Coefficients ascend by power; a trailing zero is never stored, so the
-    zero polynomial is the empty tuple and equality is structural.
-    """
-
-    __slots__ = ("coeffs",)
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return _QP_ZERO
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return _QP_ONE
-
-    @classmethod
-    def q(cls) -> "QPoly":
-        return _QP_Q
-
-    @classmethod
-    def const(cls, c: RatLike) -> "QPoly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, k: int, c: RatLike = 1) -> "QPoly":
-        """c * q**k."""
-        if k < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        return cls((0,) * k + (c,))
-
-    # -- structure ----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("QPoly", self.coeffs))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return QPoly(cs)
-
-    def __neg__(self) -> "QPoly":
-        p = QPoly.__new__(QPoly)
-        p.coeffs = tuple(-c for c in self.coeffs)
-        return p
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _QP_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPoly(out)
-
-    def scale(self, c: RatLike) -> "QPoly":
-        c = Fraction(c)
-        if not c:
-            return _QP_ZERO
-        p = QPoly.__new__(QPoly)
-        p.coeffs = tuple(a * c for a in self.coeffs)
-        return p
-
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by q**k."""
-        if self.is_zero:
-            return self
-        p = QPoly.__new__(QPoly)
-        p.coeffs = (Fraction(0),) * k + self.coeffs
-        return p
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a QPoly")
-        result = _QP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db:
-            c = rem[-1] / lead
-            k = len(rem) - 1 - db
-            quot[k] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[k + i] -= c * bc
-            while rem and not rem[-1]:
-                rem.pop()
-        return QPoly(quot), QPoly(rem)
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[1]
-
-    def divexact(self, other: "QPoly") -> "QPoly":
-        """Division known to be exact; raises if a remainder appears."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "QPoly":
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def reversed(self) -> "QPoly":
-        """Coefficient reversal over the current degree (q -> 1/q core step)."""
-        return QPoly(tuple(reversed(self.coeffs)))
-
-    # -- evaluation and display ----------------------------------------
-
-    def eval(self, c: RatLike) -> Fraction:
-        c = Fraction(c)
-        acc = Fraction(0)
-        for a in reversed(self.coeffs):
-            acc = acc * c + a
-        return acc
-
-    def __call__(self, c: RatLike) -> Fraction:
-        return self.eval(c)
-
-    def __str__(self) -> str:
-        return poly_str(self.coeffs, "q")
-
-    def __repr__(self) -> str:
-        return f"QPoly({[str(c) for c in self.coeffs]})"
-
-
-_QP_ZERO = QPoly(())
-_QP_ONE = QPoly((1,))
-_QP_Q = QPoly((0, 1))
-
-
-def poly_str(coeffs: Sequence[Fraction], var: str) -> str:
-    """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = -c if c < 0 else c
-        if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = var if k == 1 else f"{var}^{k}"
-        else:
-            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd in Q[q]."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    H = _int_poly_gcd(_clear_denominators(a), _clear_denominators(b))
-    return QPoly(H).monic()
-
-
-def _clear_denominators(p: QPoly) -> list[int]:
-    mult = reduce(math.lcm, (c.denominator for c in p.coeffs), 1)
-    return [int(c * mult) for c in p.coeffs]
-
-
-def q_integer(x: int) -> QPoly:
-    """The q-number [x]_q = 1 + q + ... + q^(x-1); [0]_q is zero."""
-    if x < 0:
-        raise ValueError("q_integer requires x >= 0")
-    return QPoly((1,) * x)
 
 
 def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
@@ -389,11 +143,271 @@ def _icyclotomic(n: int) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def _cyclotomic_remainder(num: list[int], d: int) -> list[int]:
+    """num mod Phi_d, taken from num mod (q^d - 1), of which Phi_d is a factor."""
+    return _pdivmod([sum(num[i::d]) for i in range(d)], _icyclotomic(d))[1]
+
+
+# ---------------------------------------------------------------------------
+# polynomials in q
+# ---------------------------------------------------------------------------
+
+class QPoly:
+    """Dense polynomial in q with exact rational coefficients.
+
+    Stored as ``content * prim``: ``prim`` is a primitive integer
+    polynomial (ascending ints, gcd 1, leading coefficient > 0) and
+    ``content`` a nonzero Fraction.  Zero is content 0 with an empty
+    ``prim``.  The pair is unique, so equality is structural.
+    """
+
+    __slots__ = ("content", "prim")
+
+    content: Fraction
+    prim: tuple[int, ...]
+
+    def __init__(self, coeffs: Iterable[RatLike] = ()):
+        fs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(f.denominator for f in fs))
+        p = _qpoly([f.numerator * (den // f.denominator) for f in fs], Fraction(1, den))
+        self.content, self.prim = p.content, p.prim
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "QPoly":
+        return _QP_ZERO
+
+    @classmethod
+    def one(cls) -> "QPoly":
+        return _QP_ONE
+
+    @classmethod
+    def q(cls) -> "QPoly":
+        return _QP_Q
+
+    @classmethod
+    def const(cls, c: RatLike) -> "QPoly":
+        c = Fraction(c)
+        return _wrap(c, (1,)) if c else _QP_ZERO
+
+    @classmethod
+    def monomial(cls, k: int, c: RatLike = 1) -> "QPoly":
+        """c * q**k."""
+        if k < 0:
+            raise ValueError("monomial exponent must be >= 0")
+        return cls.const(c).shift(k)
+
+    # -- structure ----------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients ascending by power, built on each access."""
+        n, d = self.content.numerator, self.content.denominator
+        return tuple(Fraction(n * c, d) for c in self.prim)
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.prim) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.prim
+
+    @property
+    def leading(self) -> Fraction:
+        return self.content * self.prim[-1] if self.prim else self.content
+
+    def __bool__(self) -> bool:
+        return bool(self.prim)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QPoly):
+            return self.prim == other.prim and self.content == other.content
+        if isinstance(other, (int, Fraction)):
+            return self == QPoly.const(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(("QPoly", self.content, self.prim))
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        if not other.prim:
+            return self
+        if not self.prim:
+            return other
+        # a*P + b*S = (x*P + y*S) / L with integers x, y
+        a, b = self.content, other.content
+        L = math.lcm(a.denominator, b.denominator)
+        x, y = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
+        out = [x * c for c in self.prim] + [0] * (len(other.prim) - len(self.prim))
+        for i, c in enumerate(other.prim):
+            out[i] += y * c
+        return _qpoly(out, Fraction(1, L))
+
+    def __neg__(self) -> "QPoly":
+        return _wrap(-self.content, self.prim)
+
+    def __sub__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return _QP_ZERO
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        return _wrap(self.content * other.content, tuple(out))
+
+    def scale(self, c: RatLike) -> "QPoly":
+        c = Fraction(c)
+        if not c or not self.prim:
+            return _QP_ZERO
+        return _wrap(self.content * c, self.prim)
+
+    def shift(self, k: int) -> "QPoly":
+        """Multiply by q**k."""
+        if self.is_zero:
+            return self
+        return _wrap(self.content, (0,) * k + self.prim)
+
+    def __pow__(self, n: int) -> "QPoly":
+        if n < 0:
+            raise ValueError("negative power of a QPoly")
+        result = _QP_ONE
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        Q, R, e = _pdivmod(self.prim, other.prim)
+        c = self.content / other.prim[-1] ** e
+        return _qpoly(Q, c / other.content), _qpoly(R, c)
+
+    def __floordiv__(self, other: "QPoly") -> "QPoly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: "QPoly") -> "QPoly":
+        return divmod(self, other)[1]
+
+    def divexact(self, other: "QPoly") -> "QPoly":
+        """Division known to be exact; raises if a remainder appears."""
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
+    def monic(self) -> "QPoly":
+        return _wrap(Fraction(1, self.prim[-1]), self.prim) if self.prim else self
+
+    def reversed(self) -> "QPoly":
+        """Coefficient reversal over the current degree (q -> 1/q core step)."""
+        return _qpoly(self.prim[::-1], self.content)
+
+    # -- evaluation and display ----------------------------------------
+
+    def eval(self, c: RatLike) -> Fraction:
+        c = Fraction(c)
+        acc, dk = 0, 1  # homogeneous Horner: acc / (dk / den) = prim(c)
+        for a in reversed(self.prim):
+            acc, dk = acc * c.numerator + a * dk, dk * c.denominator
+        return self.content * Fraction(acc, dk // c.denominator) if self.prim else Fraction(0)
+
+    def __call__(self, c: RatLike) -> Fraction:
+        return self.eval(c)
+
+    def __str__(self) -> str:
+        return poly_str(self.coeffs, "q")
+
+    def __repr__(self) -> str:
+        return f"QPoly({[str(c) for c in self.coeffs]})"
+
+
+def _wrap(content: Fraction, prim: tuple[int, ...]) -> QPoly:
+    """A QPoly from a nonzero content and a primitive ``prim`` (or 0 and ())."""
+    p = QPoly.__new__(QPoly)
+    p.content, p.prim = content, prim
+    return p
+
+
+def _qpoly(cs: Sequence[int], content: Fraction = Fraction(1)) -> QPoly:
+    """The QPoly content * cs, for any int list cs: divides out cs's integer content."""
+    cs = _itrim(list(cs))
+    if not cs:
+        return _QP_ZERO
+    g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+    return _wrap(content * g, tuple(cs) if g == 1 else tuple(c // g for c in cs))
+
+
+_QP_ZERO = _wrap(Fraction(0), ())
+_QP_ONE = _wrap(Fraction(1), (1,))
+_QP_Q = _wrap(Fraction(1), (0, 1))
+
+
+def poly_str(coeffs: Sequence[Fraction], var: str) -> str:
+    """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
+    if not coeffs:
+        return "0"
+    parts: list[str] = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        mag = -c if c < 0 else c
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = var if k == 1 else f"{var}^{k}"
+        else:
+            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd in Q[q], computed from the primitive parts alone."""
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    if a.degree == 0 or b.degree == 0:
+        return _QP_ONE
+    return _qpoly(_int_poly_gcd(a.prim, b.prim)).monic()
+
+
+def q_integer(x: int) -> QPoly:
+    """The q-number [x]_q = 1 + q + ... + q^(x-1); [0]_q is zero."""
+    if x < 0:
+        raise ValueError("q_integer requires x >= 0")
+    return _qpoly([1] * x)
+
+
 def cyclotomic(n: int) -> QPoly:
     """n-th cyclotomic polynomial (integer coefficients, monic)."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return QPoly(_icyclotomic(n))
+    return _wrap(Fraction(1), _icyclotomic(n))
 
 
 def one_plus_q_power_factors(m: int) -> list[int]:
@@ -430,14 +444,8 @@ class QRatFn:
             return
         g = qpoly_gcd(num, den)
         if g.degree > 0:
-            num = num.divexact(g)
-            den = den.divexact(g)
-        lead = den.leading
-        if lead != 1:
-            inv = 1 / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num, self.den = num, den
+            num, den = num.divexact(g), den.divexact(g)
+        self.num, self.den = num.scale(1 / den.leading), den.monic()  # contents only
 
     @classmethod
     def _raw(cls, num: QPoly, den: QPoly) -> "QRatFn":
@@ -482,9 +490,7 @@ class QRatFn:
         """The value of a constant rational function."""
         if not self.is_constant:
             raise ValueError(f"not a constant rational function: {self}")
-        if self.num.is_zero:
-            return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.leading / self.den.leading
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -496,7 +502,7 @@ class QRatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("QRatFn", self.num.coeffs, self.den.coeffs))
+        return hash(("QRatFn", self.num, self.den))
 
     # -- field arithmetic ----------------------------------------------
 
@@ -561,8 +567,7 @@ class QRatFn:
     def inverse(self) -> "QRatFn":
         if self.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        lead = self.num.leading
-        return QRatFn._raw(self.den.scale(1 / lead), self.num.scale(1 / lead))
+        return QRatFn._raw(self.den.scale(1 / self.num.leading), self.num.monic())
 
     def __truediv__(self, other) -> "QRatFn":
         other = _coerce(other)

@@ -41,15 +41,35 @@ def _vp(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a p >= PRIME_LIMIT is out of range (ValueError)."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"p = {p} is out of range: primality is decided only below {PRIME_LIMIT}")
     if p < 3 or p % 2 == 0:
         return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from qeuler.cli import TABLE_KINDS, OutputRecord, main
 from qeuler.euler import SUITES
+from qeuler.padic import PRIME_LIMIT, is_odd_prime
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +216,21 @@ def test_padic_rejects_composite_p(capsys):
         main(["padic", "--n", "1", "--p", "4"])
     assert exc.value.code == 2
     assert "p must be an odd prime" in capsys.readouterr().err
+
+
+def test_padic_large_prime_answers_quickly(capsys):
+    is_odd_prime.cache_clear()  # time the primality test itself, not a cache hit
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "padic", "--n", "1", "--p", str(2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and "monotone growth" in out
+
+
+def test_padic_out_of_range_prime_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["padic", "--n", "1", "--p", str(PRIME_LIMIT + 2)])
+    assert exc.value.code == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_padic_json_roundtrip(capsys):

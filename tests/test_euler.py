@@ -22,7 +22,8 @@ from qeuler.euler import (
     weighted_closed_form,
     weighted_recurrence,
 )
-from qeuler.exactq import QPoly, QRatFn, XPoly, cyclotomic
+from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_remainder, cyclotomic
+from test_exactq import ref_divmod  # the Fraction-list reference division
 
 ONE = QRatFn.one()
 
@@ -211,8 +212,8 @@ def test_cyclotomic_remainder_matches_long_division(num, d, multiple):
     phi = cyclotomic(d)
     if multiple:  # make Phi_d divide num
         num = [int(c) for c in (QPoly(num) * phi).coeffs]
-    expected = euler._idivmod_monic(num, tuple(int(c) for c in phi.coeffs))[1]
-    assert euler._cyclotomic_remainder(num, d) == expected
+    expected = ref_divmod(num, phi.coeffs)[1]
+    assert _cyclotomic_remainder(num, d) == expected
     assert not expected or not multiple
 
 

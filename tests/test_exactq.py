@@ -312,3 +312,121 @@ def test_xpoly_trims_and_compares():
     assert XPoly((1, 0, 0)) == XPoly((1,))
     assert XPoly(()).is_zero
     assert XPoly((0,)).degree == -1
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel under QPoly against a Fraction-list reference
+# ---------------------------------------------------------------------------
+#
+# QPoly keeps a rational content times a primitive integer polynomial; the
+# reference below is the plain schoolbook arithmetic on lists of Fractions
+# (ascending, no trailing zeros) that the kernel must reproduce exactly.
+
+def ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    """Long division over the rationals; b nonzero and trimmed."""
+    rem, db = ref_trim(a), len(b) - 1
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db:
+        c = rem[-1] / b[-1]
+        k = len(rem) - 1 - db
+        quot[k] = c
+        for i, bc in enumerate(b):
+            rem[k + i] -= c * bc
+        rem = ref_trim(rem)
+    return ref_trim(quot), rem
+
+
+def ref_gcd(a, b):
+    """Monic Euclid over the rationals."""
+    a, b = ref_trim(a), ref_trim(b)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+fracs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+contents = fracs.filter(bool)
+coeff_lists = st.lists(fracs, max_size=8)
+# a rational content times an integer polynomial whose leading coefficient
+# is monic, negative or neither
+divisors = st.builds(
+    lambda c, low, lead: [c * k for k in low + [lead]],
+    contents,
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.sampled_from([1, -1, 2, -3, 6]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, coeff_lists)
+def test_kernel_mul_matches_reference(a, b):
+    assert (QPoly(a) * QPoly(b)).coeffs == tuple(ref_mul(ref_trim(a), ref_trim(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, divisors)
+def test_kernel_divmod_matches_reference(a, b):
+    quot, rem = divmod(QPoly(a), QPoly(b))
+    ref_quot, ref_rem = ref_divmod(a, b)
+    assert quot.coeffs == tuple(ref_quot) and rem.coeffs == tuple(ref_rem)
+    assert (QPoly(a) * QPoly(b)).divexact(QPoly(b)) == QPoly(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, coeff_lists, divisors)
+def test_kernel_gcd_matches_reference(a, b, h):
+    # h makes a nontrivial common factor likely
+    a, b = ref_mul(ref_trim(a), h), ref_mul(ref_trim(b), h)
+    assert qpoly_gcd(QPoly(a), QPoly(b)).coeffs == tuple(ref_gcd(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3), contents.map(lambda c: -abs(c)), coeff_lists)
+def test_kernel_reversed_matches_reference(zeros, constant, rest):
+    # low-order zeros trim away on reversal; a negative constant term
+    # becomes a negative leading coefficient
+    for cs in ([0] * zeros + [constant] + rest, [0] * zeros + rest):
+        assert QPoly(cs).reversed().coeffs == tuple(ref_trim(reversed(ref_trim(cs))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, fracs)
+def test_kernel_eval_matches_reference(a, x):
+    assert QPoly(a).eval(x) == ref_eval(ref_trim(a), x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff_lists, contents, contents)
+def test_kernel_equal_values_from_different_contents(a, s, t):
+    p = QPoly(a)
+    built = [
+        QPoly([c * s for c in a]).scale(1 / s),
+        p.scale(s) + p.scale(t) - p.scale(s + t - 1),
+        (p * QPoly.const(s)).divexact(QPoly.const(s)),
+        (p * QPoly((s, t))).divexact(QPoly((s * 2, t * 2))).scale(2),
+    ]
+    for other in built:
+        assert other == p and hash(other) == hash(p)
+        assert (other.content, other.prim) == (p.content, p.prim)

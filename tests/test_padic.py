@@ -15,6 +15,7 @@ from qeuler.padic import (
     convergence_report,
     fermionic_integral_partial,
     is_odd_prime,
+    PRIME_LIMIT,
 )
 
 QC3 = QChoice(3, Fraction(4))  # q = 1 + 3
@@ -79,6 +80,32 @@ def test_even_or_composite_prime_rejected():
         PAdicNum.from_rational(1, 4, 5)
     with pytest.raises(ValueError):
         QChoice(9, Fraction(10))
+
+
+def test_primality_matches_trial_division_below_1e5():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0:2] = b"\x00\x00"
+    for f in range(2, int(limit**0.5) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, limit, f)))
+    test = is_odd_prime.__wrapped__  # bypass the cache: 10^5 entries would stay alive
+    assert [p for p in range(limit) if test(p)] == [p for p in range(3, limit) if sieve[p]]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # 3215031751 = 151*751*28351 is a strong pseudoprime to bases 2, 3, 5, 7; the next is
+    # the least one to the first 12 prime bases (2..37), which base 41 exposes
+    assert not is_odd_prime(3215031751)
+    assert not is_odd_prime(318665857834031151167461)
+    assert is_odd_prime(2**61 - 1) and is_odd_prime(10**18 + 3)
+
+
+def test_primality_out_of_range_raises():
+    with pytest.raises(ValueError, match="out of range"):
+        is_odd_prime(PRIME_LIMIT)
+    with pytest.raises(ValueError, match="out of range"):
+        QChoice(2**127 - 1, Fraction(1))
 
 
 def test_qchoice_requires_q_near_one():
