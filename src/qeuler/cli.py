@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", choices=list(euler.SUITES), default="all")
     p_verify.add_argument("--n-max", type=int, default=20, help="largest n checked (default 20); "
-                          "cost grows faster than linearly: --suite all takes about 0.5 s at 10, "
-                          "3 s at 20 and 26 s at 30 on a 2-vCPU Xeon with Python 3.11")
+                          "cost grows faster than linearly: --suite all takes about 0.3 s at 10, "
+                          "0.6 s at 20 and 1.5 s at 30 on a 2-vCPU Xeon with Python 3.11")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

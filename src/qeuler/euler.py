@@ -2,7 +2,7 @@
 the symbolic identity suite.
 
 Everything is exact: sequence entries are canonical ``QRatFn`` values, so
-an identity "holds" exactly when both sides have identical representations.
+two of them are equal exactly when their representations are identical.
 
 One integer recurrence, run over the known denominators, serves every
 weight alpha >= 0; weight 0 is its alpha = 0 case.  Two independent routes
@@ -13,6 +13,16 @@ check it and are never merged with it:
   is a verified identity, not a definition.
 * for alpha >= 1, the alternating closed-form sum;
   ``q_euler_numbers_weighted`` cross-checks the two before returning.
+
+The identity suite decides thm4-thm8, the k=0 remark and the weighted
+check on integer polynomials.  Each side is a sum of numbers with a known
+denominator, (1+q)^l at weight 0 and prod_{k<=n} (1+q^(alpha*k+1)) at
+weight alpha, so it is brought over one shared denominator, and the
+verdict is the equality of the two integer numerators: field equality,
+since the denominator is nonzero.  Canonical sides are built, through the
+public routes, only as the witnesses of a failing instance.  thm1, thm2,
+cor3 and classical compare canonical values, with Frobenius-Euler numbers
+as the independent side.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exactq import (
     QPoly,
@@ -30,6 +40,7 @@ from .exactq import (
     XPoly,
     _cyclotomic_remainder,
     _icyclotomic,
+    _imul,
     _ishift_add,
     _ishift_div,
     _itrim,
@@ -262,16 +273,24 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> list[QRatFn]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rec = weighted_recurrence(alpha, n_max)
-    for n, num in enumerate(_weighted_numerators(alpha, n_max)):
-        scaled = list(num)
-        for _ in range(n):
-            scaled = _ishift_add(scaled, alpha, -1)
-        if _itrim(_alternating_numerator(alpha, n)) != _itrim(scaled):
+    for n in range(n_max + 1):
+        if not _weighted_routes_agree(alpha, n):
             raise ArithmeticError(
                 f"weighted routes disagree at alpha={alpha}, n={n}: "
                 f"T_n != (1-q^{alpha})^n N_n"
             )
     return rec
+
+
+def _weighted_routes_agree(alpha: int, n: int) -> bool:
+    """Whether T_n = (1-q^alpha)^n N_n, i.e. both routes give the same E^(alpha)_n.
+
+    Callers warm ``_weighted_numerators(alpha, n)`` first.
+    """
+    scaled = list(_weighted_numerators(alpha, n)[n])
+    for _ in range(n):
+        scaled = _ishift_add(scaled, alpha, -1)
+    return _itrim(_alternating_numerator(alpha, n)) == _itrim(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +336,13 @@ FAIL = "fail"
 class IdentityInstance:
     """One checked parameter instance of an identity.
 
-    ``left``/``right`` hold both sides (canonical QRatFn or XPoly) as a
-    witness whenever the verdict is ``fail``; an instance is in order when
-    its verdict matches its expectation (some identities are *supposed*
-    to fail, e.g. the k=0 erratum and the thm5 hypothesis probe).
+    The verdict is an exact comparison: of integer numerators over a
+    shared known denominator for thm4-thm8, the k=0 remark and weighted,
+    of canonical values for the rest.  ``left``/``right`` hold both sides (canonical
+    QRatFn or XPoly) as a witness whenever the verdict is ``fail``, and are
+    built only then.  An instance is in order when its verdict matches its
+    expectation (some identities are *supposed* to fail, e.g. the k=0
+    erratum and the thm5 hypothesis probe).
     """
 
     params: tuple
@@ -380,95 +402,182 @@ def _alternating_power_qpoly(n: int, m: int) -> QPoly:
 
 
 def _check_cor3(n_max: int, m_max: int) -> list[IdentityInstance]:
+    if n_max < 1:
+        return []
+    h = _frobenius_prefix(MINUS_Q_INV, m_max)
+    h_polys = [frobenius_polynomial(MINUS_Q_INV, m) for m in range(m_max + 1)]
     out = []
     for n in range(1, n_max + 1, 2):
         qn = QRatFn.from_poly(QPoly.monomial(n))
         for m in range(m_max + 1):
-            h_poly = frobenius_polynomial(MINUS_Q_INV, m)
-            left = qn * h_poly.eval(QRatFn.const(n)) + _frobenius_prefix(MINUS_Q_INV, m)[m]
+            left = qn * h_polys[m].eval(QRatFn.const(n)) + h[m]
             right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
             out.append(_instance((n, m), left, right))
     return out
 
 
-def _check_thm4(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    out = []
-    for n in range(n_max + 1):
-        poly = q_euler_polynomial(n)
-        left = Q * poly.eval(ONE) + _q_euler_entries(n)[n]
-        right = TWO_Q if n == 0 else ZERO
-        out.append(_instance((n,), left, right))
-    return out
+def _binomial_row(m: int) -> list[int]:
+    """(1+q)^m."""
+    return [comb(m, i) for i in range(m + 1)]
 
 
-def _check_thm5(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    out = []
-    # n = 0 sits outside the hypothesis (n >= 1): both sides are computable
-    # and must differ, which the suite asserts as an expected failure.
-    left0 = Q * Q * q_euler_polynomial(0).eval(QRatFn.const(2))
-    right0 = Q + Q * Q + ONE
-    out.append(
-        _instance(
-            (0,),
-            left0,
-            right0,
-            expected=FAIL,
-            note="n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
-        )
-    )
-    for n in range(1, n_max + 1):
-        left = Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2))
-        right = Q + Q * Q + _q_euler_entries(n)[n]
-        out.append(_instance((n,), left, right))
-    return out
+def _icombination(terms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+    """sum c*cs over the (c, cs) terms, trimmed, so equal sums compare equal."""
+    out: list[int] = []
+    for c, cs in terms:
+        if len(out) < len(cs):
+            out.extend([0] * (len(cs) - len(out)))
+        for i, a in enumerate(cs):
+            out[i] += c * a
+    return _itrim(out)
 
 
-def _check_thm6(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    one_minus_x = XPoly((ONE, -ONE))
-    out = []
-    for n in range(n_max + 1):
-        poly = q_euler_polynomial(n)
-        left = poly.map_coeffs(QRatFn.subst_q_inverse).compose(one_minus_x)
-        right = poly if n % 2 == 0 else -poly
-        out.append(_instance((n,), left, right))
-    return out
+@lru_cache(maxsize=None)
+def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The numerators over (1+q)^n of E_l and of E_{l,1/q}, for l = 0..n.
+
+    E_l = N_l / (1+q)^l with N_l = ``_weighted_numerators(0, l)[l]``, and
+    q -> 1/q turns it into q^(l - deg N_l) rev(N_l) / (1+q)^l.  Each is
+    lifted to (1+q)^n by the binomial row of (1+q)^(n-l).
+    """
+    _warm(_weighted_numerators, n, 0)
+    direct, reflected = [], []
+    for l, num in enumerate(_weighted_numerators(0, n)):
+        num = _itrim(list(num))
+        shift = l + 1 - len(num)
+        assert shift >= 0, f"deg N_{l} > {l}"
+        row = _binomial_row(n - l)
+        direct.append(tuple(_imul(num, row)))
+        reflected.append(tuple(_imul([0] * shift + num[::-1], row)))
+    return tuple(direct), tuple(reflected)
+
+
+def _alternating_sum_numerator(n: int) -> list[int]:
+    """sum_{l=0..n} C(n,l) (-1)^l E_l over (1+q)^n."""
+    direct = _numerators_over(n)[0]
+    return _icombination(((-1) ** l * comb(n, l), direct[l]) for l in range(n + 1))
 
 
 @lru_cache(maxsize=None)
 def _alternating_sum(n: int) -> QRatFn:
-    """sum_{l=0..n} C(n,l) (-1)^l E_l, the left side of thm7, the k=0 remark and thm8's k=0 rows."""
-    e = _q_euler_entries(n)
-    total = ZERO
-    for l in range(n + 1):
-        total = total + e[l] * ((-1) ** l * comb(n, l))
-    return total
+    """sum_{l=0..n} C(n,l) (-1)^l E_l in canonical form, a witness of thm7 and the k=0 remark."""
+    num = _alternating_sum_numerator(n)
+    return _reduce_over_cyclotomics(num, _binomial_row(n), Counter({2: n}))
 
 
 @lru_cache(maxsize=None)
 def _reflected_entry(n: int) -> QRatFn:
-    """E_{n,1/q}: the weight-0 number under q -> 1/q."""
-    return _q_euler_entries(n)[n].subst_q_inverse()
+    """E_{n,1/q}: the weight-0 number under q -> 1/q, in canonical form."""
+    num = list(_numerators_over(n)[1][n])
+    return _reduce_over_cyclotomics(num, _binomial_row(n), Counter({2: n}))
+
+
+def _judged(
+    params: tuple,
+    holds: bool,
+    witness: Callable[[], tuple[object, object]],
+    expected: str = PASS,
+    note: str = "",
+) -> IdentityInstance:
+    """An instance whose verdict an integer comparison decided.
+
+    ``witness`` builds the canonical sides; it runs only for a failing
+    instance, and its values never change the verdict.
+    """
+    if holds:
+        return IdentityInstance(params, PASS, expected, note)
+    left, right = witness()
+    return IdentityInstance(params, FAIL, expected, note, left, right)
+
+
+def _check_thm4(n_max: int, _m_max: int) -> list[IdentityInstance]:
+    """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1."""
+    out = []
+    for n in range(n_max + 1):
+        direct = _numerators_over(n)[0]
+        # E_n(1) = sum_l C(n,l) E_l
+        terms = [(comb(n, l), (0,) + direct[l]) for l in range(n + 1)]
+        left = _icombination(terms + [(1, direct[n])])
+        right = [1, 1] if n == 0 else []
+        out.append(_judged((n,), left == right, lambda: (
+            Q * q_euler_polynomial(n).eval(ONE) + q_euler_numbers(n)[n],
+            TWO_Q if n == 0 else ZERO,
+        )))
+    return out
+
+
+def _check_thm5(n_max: int, _m_max: int) -> list[IdentityInstance]:
+    """q^2 E_n(2) = q + q^2 + E_n for n >= 1."""
+    out = []
+    for n in range(n_max + 1):
+        direct = _numerators_over(n)[0]
+        # E_n(2) = sum_l C(n,l) 2^(n-l) E_l, and q + q^2 = q (1+q)
+        left = _icombination((comb(n, l) * 2 ** (n - l), (0, 0) + direct[l]) for l in range(n + 1))
+        right = _icombination([(1, [0] + _binomial_row(n + 1)), (1, direct[n])])
+        # n = 0 sits outside the hypothesis (n >= 1): both sides are computable
+        # and must differ, which the suite asserts as an expected failure.
+        probe = {} if n else {
+            "expected": FAIL,
+            "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
+        }
+        out.append(_judged((n,), left == right, lambda: (
+            Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2)),
+            Q + Q * Q + q_euler_numbers(n)[n],
+        ), **probe))
+    return out
+
+
+def _thm6_sides(n: int) -> tuple[XPoly, XPoly]:
+    """thm6's canonical sides, the witnesses of a failing instance."""
+    poly = q_euler_polynomial(n)
+    left = poly.map_coeffs(QRatFn.subst_q_inverse).compose(XPoly((ONE, -ONE)))
+    return left, poly if n % 2 == 0 else -poly
+
+
+def _check_thm6(n_max: int, _m_max: int) -> list[IdentityInstance]:
+    """E_{n,1/q}(1-x) = (-1)^n E_n(x), compared coefficient by coefficient in x."""
+    out = []
+    for n in range(n_max + 1):
+        direct, reflected = _numerators_over(n)
+        # x^j in sum_l C(n,l) E_{l,1/q} (1-x)^(n-l), and in (-1)^n sum_l C(n,l) E_l x^(n-l)
+        holds = all(
+            _icombination(
+                (comb(n, l) * comb(n - l, j) * (-1) ** j, reflected[l]) for l in range(n - j + 1)
+            )
+            == _icombination([((-1) ** n * comb(n, j), direct[n - j])])
+            for j in range(n + 1)
+        )
+        out.append(_judged((n,), holds, lambda: _thm6_sides(n)))
+    return out
+
+
+def _thm7_instance(params: tuple, n: int) -> IdentityInstance:
+    """sum_l C(n,l) (-1)^l E_l = 1 + q + q^2 E_{n,1/q}: thm7, and thm8's full k=0 row."""
+    right = _icombination([(1, _binomial_row(n + 1)), (1, (0, 0) + _numerators_over(n)[1][n])])
+    return _judged(params, _alternating_sum_numerator(n) == right, lambda: (
+        _alternating_sum(n), ONE + Q + Q * Q * _reflected_entry(n)
+    ))
+
+
+def _k0_remark_instance(params: tuple, n: int, note: str) -> IdentityInstance:
+    """The k=0 shortcut sum_l C(n,l) (-1)^l E_l = q^2 E_{n,1/q}, expected to fail."""
+    right = _icombination([(1, (0, 0) + _numerators_over(n)[1][n])])
+    return _judged(params, _alternating_sum_numerator(n) == right, lambda: (
+        _alternating_sum(n), Q * Q * _reflected_entry(n)
+    ), expected=FAIL, note=note)
 
 
 def _check_thm7(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    return [
-        _instance((n,), _alternating_sum(n), ONE + Q + Q * Q * _reflected_entry(n))
-        for n in range(1, n_max + 1)
-    ]
+    return [_thm7_instance((n,), n) for n in range(1, n_max + 1)]
 
 
 def _check_k0_remark(n_max: int, _m_max: int) -> list[IdentityInstance]:
-    """The k=0 shortcut sum_l C(n,l)(-1)^l E_l = q^2 E_{n,1/q}.
+    """The k=0 shortcut drops the 1+q constant that thm7 keeps.
 
-    It drops the 1+q constant that thm7 keeps, so it contradicts thm7 and
-    every instance is expected to fail; witnesses carry both canonical
-    sides.
+    So it contradicts thm7 and every instance is expected to fail;
+    witnesses carry both canonical sides.
     """
-    return [
-        _instance((n,), _alternating_sum(n), Q * Q * _reflected_entry(n),
-                  expected=FAIL, note="contradicts thm7")
-        for n in range(1, n_max + 1)
-    ]
+    return [_k0_remark_instance((n,), n, "contradicts thm7") for n in range(1, n_max + 1)]
 
 
 def _check_classical(n_max: int, _m_max: int) -> list[IdentityInstance]:
@@ -480,9 +589,11 @@ def _check_classical(n_max: int, _m_max: int) -> list[IdentityInstance]:
 def _check_weighted(n_max: int, _m_max: int) -> list[IdentityInstance]:
     out = []
     for alpha in (1, 2, 3):
-        rec = weighted_recurrence(alpha, n_max)
+        _warm(_weighted_numerators, n_max, alpha)
         for n in range(n_max + 1):
-            out.append(_instance((alpha, n), rec[n], weighted_closed_form(alpha, n)))
+            out.append(_judged((alpha, n), _weighted_routes_agree(alpha, n), lambda: (
+                weighted_recurrence(alpha, n)[n], weighted_closed_form(alpha, n)
+            )))
     return out
 
 
@@ -541,8 +652,9 @@ def verify_identity(identity_id: str, n_max: int, m_max: int = 15) -> IdentityRe
     """Check one identity over an explicit finite range.
 
     Both sides of every instance are built independently from the
-    operations above and compared in canonical form; failures are data
-    (witness attached), not errors.  ``m_max`` only affects ``cor3``.
+    operations above and compared exactly (see ``IdentityInstance``);
+    failures are data (witness attached), not errors.  ``m_max`` only
+    affects ``cor3``.
     "thm8" runs the Bernstein-moment suite of the bernstein module.
     """
     key = identity_id.lower()

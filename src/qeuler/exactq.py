@@ -39,6 +39,16 @@ def _itrim(cs: list[int]) -> list[int]:
     return cs
 
 
+def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two nonzero integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _pdivmod(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int], int]:
     """Integer pseudo-division: (Q, R, e) with lc(B)^e * A = Q*B + R and deg R < deg B.
 
@@ -261,16 +271,10 @@ class QPoly:
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.prim, other.prim
-        if not a or not b:
+        if not self.prim or not other.prim:
             return _QP_ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         # Gauss's lemma: a product of primitive polynomials is primitive
-        return _wrap(self.content * other.content, tuple(out))
+        return _wrap(self.content * other.content, tuple(_imul(self.prim, other.prim)))
 
     def scale(self, c: RatLike) -> "QPoly":
         c = Fraction(c)

@@ -1,4 +1,5 @@
-"""Pinned stdout bytes: SHA-256 and exit code of every table kind and format.
+"""Pinned stdout bytes: SHA-256 and exit code of every table kind and format,
+and of the full identity suite at n = 4 and 30.
 
 A change of representation in the arithmetic kernel must never alter a
 printed coefficient.  Each case runs the CLI in process and compares a
@@ -88,6 +89,8 @@ PINNED = [
      "e321a8da3ba915674dc38934e64753eddbbf1b060c3774c5081f7f05b5f41b00"),
     ("verify --suite all --n-max 4 --json", 0,
      "3d79f3c08b10b94efe0699c22b3d5d47999999dea43d1c15cd48c1b0bb4651cc"),
+    ("verify --suite all --n-max 30 --json", 0,
+     "3beff66c6eeb663a7a21c1e536d6ec5f6f55afb7562a3d202a9e430971c99950"),
 ]
 
 

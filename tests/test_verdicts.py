@@ -1,0 +1,193 @@
+"""Integer-numerator verdicts against the canonical route, and under mutations.
+
+thm4-thm8 and weighted decide each verdict by comparing integer numerators
+over a shared known denominator.  Here every such verdict is checked
+against the canonical comparison of the identity's two sides, built from
+the public API in ``QRatFn``/``XPoly`` arithmetic; and each check is shown
+to turn FAIL, with witnesses whose sides really differ, when one of its
+inputs is broken on purpose.
+"""
+
+import inspect
+import types
+from math import comb
+
+import pytest
+
+from qeuler import bernstein, euler
+from qeuler.euler import (
+    FAIL,
+    PASS,
+    SUITES,
+    q_euler_numbers,
+    q_euler_polynomial,
+    verify_identity,
+    weighted_closed_form,
+    weighted_recurrence,
+)
+from qeuler.exactq import QRatFn, XPoly
+
+ONE, Q = QRatFn.one(), QRatFn.q()
+N_MAX = 10
+
+
+def _alt(e, n):
+    total = QRatFn.zero()
+    for l in range(n + 1):
+        total = total + e[l] * ((-1) ** l * comb(n, l))
+    return total
+
+
+def _sides(identity, n_max):
+    """(left, right) of every instance, in report order, by the canonical route."""
+    e = q_euler_numbers(n_max)
+    refl = [e[n].subst_q_inverse() for n in range(n_max + 1)]
+    if identity == "thm4":
+        return [(Q * q_euler_polynomial(n).eval(ONE) + e[n], ONE + Q if n == 0 else QRatFn.zero())
+                for n in range(n_max + 1)]
+    if identity == "thm5":
+        return [(Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2)), Q + Q * Q + e[n])
+                for n in range(n_max + 1)]
+    if identity == "thm6":
+        out = []
+        for n in range(n_max + 1):
+            poly = q_euler_polynomial(n)
+            left = poly.map_coeffs(QRatFn.subst_q_inverse).compose(XPoly((ONE, -ONE)))
+            out.append((left, poly if n % 2 == 0 else -poly))
+        return out
+    if identity == "thm7":
+        return [(_alt(e, n), ONE + Q + Q * Q * refl[n]) for n in range(1, n_max + 1)]
+    if identity == "k0-remark":
+        return [(_alt(e, n), Q * Q * refl[n]) for n in range(1, n_max + 1)]
+    if identity == "weighted":
+        return [(weighted_recurrence(a, n)[n], weighted_closed_form(a, n))
+                for a in (1, 2, 3) for n in range(n_max + 1)]
+    assert identity == "thm8"
+    out = []
+    for n in range(1, n_max + 1):
+        out.append((_alt(e, n), Q * Q * refl[n]))
+        out.append((_alt(e, n), ONE + Q + Q * Q * refl[n]))
+        for k in range(1, n):
+            left = QRatFn.zero()
+            for l in range(n - k + 1):
+                left = left + e[k + l] * (comb(n - k, l) * (-1) ** l)
+            right = QRatFn.zero()
+            for l in range(k + 1):
+                right = right + Q * Q * refl[n - l] * (comb(k, l) * (-1) ** (k + l))
+            out.append((left, right))
+    return out
+
+
+CONVERTED = ("thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "thm8")
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty every euler cache before and after, so a monkeypatched input reaches every route."""
+    cached = [f for f in vars(euler).values() if hasattr(f, "cache_clear")]
+    for f in cached:
+        f.cache_clear()
+    yield
+    for f in cached:
+        f.cache_clear()
+
+
+def _perturb_numerator(monkeypatch, n_bad=5, index=2):
+    """Add 1 to one coefficient of the weight-0 numerator N_{n_bad}, for every route."""
+    honest = euler._weighted_numerators
+
+    def perturbed(alpha, n_max):
+        nums = honest(alpha, n_max)  # its recursion comes back here, so N_{n_bad} feeds N_n, n > n_bad
+        if alpha == 0 and n_max == n_bad:
+            bad = list(nums[n_bad])
+            bad[index] += 1
+            nums = nums[:n_bad] + (tuple(bad),)
+        return nums
+
+    monkeypatch.setattr(euler, "_weighted_numerators", perturbed)
+
+
+def _assert_matches_canonical(report, sides):
+    assert len(report.instances) == len(sides)
+    for inst, (left, right) in zip(report.instances, sides):
+        assert inst.verdict == (PASS if left == right else FAIL), inst.params
+        if inst.verdict == FAIL:
+            assert (inst.left, inst.right) == (left, right), inst.params
+            assert inst.left != inst.right
+
+
+@pytest.mark.parametrize("identity", CONVERTED)
+def test_integer_verdict_matches_canonical_comparison(identity, fresh_caches):
+    _assert_matches_canonical(verify_identity(identity, N_MAX), _sides(identity, N_MAX))
+
+
+@pytest.mark.parametrize("identity", ("thm4", "thm5", "thm6", "thm7", "k0-remark", "thm8"))
+def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, monkeypatch):
+    _perturb_numerator(monkeypatch)
+    report = verify_identity(identity, N_MAX)
+    _assert_matches_canonical(report, _sides(identity, N_MAX))
+    if identity != "k0-remark":  # its instances fail by design either way
+        assert not report.ok
+        assert all(i.params[0] >= 5 for i in report.failures())
+
+
+def test_weighted_off_by_one_fails_with_real_witnesses(fresh_caches, monkeypatch):
+    honest = euler._alternating_numerator
+
+    def perturbed(alpha, n):
+        t = honest(alpha, n)
+        if n == 3:
+            t[len(t) // 2] += 1
+        return t
+
+    monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
+    report = verify_identity("weighted", 4)
+    assert [i.params for i in report.failures()] == [(1, 3), (2, 3), (3, 3)]
+    assert all(i.left != i.right for i in report.failures())
+
+
+def test_theorem8_sign_mutation_fails_with_real_witnesses():
+    # (-1)^(k+l) -> (-1)^l negates the reduced right side of every odd-k row,
+    # on the integer route and on the canonical one its witnesses come from
+    source = inspect.getsource(bernstein)
+    assert source.count("(-1) ** (k + l)") == 2
+    mutant = types.ModuleType(bernstein.__name__)
+    mutant.__package__ = "qeuler"
+    exec(compile(source.replace("(-1) ** (k + l)", "(-1) ** l"), bernstein.__file__, "exec"),
+         mutant.__dict__)
+    assert bernstein.verify_theorem8(12).ok
+    report = mutant.verify_theorem8(12)
+    failed = report.failures()
+    assert len(failed) == 36
+    assert {i.params for i in failed} == {(n, k) for n in range(2, 13) for k in range(1, n, 2)}
+    assert all(i.left != i.right for i in failed)
+
+
+def test_every_fail_in_the_full_suite_carries_real_witnesses():
+    failed = []
+    for run in SUITES["all"]:
+        for inst in verify_identity(run.identity, max(12, run.n_floor)).instances:
+            if inst.verdict == FAIL:
+                assert inst.left is not None and inst.left != inst.right, (run.identity, inst.params)
+                failed.append((run.identity, inst.params))
+    assert sorted(failed) == sorted(
+        [("k0-remark", (n,)) for n in range(1, 13)]
+        + [("thm8", (n, 0, "k0-remark")) for n in range(1, 13)]
+        + [("thm5", (0,))]
+    )
+
+
+
+def test_passing_instances_build_no_ratfn(fresh_caches, monkeypatch):
+    built = []
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return object.__new__(cls)
+
+    monkeypatch.setattr(QRatFn, "__new__", counting_new)
+    for identity in ("thm4", "thm6", "thm7", "weighted"):
+        assert verify_identity(identity, N_MAX).ok
+    assert built == []
+    assert bernstein.verify_theorem8(3).ok
+    assert len(built) > 0  # the k=0 remark rows fail by design and carry witnesses
