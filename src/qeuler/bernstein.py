@@ -159,8 +159,11 @@ def padic_moment_crosscheck(
 
     Each level costs O(n^2 + log p^N) modular operations per cell (the
     partial sum is in closed form); returns, per (n, k), the defect's
-    valuation floor across the requested levels.
+    valuation floor across the requested levels (at least one).
     """
+    levels = sorted(N_list)
+    if not levels:
+        raise ValueError("need at least one level N")
     qc = padic.QChoice(p, Fraction(q))
     out = []
     for n in range(1, n_max + 1):
@@ -169,7 +172,7 @@ def padic_moment_crosscheck(
             exact = bernstein_moment_lhs(k, n).eval(qc.q)
             target = padic.PAdicNum.from_rational(exact, p, prec)
             rows = []
-            for N in sorted(N_list):
+            for N in levels:
                 approx = padic.fermionic_integral_partial(basis.poly, qc, N, prec)
                 defect = approx - target
                 rows.append(padic.ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))

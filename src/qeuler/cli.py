@@ -4,6 +4,9 @@ Exit codes are a stable contract: 0 = success / all verdicts as expected,
 1 = verification mismatch, 2 = usage error.  All data output goes to
 stdout (UTF-8); diagnostics go to stderr.
 
+Every table format is rendered from the canonical values the library
+returns (``QRatFn``, or ``XPoly`` for qeuler-poly): text through their
+``str``, LaTeX through ``latex_ratfn``, JSON through ``_ratfn_payload``.
 JSON output is one ``OutputRecord`` object per invocation; coefficients
 serialize as exact decimal-free rational strings in ascending-power
 arrays, so records round-trip losslessly.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import euler
-from .exactq import QRatFn, XPoly, poly_str
+from .exactq import QRatFn, XPoly
 from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 
 TABLE_KINDS = ("qeuler", "frobenius", "weighted", "qeuler-poly")
@@ -60,40 +63,17 @@ def _ratfn_payload(f: QRatFn) -> dict:
     }
 
 
-def _number_row(n: int, f: QRatFn) -> dict:
-    row = {"n": n}
-    row.update(_ratfn_payload(f))
-    return row
-
-
-def _poly_row(n: int, p: XPoly) -> dict:
-    return {"n": n, "x_coeffs": [_ratfn_payload(c) for c in p.coeffs]}
+def _json_row(n: int, value: "QRatFn | XPoly") -> dict:
+    if isinstance(value, XPoly):
+        return {"n": n, "x_coeffs": [_ratfn_payload(c) for c in value.coeffs]}
+    return {"n": n, **_ratfn_payload(value)}
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _row_ratfn_str(row: dict) -> str:
-    num = poly_str([Fraction(s) for s in row["num"]], "q")
-    den = poly_str([Fraction(s) for s in row["den"]], "q")
-    return f"({num})/({den})"
-
-
-def _row_poly_str(row: dict) -> str:
-    parts = []
-    for k, c in enumerate(row["x_coeffs"]):
-        body = _row_ratfn_str(c)
-        if k == 0:
-            parts.append(body)
-        elif k == 1:
-            parts.append(f"{body}*x")
-        else:
-            parts.append(f"{body}*x^{k}")
-    return " + ".join(parts) if parts else "0"
-
-
-def latex_poly(coeffs: "list[Fraction]", var: str = "q") -> str:
+def latex_poly(coeffs: "tuple[Fraction, ...]", var: str = "q") -> str:
     """Single-line LaTeX for a polynomial, ascending powers, balanced braces."""
     if not coeffs:
         return "0"
@@ -118,12 +98,11 @@ def latex_poly(coeffs: "list[Fraction]", var: str = "q") -> str:
     return " ".join(parts)
 
 
-def latex_ratfn(row: dict) -> str:
-    num = [Fraction(s) for s in row["num"]]
-    den = [Fraction(s) for s in row["den"]]
-    if den == [Fraction(1)]:
-        return latex_poly(num)
-    return f"\\frac{{{latex_poly(num)}}}{{{latex_poly(den)}}}"
+def latex_ratfn(f: QRatFn) -> str:
+    num = latex_poly(f.num.coeffs)
+    if f.den == 1:
+        return num
+    return f"\\frac{{{num}}}{{{latex_poly(f.den.coeffs)}}}"
 
 
 _LATEX_LHS = {
@@ -134,11 +113,11 @@ _LATEX_LHS = {
 }
 
 
-def _latex_row(kind: str, row: dict, alpha: "int | None") -> str:
-    lhs = _LATEX_LHS[kind].format(n=row["n"], alpha=alpha)
-    if kind == "qeuler-poly":
+def _latex_row(kind: str, n: int, value: "QRatFn | XPoly", alpha: "int | None") -> str:
+    lhs = _LATEX_LHS[kind].format(n=n, alpha=alpha)
+    if isinstance(value, XPoly):
         terms = []
-        for k, c in enumerate(row["x_coeffs"]):
+        for k, c in enumerate(value.coeffs):
             body = latex_ratfn(c)
             if k == 0:
                 terms.append(body)
@@ -147,7 +126,7 @@ def _latex_row(kind: str, row: dict, alpha: "int | None") -> str:
                 terms.append(f"\\left( {body} \\right) {power}")
         rhs = " + ".join(terms) if terms else "0"
     else:
-        rhs = latex_ratfn(row)
+        rhs = latex_ratfn(value)
     return f"{lhs} = {rhs}"
 
 
@@ -155,19 +134,17 @@ def _latex_row(kind: str, row: dict, alpha: "int | None") -> str:
 # table command
 # ---------------------------------------------------------------------------
 
-def _compute_table_rows(kind: str, n_max: int, alpha: "int | None") -> list[dict]:
+def _table_values(kind: str, n_max: int, alpha: "int | None") -> list:
+    """Entries 0..n_max of a table: ``QRatFn`` numbers, or ``XPoly`` for qeuler-poly."""
+    if kind == "qeuler-poly":
+        return [euler.q_euler_polynomial(n) for n in range(n_max + 1)]
     if kind == "qeuler":
         seq = euler.q_euler_numbers(n_max)
-        return [_number_row(n, seq[n]) for n in range(n_max + 1)]
-    if kind == "frobenius":
+    elif kind == "frobenius":
         seq = euler.frobenius_numbers(euler.MINUS_Q_INV, n_max)
-        return [_number_row(n, seq[n]) for n in range(n_max + 1)]
-    if kind == "weighted":
-        values = euler.q_euler_numbers_weighted(alpha, n_max)
-        return [_number_row(n, values[n]) for n in range(n_max + 1)]
-    if kind == "qeuler-poly":
-        return [_poly_row(n, euler.q_euler_polynomial(n)) for n in range(n_max + 1)]
-    raise ValueError(kind)
+    else:
+        seq = euler.q_euler_numbers_weighted(alpha, n_max)
+    return [seq[n] for n in range(n_max + 1)]
 
 
 def cmd_table(args, parser) -> int:
@@ -179,7 +156,7 @@ def cmd_table(args, parser) -> int:
         parser.error("--n-max must be >= 0")
     alpha = args.alpha
     try:
-        rows = _compute_table_rows(args.kind, args.n_max, alpha)
+        values = _table_values(args.kind, args.n_max, alpha)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -188,14 +165,14 @@ def cmd_table(args, parser) -> int:
         if alpha is not None:
             meta["alpha"] = alpha
         record_kind = "polynomial" if args.kind == "qeuler-poly" else "number"
+        rows = [_json_row(n, value) for n, value in enumerate(values)]
         print(OutputRecord(record_kind, meta, rows).serialize())
     elif args.format == "latex":
-        for row in rows:
-            print(_latex_row(args.kind, row, alpha))
+        for n, value in enumerate(values):
+            print(_latex_row(args.kind, n, value, alpha))
     else:
-        for row in rows:
-            form = _row_poly_str(row) if args.kind == "qeuler-poly" else _row_ratfn_str(row)
-            print(f"{row['n']}\t{form}")
+        for n, value in enumerate(values):
+            print(f"{n}\t{value}")
     return 0
 
 

@@ -383,17 +383,21 @@ def _instance(params: tuple, left, right, expected: str = PASS, note: str = "") 
     return IdentityInstance(params, verdict, expected, note)
 
 
-def _check_thm1(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm1(n_max: int) -> list[IdentityInstance]:
     e = _q_euler_entries(n_max)
     h = _frobenius_prefix(MINUS_Q_INV, n_max)
     return [_instance((n,), e[n], h[n]) for n in range(n_max + 1)]
 
 
-def _check_thm2(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm2(n_max: int) -> list[IdentityInstance]:
     return [
         _instance((n,), q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n))
         for n in range(n_max + 1)
     ]
+
+
+# cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
+_COR3_M_MAX = 15
 
 
 def _alternating_power_qpoly(n: int, m: int) -> QPoly:
@@ -401,15 +405,15 @@ def _alternating_power_qpoly(n: int, m: int) -> QPoly:
     return QPoly([Fraction((-1) ** l * l**m) for l in range(n)])
 
 
-def _check_cor3(n_max: int, m_max: int) -> list[IdentityInstance]:
+def _check_cor3(n_max: int) -> list[IdentityInstance]:
     if n_max < 1:
         return []
-    h = _frobenius_prefix(MINUS_Q_INV, m_max)
-    h_polys = [frobenius_polynomial(MINUS_Q_INV, m) for m in range(m_max + 1)]
+    h = _frobenius_prefix(MINUS_Q_INV, _COR3_M_MAX)
+    h_polys = [frobenius_polynomial(MINUS_Q_INV, m) for m in range(_COR3_M_MAX + 1)]
     out = []
     for n in range(1, n_max + 1, 2):
         qn = QRatFn.from_poly(QPoly.monomial(n))
-        for m in range(m_max + 1):
+        for m in range(_COR3_M_MAX + 1):
             left = qn * h_polys[m].eval(QRatFn.const(n)) + h[m]
             right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
             out.append(_instance((n, m), left, right))
@@ -490,7 +494,7 @@ def _judged(
     return IdentityInstance(params, FAIL, expected, note, left, right)
 
 
-def _check_thm4(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm4(n_max: int) -> list[IdentityInstance]:
     """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1."""
     out = []
     for n in range(n_max + 1):
@@ -506,7 +510,7 @@ def _check_thm4(n_max: int, _m_max: int) -> list[IdentityInstance]:
     return out
 
 
-def _check_thm5(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm5(n_max: int) -> list[IdentityInstance]:
     """q^2 E_n(2) = q + q^2 + E_n for n >= 1."""
     out = []
     for n in range(n_max + 1):
@@ -534,7 +538,7 @@ def _thm6_sides(n: int) -> tuple[XPoly, XPoly]:
     return left, poly if n % 2 == 0 else -poly
 
 
-def _check_thm6(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm6(n_max: int) -> list[IdentityInstance]:
     """E_{n,1/q}(1-x) = (-1)^n E_n(x), compared coefficient by coefficient in x."""
     out = []
     for n in range(n_max + 1):
@@ -567,11 +571,11 @@ def _k0_remark_instance(params: tuple, n: int, note: str) -> IdentityInstance:
     ), expected=FAIL, note=note)
 
 
-def _check_thm7(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_thm7(n_max: int) -> list[IdentityInstance]:
     return [_thm7_instance((n,), n) for n in range(1, n_max + 1)]
 
 
-def _check_k0_remark(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
     """The k=0 shortcut drops the 1+q constant that thm7 keeps.
 
     So it contradicts thm7 and every instance is expected to fail;
@@ -580,13 +584,13 @@ def _check_k0_remark(n_max: int, _m_max: int) -> list[IdentityInstance]:
     return [_k0_remark_instance((n,), n, "contradicts thm7") for n in range(1, n_max + 1)]
 
 
-def _check_classical(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_classical(n_max: int) -> list[IdentityInstance]:
     e = _q_euler_entries(n_max)
     oracle = classical_euler_numbers(n_max)
     return [_instance((n,), e[n].eval(1), oracle[n]) for n in range(n_max + 1)]
 
 
-def _check_weighted(n_max: int, _m_max: int) -> list[IdentityInstance]:
+def _check_weighted(n_max: int) -> list[IdentityInstance]:
     out = []
     for alpha in (1, 2, 3):
         _warm(_weighted_numerators, n_max, alpha)
@@ -597,7 +601,7 @@ def _check_weighted(n_max: int, _m_max: int) -> list[IdentityInstance]:
     return out
 
 
-def _check_thm8(n_max: int, _m_max: int) -> tuple[IdentityInstance, ...]:
+def _check_thm8(n_max: int) -> tuple[IdentityInstance, ...]:
     from . import bernstein  # imported here because bernstein imports this module
 
     return bernstein.verify_theorem8(n_max).instances if n_max >= 1 else ()
@@ -607,7 +611,7 @@ class SuiteRun(NamedTuple):
     """One identity a suite runs, at max(n_max, n_floor); left out when n_max < n_from."""
 
     identity: str
-    check: Callable[[int, int], Sequence[IdentityInstance]]
+    check: Callable[[int], Sequence[IdentityInstance]]
     n_floor: int = 0
     n_from: int = 0
 
@@ -648,13 +652,13 @@ SUITES: dict[str, tuple[SuiteRun, ...]] = {
 _CHECK_BY_ID = {run.identity: run.check for runs in SUITES.values() for run in runs}
 
 
-def verify_identity(identity_id: str, n_max: int, m_max: int = 15) -> IdentityReport:
+def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     """Check one identity over an explicit finite range.
 
     Both sides of every instance are built independently from the
     operations above and compared exactly (see ``IdentityInstance``);
-    failures are data (witness attached), not errors.  ``m_max`` only
-    affects ``cor3``.
+    failures are data (witness attached), not errors.  ``cor3`` runs
+    every m = 0..15 at each odd n <= n_max.
     "thm8" runs the Bernstein-moment suite of the bernstein module.
     """
     key = identity_id.lower()
@@ -662,4 +666,4 @@ def verify_identity(identity_id: str, n_max: int, m_max: int = 15) -> IdentityRe
         raise ValueError(f"unknown identity {identity_id!r}; known: {sorted(_CHECK_BY_ID)}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return IdentityReport(key, tuple(_CHECK_BY_ID[key](n_max, m_max)))
+    return IdentityReport(key, tuple(_CHECK_BY_ID[key](n_max)))

@@ -403,15 +403,19 @@ def convergence_report(
     """Compare level-N partial integrals of x^n against the exact moment.
 
     The exact target is the weight-0 q-Euler number evaluated at this q
-    and embedded; rows report the defect's valuation floor per level.
+    and embedded; rows report the defect's valuation floor per level, in
+    increasing N.  ``N_list`` must name at least one level.
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
+    levels = sorted(N_list)
+    if not levels:
+        raise ValueError("need at least one level N")
     target_value = euler.q_euler_numbers(n)[n].eval(qc.q)
     target = PAdicNum.from_rational(target_value, qc.p, prec)
     monomial = XPoly((0,) * n + (1,))
     rows = []
-    for N in sorted(N_list):
+    for N in levels:
         defect = fermionic_integral_partial(monomial, qc, N, prec) - target
         rows.append(ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
     return ConvergenceReport(n, qc.p, qc.q, prec, tuple(rows))

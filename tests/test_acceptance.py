@@ -57,7 +57,7 @@ def test_criterion_1_symbolic_identity_suite():
     rep5 = verify_identity("thm5", 30)  # 1..30 plus the expected-fail n=0 probe
     if not rep5.ok:
         bad.append(("thm5", rep5.failures()[0].params))
-    rep_c = verify_identity("cor3", 15, 15)
+    rep_c = verify_identity("cor3", 15)
     if not rep_c.ok:
         bad.append(("cor3", rep_c.failures()[0].params))
     rep8 = verify_theorem8(12)

@@ -133,3 +133,9 @@ def test_padic_moment_crosscheck_converges():
         vals = [r.valuation for r in rows]
         assert vals[-1] >= vals[0] + 1, (n, k, vals)
         assert vals[-1] >= 3
+
+
+def test_padic_moment_crosscheck_rejects_empty_level_list():
+    for n_max in (0, 1):
+        with pytest.raises(ValueError, match="at least one level"):
+            padic_moment_crosscheck(n_max, N_list=())

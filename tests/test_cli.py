@@ -6,13 +6,16 @@ import os
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler.cli import TABLE_KINDS, OutputRecord, main
+from qeuler import euler
+from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, main
 from qeuler.euler import SUITES
+from qeuler.exactq import QPoly, QRatFn, XPoly
 from qeuler.padic import PRIME_LIMIT, is_odd_prime
 
 
@@ -63,6 +66,46 @@ def test_table_poly_json_roundtrip(capsys):
     assert record.kind == "polynomial"
     assert record.payload[1]["x_coeffs"][1] == {"num": ["1"], "den": ["1"]}
     assert OutputRecord.parse(record.serialize()) == record
+
+
+def _rebuilt(payload: dict) -> QRatFn:
+    num, den = (QPoly(Fraction(c) for c in payload[key]) for key in ("num", "den"))
+    f = QRatFn(num, den)
+    assert (f.num, f.den) == (num, den), payload  # already reduced, denominator monic
+    return f
+
+
+def _library_values(kind: str, alpha, n_max: int) -> list:
+    if kind == "qeuler-poly":
+        return [euler.q_euler_polynomial(n) for n in range(n_max + 1)]
+    if kind == "qeuler":
+        seq = euler.q_euler_numbers(n_max)
+    elif kind == "frobenius":
+        seq = euler.frobenius_numbers(euler.MINUS_Q_INV, n_max)
+    else:
+        seq = euler.q_euler_numbers_weighted(alpha, n_max)
+    return [seq[n] for n in range(n_max + 1)]
+
+
+@pytest.mark.parametrize("kind, alpha", [
+    ("qeuler", None), ("frobenius", None), ("qeuler-poly", None),
+    ("weighted", 1), ("weighted", 2), ("weighted", 3),
+])
+def test_table_json_rows_rebuild_the_library_values(capsys, kind, alpha):
+    # each row rebuilds to the library's value and is that value's canonical payload
+    extra = ("--alpha", str(alpha)) if alpha else ()
+    code, out, _ = run_cli(capsys, "table", kind, "--n-max", "8", *extra, "--format", "json")
+    assert code == 0
+    rows = OutputRecord.parse(out).payload
+    assert [row["n"] for row in rows] == list(range(9))
+    for row, value in zip(rows, _library_values(kind, alpha, 8)):
+        if kind == "qeuler-poly":
+            rebuilt = XPoly(_rebuilt(c) for c in row["x_coeffs"])
+            assert [_ratfn_payload(c) for c in rebuilt.coeffs] == row["x_coeffs"]
+        else:
+            rebuilt = _rebuilt(row)
+            assert {"n": row["n"], **_ratfn_payload(rebuilt)} == row
+        assert rebuilt == value, row["n"]
 
 
 def _braces_balanced(s: str) -> bool:

@@ -271,9 +271,10 @@ def test_identity_reports_in_order(ident, n_max):
 
 
 def test_cor3_small_range():
-    report = verify_identity("cor3", 7, 7)
+    report = verify_identity("cor3", 7)
     assert report.ok
     assert {p[0] for p in (i.params for i in report.instances)} == {1, 3, 5, 7}
+    assert {p[1] for p in (i.params for i in report.instances)} == set(range(16))
 
 
 def test_thm4_n0_gives_two_q():

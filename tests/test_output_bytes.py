@@ -1,5 +1,6 @@
-"""Pinned stdout bytes: SHA-256 and exit code of every table kind and format,
-and of the full identity suite at n = 4 and 30.
+"""Pinned stdout bytes: SHA-256 and exit code of every table kind and format
+at n <= 8 and at the benchmark's table sizes, and of the full identity
+suite at n = 4 and 30.
 
 A change of representation in the arithmetic kernel must never alter a
 printed coefficient.  Each case runs the CLI in process and compares a
@@ -87,6 +88,30 @@ PINNED = [
      "2a8cfe3933810be0fa04456fb40584805dec9823a0f4db0caa038a8266e6be39"),
     ("table qeuler-poly --n-max 8 --format latex", 0,
      "e321a8da3ba915674dc38934e64753eddbbf1b060c3774c5081f7f05b5f41b00"),
+    ("table qeuler --n-max 40 --format text", 0,
+     "b1d8ac696eb1a7d805bcd2ab044f1de0544172a627f8104dffca1fa29a541496"),
+    ("table qeuler --n-max 40 --format json", 0,
+     "575974eba08753c194bb60794a0baf18d28eeb6d21ec14d6bc66a6760125b8f6"),
+    ("table qeuler --n-max 40 --format latex", 0,
+     "66f137822ccd62d4004d4ce17ffe7a7737ae9870e6cf888a820f378134e03aba"),
+    ("table weighted --alpha 3 --n-max 30 --format text", 0,
+     "2d57a0a017484873d54745ea267dc93bdbfb4956da195f96ef0fec75db833bfb"),
+    ("table weighted --alpha 3 --n-max 30 --format json", 0,
+     "f2277160488eb439796ae20986f813bd9c9f7b2a62aa63db9a97eb49c560a6fb"),
+    ("table weighted --alpha 3 --n-max 30 --format latex", 0,
+     "44d649dcf090c22cf5942e4b34f4a505e6681fa5e08d986b564899e1ce542106"),
+    ("table frobenius --n-max 30 --format text", 0,
+     "f1c617eee5be2a121ee50ccd9277937f878bcdd152204aa326c67f208275191c"),
+    ("table frobenius --n-max 30 --format json", 0,
+     "c62c53559a28b640c18811d7ccf0356938b1ba8b2615eb322adc48f10a6b1e99"),
+    ("table frobenius --n-max 30 --format latex", 0,
+     "265097eeb7bd5a4fa49bfad89c1aa713e005a9931acc882fd3a119beb37ca8ea"),
+    ("table qeuler-poly --n-max 20 --format text", 0,
+     "79ac9135ce0777dccf925d3169aac86e948beb4f57e216398bfbfb83ae62c1e6"),
+    ("table qeuler-poly --n-max 20 --format json", 0,
+     "a3a0d15c97ae20bbff20d222595af9daf875b8d155d3d0531611039ea70003af"),
+    ("table qeuler-poly --n-max 20 --format latex", 0,
+     "a9eb191148267426c908f35e9c2d04275f050fca63160a26c302fb749d530672"),
     ("verify --suite all --n-max 4 --json", 0,
      "3d79f3c08b10b94efe0699c22b3d5d47999999dea43d1c15cd48c1b0bb4651cc"),
     ("verify --suite all --n-max 30 --json", 0,

@@ -307,6 +307,12 @@ def test_convergence_rows_sorted_by_level():
     assert [r.N for r in rep.rows] == [1, 2, 3]
 
 
+def test_convergence_report_rejects_empty_level_list():
+    for levels in ([], (), range(1, 1)):
+        with pytest.raises(ValueError, match="at least one level"):
+            convergence_report(1, QChoice(3, 4), 12, levels)
+
+
 # ---------------------------------------------------------------------------
 # shift identity at finite level
 # ---------------------------------------------------------------------------
