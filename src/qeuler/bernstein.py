@@ -161,20 +161,10 @@ def padic_moment_crosscheck(
     partial sum is in closed form); returns, per (n, k), the defect's
     valuation floor across the requested levels (at least one).
     """
-    levels = sorted(N_list)
-    if not levels:
-        raise ValueError("need at least one level N")
+    rows = padic._defect_rows(N_list, prec)
     qc = padic.QChoice(p, Fraction(q))
-    out = []
-    for n in range(1, n_max + 1):
-        for k in range(n + 1):
-            basis = bernstein_poly(k, n)
-            exact = bernstein_moment_lhs(k, n).eval(qc.q)
-            target = padic.PAdicNum.from_rational(exact, p, prec)
-            rows = []
-            for N in levels:
-                approx = padic.fermionic_integral_partial(basis.poly, qc, N, prec)
-                defect = approx - target
-                rows.append(padic.ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
-            out.append((n, k, tuple(rows)))
-    return out
+    return [
+        (n, k, rows(bernstein_poly(k, n).poly, qc, bernstein_moment_lhs(k, n).eval(qc.q)))
+        for n in range(1, n_max + 1)
+        for k in range(n + 1)
+    ]

@@ -39,12 +39,11 @@ from .exactq import (
     QRatFn,
     XPoly,
     _cyclotomic_remainder,
-    _icyclotomic,
+    _cyclotomic_scale,
     _imul,
     _ishift_add,
     _ishift_div,
     _itrim,
-    _pdivmod,
     _qpoly,
     one_plus_q_power_factors,
     q_integer,
@@ -145,38 +144,38 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
 # ---------------------------------------------------------------------------
 #
 # For integer weight a >= 0 the denominators are structurally known:
-# products of (1 + q^(a*k+1)) factors plus, for the closed form, powers of
-# (1-q) and [a]_q.  All of those split into cyclotomic polynomials, so the
-# canonical form is reached by trial-dividing the numerator by each known
-# cyclotomic factor -- no large generic gcd is ever needed.  The numerators
-# have integer coefficients throughout, so this entire path runs on the
-# exactq kernel's int lists and becomes a QPoly only at the very end.
+# products of (1 + q^(a*k+1)) factors plus, for the closed form, a power of
+# 1 - q^a.  All of those split into cyclotomic polynomials, so a denominator
+# is kept only as its Counter of Phi_d exponents.  The canonical form is
+# reached by trial-dividing the numerator by each Phi_d in it, and the
+# denominator is built once, from the exponents left -- no large generic
+# gcd is ever needed.  The numerators have integer coefficients throughout,
+# so this entire path runs on the exactq kernel's int lists and becomes a
+# QPoly only at the very end.
 
-def _one_plus_q_powers(ms) -> tuple[list[int], Counter]:
-    """prod (1 + q^m) over ms, and the index d of each Phi_d in it, counted with multiplicity."""
-    prod, factors = [1], Counter()
+def _one_plus_q_powers(ms) -> Counter:
+    """The index d of each Phi_d in prod (1 + q^m) over ms, counted with multiplicity."""
+    factors = Counter()
     for m in ms:
-        prod = _ishift_add(prod, m)
         factors.update(one_plus_q_power_factors(m))
-    return prod, factors
+    return factors
 
 
-def _reduce_over_cyclotomics(num: list[int], den: list[int], factors: Counter) -> QRatFn:
-    """num/den in canonical form, for a monic den = prod of Phi_d^factors[d].
+def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
+    """num / prod Phi_d^factors[d] in canonical form.
 
-    Each Phi_d is divided out of both while it still divides num.
+    Each Phi_d is divided out of num while it still divides it; the monic
+    denominator is then built from the exponents left.
     """
     _itrim(num)
     if not num:
         return ZERO
-    for d in sorted(factors):
-        phi = _icyclotomic(d)
-        for _ in range(factors[d]):
-            if _cyclotomic_remainder(num, d):
-                break
-            num = _pdivmod(num, phi)[0]
-            den = _pdivmod(den, phi)[0]
-    return QRatFn._raw(_qpoly(num), _qpoly(den))
+    left = Counter(factors)
+    for d in factors:
+        while left[d] and not _cyclotomic_remainder(num, d):
+            num = _cyclotomic_scale(num, {d: -1})
+            left[d] -= 1
+    return QRatFn._raw(_qpoly(num), _qpoly(_cyclotomic_scale([1], left)))
 
 
 def _check_weight(alpha: int, minimum: int) -> None:
@@ -211,8 +210,8 @@ def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _weighted_entry(alpha: int, n: int) -> QRatFn:
     """E^(alpha)_n in canonical form; callers warm ``_weighted_numerators`` first."""
-    den, factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), den, factors)
+    factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), factors)
 
 
 def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
@@ -226,7 +225,9 @@ def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
 
 def _alternating_numerator(alpha: int, n: int) -> list[int]:
     """T_n = sum_{l=0..n} C(n,l)(-1)^l prod_{j=0..n, j != l} (1+q^(alpha*j+1))."""
-    full, _ = _one_plus_q_powers(alpha * j + 1 for j in range(n + 1))
+    full = [1]
+    for j in range(n + 1):
+        full = _ishift_add(full, alpha * j + 1)
     t = [0] * len(full)
     for l in range(n + 1):
         c = comb(n, l) * (-1) ** l
@@ -246,16 +247,12 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
     _check_weight(alpha, 1)
     if n < 0:
         raise ValueError("n must be >= 0")
-    den, factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-    for _ in range(n):
-        den = _ishift_add(den, alpha, -1)  # times 1 - q^alpha = (1-q) [alpha]_q
+    factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
     for d in range(1, alpha + 1):
         if alpha % d == 0:
             factors[d] += n
-    sign = (-1) ** n  # the leading coefficient of (1-q^alpha)^n; dividing it out makes den monic
-    return _reduce_over_cyclotomics(
-        [sign * c for c in _alternating_numerator(alpha, n)], [sign * c for c in den], factors
-    )
+    sign = (-1) ** n  # 1 - q^alpha = -prod_{d | alpha} Phi_d
+    return _reduce_over_cyclotomics([sign * c for c in _alternating_numerator(alpha, n)], factors)
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> list[QRatFn]:
@@ -376,24 +373,35 @@ class IdentityReport:
         return [inst for inst in self.instances if not inst.ok]
 
 
-def _instance(params: tuple, left, right, expected: str = PASS, note: str = "") -> IdentityInstance:
-    verdict = PASS if left == right else FAIL
-    if verdict == FAIL:
-        return IdentityInstance(params, verdict, expected, note, left, right)
-    return IdentityInstance(params, verdict, expected, note)
+def _judged(
+    params: tuple,
+    holds: bool,
+    witness: Callable[[], tuple[object, object]],
+    expected: str = PASS,
+    note: str = "",
+) -> IdentityInstance:
+    """One instance, judged by ``holds``: the outcome of an exact comparison.
+
+    ``witness`` builds both sides; it runs only for a failing instance,
+    and its values never change the verdict.
+    """
+    if holds:
+        return IdentityInstance(params, PASS, expected, note)
+    left, right = witness()
+    return IdentityInstance(params, FAIL, expected, note, left, right)
 
 
 def _check_thm1(n_max: int) -> list[IdentityInstance]:
-    e = _q_euler_entries(n_max)
-    h = _frobenius_prefix(MINUS_Q_INV, n_max)
-    return [_instance((n,), e[n], h[n]) for n in range(n_max + 1)]
+    pairs = zip(_q_euler_entries(n_max), _frobenius_prefix(MINUS_Q_INV, n_max))
+    return [_judged((n,), e == h, lambda: (e, h)) for n, (e, h) in enumerate(pairs)]
 
 
 def _check_thm2(n_max: int) -> list[IdentityInstance]:
-    return [
-        _instance((n,), q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n))
-        for n in range(n_max + 1)
-    ]
+    out = []
+    for n in range(n_max + 1):
+        left, right = q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n)
+        out.append(_judged((n,), left == right, lambda: (left, right)))
+    return out
 
 
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
@@ -416,7 +424,7 @@ def _check_cor3(n_max: int) -> list[IdentityInstance]:
         for m in range(_COR3_M_MAX + 1):
             left = qn * h_polys[m].eval(QRatFn.const(n)) + h[m]
             right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
-            out.append(_instance((n, m), left, right))
+            out.append(_judged((n, m), left == right, lambda: (left, right)))
     return out
 
 
@@ -465,33 +473,13 @@ def _alternating_sum_numerator(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _alternating_sum(n: int) -> QRatFn:
     """sum_{l=0..n} C(n,l) (-1)^l E_l in canonical form, a witness of thm7 and the k=0 remark."""
-    num = _alternating_sum_numerator(n)
-    return _reduce_over_cyclotomics(num, _binomial_row(n), Counter({2: n}))
+    return _reduce_over_cyclotomics(_alternating_sum_numerator(n), Counter({2: n}))
 
 
 @lru_cache(maxsize=None)
 def _reflected_entry(n: int) -> QRatFn:
     """E_{n,1/q}: the weight-0 number under q -> 1/q, in canonical form."""
-    num = list(_numerators_over(n)[1][n])
-    return _reduce_over_cyclotomics(num, _binomial_row(n), Counter({2: n}))
-
-
-def _judged(
-    params: tuple,
-    holds: bool,
-    witness: Callable[[], tuple[object, object]],
-    expected: str = PASS,
-    note: str = "",
-) -> IdentityInstance:
-    """An instance whose verdict an integer comparison decided.
-
-    ``witness`` builds the canonical sides; it runs only for a failing
-    instance, and its values never change the verdict.
-    """
-    if holds:
-        return IdentityInstance(params, PASS, expected, note)
-    left, right = witness()
-    return IdentityInstance(params, FAIL, expected, note, left, right)
+    return _reduce_over_cyclotomics(list(_numerators_over(n)[1][n]), Counter({2: n}))
 
 
 def _check_thm4(n_max: int) -> list[IdentityInstance]:
@@ -585,9 +573,9 @@ def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
 
 
 def _check_classical(n_max: int) -> list[IdentityInstance]:
-    e = _q_euler_entries(n_max)
-    oracle = classical_euler_numbers(n_max)
-    return [_instance((n,), e[n].eval(1), oracle[n]) for n in range(n_max + 1)]
+    values = [e.eval(1) for e in _q_euler_entries(n_max)]
+    pairs = zip(values, classical_euler_numbers(n_max))
+    return [_judged((n,), v == w, lambda: (v, w)) for n, (v, w) in enumerate(pairs)]
 
 
 def _check_weighted(n_max: int) -> list[IdentityInstance]:

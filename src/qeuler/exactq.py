@@ -7,7 +7,9 @@ Three layers, all immutable and safe to share between threads:
   ``BigRat``, each a rational content times a primitive integer polynomial
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
   One integer pseudo-division, ``_pdivmod``, serves division, the gcd and
-  the euler module's cyclotomic reductions.
+  the cyclotomic divisibility test.  Multiplying or dividing by a product
+  of cyclotomic polynomials is sparse instead (``_cyclotomic_scale``):
+  each Phi_d is a product of powers of q^e - 1.
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -20,9 +22,10 @@ coefficients) lives here too since it is plain arithmetic plumbing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 BigRat = Fraction
 
@@ -121,36 +124,42 @@ def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _icyclotomic(n: int) -> tuple[int, ...]:
-    """Ascending int coefficients of Phi_n, monic.
+def _binomial_exponents(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (e, m_e) with Phi_d = prod (q^e - 1)^m_e over the divisors e of d.
 
-    For n >= 2, Phi_n = prod_{d | n} (1 - q^d)^mu(n/d); the sparse
-    multiplications come first, so every division that follows is exact.
+    Moebius inversion of q^n - 1 = prod_{d | n} Phi_d, so m_e = mu(d/e).
     """
-    if n == 1:
-        return (-1, 1)
-    primes, rest, p = [], n, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    mul, div = [], []
-    for mask in range(1 << len(primes)):
-        e = 1  # a squarefree divisor of n, with mu(e) = (-1)^popcount(mask)
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                e *= p
-        (div if bin(mask).count("1") % 2 else mul).append(n // e)
-    cs = [1]
-    for d in mul:
-        cs = _ishift_add(cs, d, -1)
-    for d in div:
-        cs = _ishift_div(cs, d, -1)
-    return tuple(cs)
+    exps = Counter({d: 1})
+    for e in range(1, d // 2 + 1):
+        if d % e == 0:
+            for f, m in _binomial_exponents(e):
+                exps[f] -= m
+    return tuple((e, m) for e, m in exps.items() if m)
+
+
+def _cyclotomic_scale(cs: Sequence[int], exps: Mapping[int, int]) -> list[int]:
+    """cs * prod Phi_d^exps[d]; a negative exponent divides, raising ArithmeticError if inexact.
+
+    Each Phi_d is a product of powers of q^e - 1, so every step is a sparse
+    multiplication or division by 1 - q^e.  The multiplications come first,
+    so when the quotient is a polynomial every division is exact.
+    """
+    total = Counter()
+    for d, k in exps.items():
+        for e, m in _binomial_exponents(d):
+            total[e] += k * m
+    out = list(cs)
+    for e, m in sorted(total.items(), key=lambda em: -em[1]):
+        for _ in range(abs(m)):
+            out = _ishift_add(out, e, -1) if m > 0 else _ishift_div(out, e, -1)
+    # q^e - 1 = -(1 - q^e)
+    return [-c for c in out] if sum(total.values()) % 2 else out
+
+
+@lru_cache(maxsize=None)
+def _icyclotomic(n: int) -> tuple[int, ...]:
+    """Ascending int coefficients of Phi_n, monic."""
+    return tuple(_cyclotomic_scale([1], {n: 1}))
 
 
 def _cyclotomic_remainder(num: list[int], d: int) -> list[int]:
@@ -306,9 +315,6 @@ class QPoly:
         Q, R, e = _pdivmod(self.prim, other.prim)
         c = self.content / other.prim[-1] ** e
         return _qpoly(Q, c / other.content), _qpoly(R, c)
-
-    def __floordiv__(self, other: "QPoly") -> "QPoly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "QPoly") -> "QPoly":
         return divmod(self, other)[1]
@@ -688,10 +694,6 @@ class XPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "XPoly":
-        return cls((0, 1))
-
-    @classmethod
     def from_fractions(cls, coeffs: Iterable[RatLike]) -> "XPoly":
         return cls(QRatFn.const(Fraction(c)) for c in coeffs)
 
@@ -746,22 +748,6 @@ class XPoly:
             for j, cb in enumerate(b):
                 out[i + j] = out[i + j] + ca * cb
         return XPoly(out)
-
-    def scale(self, c: "QRatFn | RatLike") -> "XPoly":
-        c = _coerce(c)
-        return XPoly(a * c for a in self.coeffs)
-
-    def __pow__(self, n: int) -> "XPoly":
-        if n < 0:
-            raise ValueError("negative power of an XPoly")
-        result = XPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def eval(self, v) -> "QRatFn":
         """Value at x = v (a QRatFn, Fraction, or int)."""

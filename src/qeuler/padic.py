@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Callable, Iterable
 
 from . import euler
 from .exactq import BigRat, XPoly
@@ -341,19 +342,19 @@ def fermionic_integral_partial(
     qc: QChoice,
     N: int,
     prec: int = DEFAULT_PRECISION,
-    guard: int = GUARD_DIGITS,
 ) -> PAdicNum:
     """Finite-level fermionic q-integral of a polynomial with rational coefficients.
 
-    Exact at every level for constants; for f = 1 the alternating sum
-    telescopes against the prefactor and the result is exactly 1.  Total
-    loss of significance comes back flagged (is_zero_at_prec), not silent.
+    Computed at working precision prec + GUARD_DIGITS.  Exact at every level
+    for constants; for f = 1 the alternating sum telescopes against the
+    prefactor and the result is exactly 1.  Total loss of significance comes
+    back flagged (is_zero_at_prec), not silent.
     """
     if N < 1:
         raise ValueError("level N must be >= 1")
-    if prec < 1 or guard < 0:
-        raise ValueError("need precision >= 1 and guard >= 0")
-    working = prec + guard
+    if prec < 1:
+        raise ValueError("need precision >= 1")
+    working = prec + GUARD_DIGITS
     total = _integral_residue(f, qc, N, qc.p**working)
     return PAdicNum.from_residue(total, qc.p, working).with_precision(prec)
 
@@ -363,6 +364,29 @@ class ConvergenceRow:
     N: int
     valuation: int  # best known lower bound for v_p(defect)
     exact: bool  # defect indistinguishable from zero at working precision
+
+
+def _defect_rows(
+    N_list: Iterable[int], prec: int
+) -> Callable[[XPoly, QChoice, Fraction], tuple[ConvergenceRow, ...]]:
+    """rows(f, qc, exact): v_p(I_N(f) - exact) for each level N, in increasing N.
+
+    The levels are sorted, and an empty list rejected, here, before any
+    integral is computed.
+    """
+    levels = sorted(N_list)
+    if not levels:
+        raise ValueError("need at least one level N")
+
+    def rows(f: XPoly, qc: QChoice, exact: Fraction) -> tuple[ConvergenceRow, ...]:
+        target = PAdicNum.from_rational(exact, qc.p, prec)
+        out = []
+        for N in levels:
+            defect = fermionic_integral_partial(f, qc, N, prec) - target
+            out.append(ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
+        return tuple(out)
+
+    return rows
 
 
 @dataclass(frozen=True)
@@ -408,17 +432,9 @@ def convergence_report(
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    levels = sorted(N_list)
-    if not levels:
-        raise ValueError("need at least one level N")
-    target_value = euler.q_euler_numbers(n)[n].eval(qc.q)
-    target = PAdicNum.from_rational(target_value, qc.p, prec)
-    monomial = XPoly((0,) * n + (1,))
-    rows = []
-    for N in levels:
-        defect = fermionic_integral_partial(monomial, qc, N, prec) - target
-        rows.append(ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
-    return ConvergenceReport(n, qc.p, qc.q, prec, tuple(rows))
+    rows = _defect_rows(N_list, prec)
+    exact = euler.q_euler_numbers(n)[n].eval(qc.q)
+    return ConvergenceReport(n, qc.p, qc.q, prec, rows(XPoly((0,) * n + (1,)), qc, exact))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import inspect
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from qeuler.euler import (
     weighted_recurrence,
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_remainder, cyclotomic
-from test_exactq import ref_divmod  # the Fraction-list reference division
+from test_exactq import cyclotomic_exps, cyclotomic_product, ref_divmod  # dense references
 
 ONE = QRatFn.one()
 
@@ -215,6 +216,15 @@ def test_cyclotomic_remainder_matches_long_division(num, d, multiple):
     expected = ref_divmod(num, phi.coeffs)[1]
     assert _cyclotomic_remainder(num, d) == expected
     assert not expected or not multiple
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), max_size=10), cyclotomic_exps, cyclotomic_exps)
+def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
+    # num = base * prod Phi_d^common[d] over den = prod Phi_d^factors[d], both built densely
+    num, den = QPoly(base) * cyclotomic_product(common), cyclotomic_product(factors)
+    ints = [int(c) for c in num.coeffs]
+    assert euler._reduce_over_cyclotomics(ints, Counter(factors)) == QRatFn(num, den)
 
 
 def test_weighted_routes_disagreeing_raise(monkeypatch):

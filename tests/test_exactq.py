@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qeuler.exactq import (
     QPoly,
     QRatFn,
     XPoly,
+    _cyclotomic_scale,
     _ishift_add,
     _ishift_div,
     cyclotomic,
@@ -122,6 +123,42 @@ def test_ishift_div_inverts_ishift_add(a, m, c, low):
             b[i] += r
         with pytest.raises(ArithmeticError):
             _ishift_div(b, m, c)
+
+
+def cyclotomic_product(exps):
+    """prod Phi_d^exps[d], multiplied out densely."""
+    prod = QPoly.one()
+    for d, k in exps.items():
+        for _ in range(k):
+            prod = prod * cyclotomic(d)
+    return prod
+
+
+cyclotomic_exps = st.dictionaries(st.integers(1, 24), st.integers(0, 3), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints, cyclotomic_exps, cyclotomic_exps)
+@example([3, -1, 2], {1: 2, 2: 1}, {1: 1, 6: 1})
+@example([5], {}, {1: 3})
+def test_cyclotomic_scale_matches_products_of_cyclotomic(cs, a, b):
+    # cs * prod Phi^a, rescaled by exponents b - a of either sign, is cs * prod Phi^b
+    num = [int(c) for c in (QPoly(cs) * cyclotomic_product(a)).coeffs]
+    diff = {d: b.get(d, 0) - a.get(d, 0) for d in a.keys() | b.keys()}
+    assert QPoly(_cyclotomic_scale(num, diff)) == QPoly(cs) * cyclotomic_product(b)
+    assert QPoly(_cyclotomic_scale(num, {d: -k for d, k in a.items()})) == QPoly(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ints, st.integers(1, 24), st.integers(1, 3), ints)
+@example([2, 1], 1, 1, [4])
+def test_cyclotomic_scale_rejects_a_non_multiple(cs, d, k, low):
+    # num = cs * Phi_d^k + low with 0 != low of degree < deg Phi_d, so Phi_d does not divide num
+    low = low[: cyclotomic(d).degree]
+    assume(any(low))
+    num = [int(c) for c in (QPoly(cs) * cyclotomic_product({d: k}) + QPoly(low)).coeffs]
+    with pytest.raises(ArithmeticError):
+        _cyclotomic_scale(num, {d: -k})
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,10 @@ PINNED = [
      "f2277160488eb439796ae20986f813bd9c9f7b2a62aa63db9a97eb49c560a6fb"),
     ("table weighted --alpha 3 --n-max 30 --format latex", 0,
      "44d649dcf090c22cf5942e4b34f4a505e6681fa5e08d986b564899e1ce542106"),
+    ("table weighted --alpha 1 --n-max 30 --format json", 0,
+     "a18923fe6f88affa4f164bd29e5a32d3ca1b0f6d79ba6ce250df4dae340f15cf"),
+    ("table weighted --alpha 2 --n-max 30 --format json", 0,
+     "64dcc9a4f0c38403ff6c8bb09af47222402226782e27ee1aa4802e0be3902bb6"),
     ("table frobenius --n-max 30 --format text", 0,
      "f1c617eee5be2a121ee50ccd9277937f878bcdd152204aa326c67f208275191c"),
     ("table frobenius --n-max 30 --format json", 0,
