@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import euler
-from .exactq import QRatFn, XPoly
+from .exactq import QRatFn, XPoly, signed_terms
 from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 
 TABLE_KINDS = ("qeuler", "frobenius", "weighted", "qeuler-poly")
@@ -75,27 +75,18 @@ def _json_row(n: int, value: "QRatFn | XPoly") -> dict:
 
 def latex_poly(coeffs: "tuple[Fraction, ...]", var: str = "q") -> str:
     """Single-line LaTeX for a polynomial, ascending powers, balanced braces."""
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = -c if c < 0 else c
+
+    def term(mag: Fraction, k: int) -> str:
         if mag.denominator == 1:
             mag_s = str(mag.numerator)
         else:
             mag_s = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         if k == 0:
-            body = mag_s
-        else:
-            power = var if k == 1 else f"{var}^{{{k}}}"
-            body = power if mag == 1 else f"{mag_s} {power}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+            return mag_s
+        power = var if k == 1 else f"{var}^{{{k}}}"
+        return power if mag == 1 else f"{mag_s} {power}"
+
+    return signed_terms(coeffs, term)
 
 
 def latex_ratfn(f: QRatFn) -> str:
@@ -312,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=list(euler.SUITES), default="all")
     p_verify.add_argument("--n-max", type=int, default=20, help="largest n checked (default 20); "
                           "cost grows faster than linearly: --suite all takes about 0.3 s at 10, "
-                          "0.6 s at 20 and 1.5 s at 30 on a 2-vCPU Xeon with Python 3.11")
+                          "0.6 s at 20 and 1.35 s at 30 on a 2-vCPU Xeon with Python 3.11")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -6,10 +6,10 @@ Three layers, all immutable and safe to share between threads:
 * ``QPoly`` -- dense univariate polynomials in the indeterminate q over
   ``BigRat``, each a rational content times a primitive integer polynomial
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
-  One integer pseudo-division, ``_pdivmod``, serves division, the gcd and
-  the cyclotomic divisibility test.  Multiplying or dividing by a product
-  of cyclotomic polynomials is sparse instead (``_cyclotomic_scale``):
-  each Phi_d is a product of powers of q^e - 1.
+  One integer pseudo-division, ``_pdivmod``, serves division, the gcd
+  (primitive Euclid) and the cyclotomic divisibility test.  Multiplying
+  or dividing by a product of cyclotomic polynomials is sparse instead
+  (``_cyclotomic_scale``): each Phi_d is a product of powers of q^e - 1.
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 BigRat = Fraction
 
@@ -81,27 +81,24 @@ def _pdivmod(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int], 
 
 
 def _int_poly_gcd(A: Sequence[int], B: Sequence[int]) -> Sequence[int]:
-    """An integer multiple of the gcd of two primitive nonzero integer polynomials.
+    """The gcd, primitive and up to sign, of two primitive nonzero integer polynomials.
 
-    Subresultant PRS (Knuth 4.6.1, Algorithm C); keeps intermediate
-    coefficient growth polynomial, unlike monic Euclid over the rationals.
+    Primitive Euclid (Knuth 4.6.1, Algorithm E): each pseudo-remainder is
+    cut to its primitive part.  On the Frobenius route, whose denominators
+    are powers of 1 + q, the remainders carry large contents; dropping them
+    beats the subresultant PRS (Algorithm C), which keeps them.  On random
+    coprime input the two carry about the same size and the PRS is faster.
     """
     if len(A) < len(B):
         A, B = B, A
-    g = h = 1
     while True:
-        delta = len(A) - len(B)
-        _, R, e = _pdivmod(A, B)
+        R = _pdivmod(A, B)[1]
         if not R:
             return B
         if len(R) == 1:
             return [1]
-        # R times lc(B)^(delta+1-e) is the pseudo-remainder lc(B)^(delta+1) * A mod B
-        scale, div = B[-1] ** (delta + 1 - e), g * h**delta
-        A, B = B, [c * scale // div for c in R]
-        g = A[-1]
-        if delta > 0:
-            h = g**delta // h ** (delta - 1)
+        g = math.gcd(*R)
+        A, B = B, [c // g for c in R]
 
 
 def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
@@ -373,26 +370,32 @@ _QP_ONE = _wrap(Fraction(1), (1,))
 _QP_Q = _wrap(Fraction(1), (0, 1))
 
 
-def poly_str(coeffs: Sequence[Fraction], var: str) -> str:
-    """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
+def signed_terms(coeffs: Sequence[Fraction], term: Callable[[Fraction, int], str]) -> str:
+    """The nonzero terms ``term(|c_k|, k)`` joined by their signs, ascending; "0" for no coeffs."""
     if not coeffs:
         return "0"
     parts: list[str] = []
     for k, c in enumerate(coeffs):
         if not c:
             continue
-        mag = -c if c < 0 else c
-        if k == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = var if k == 1 else f"{var}^{k}"
-        else:
-            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
+        body = term(-c if c < 0 else c, k)
+        if parts:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
     return " ".join(parts)
+
+
+def poly_str(coeffs: Sequence[Fraction], var: str) -> str:
+    """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
+
+    def term(mag: Fraction, k: int) -> str:
+        if k == 0:
+            return str(mag)
+        power = var if k == 1 else f"{var}^{k}"
+        return power if mag == 1 else f"{mag}*{power}"
+
+    return signed_terms(coeffs, term)
 
 
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:

@@ -97,21 +97,12 @@ class PAdicNum:
             raise ValueError(f"p must be an odd prime, got {prime}")
         if unit:
             rel = prec - val
-            if rel <= 0:
-                val, unit = prec, 0
-            else:
-                unit %= prime**rel
-                if unit == 0:
-                    val = prec
-                else:
-                    extra, unit = _vp(unit, prime)
-                    if extra:
-                        val += extra
-                        rel -= extra
-                        if rel <= 0:
-                            val, unit = prec, 0
-                        else:
-                            unit %= prime**rel
+            unit = unit % prime**rel if rel > 0 else 0
+            if unit:
+                # 0 < unit < p^rel, so fewer than rel digits strip off and
+                # the unit left is already reduced mod p^(rel - extra)
+                extra, unit = _vp(unit, prime)
+                val += extra
         if not unit:
             val = prec
         self.prime, self.prec, self.val, self.unit = prime, prec, val, unit
@@ -271,9 +262,6 @@ class QChoice:
         if diff != 0:
             if diff.denominator % self.p == 0 or diff.numerator % self.p != 0:
                 raise ValueError(f"need |1 - q|_p < 1; q = {self.q} fails at p = {self.p}")
-
-    def q_adic(self, prec: int) -> PAdicNum:
-        return PAdicNum.from_rational(self.q, self.p, prec)
 
     def q_residue(self, modulus: int) -> int:
         return _embed_residue(self.q, self.p, modulus)

@@ -136,6 +136,16 @@ def test_table_latex_poly_well_formed(capsys):
         assert _braces_balanced(line)
 
 
+def test_table_frobenius_prints_the_qeuler_table(capsys):
+    # thm1 through the CLI: the gcd-bound Frobenius route against the
+    # gcd-free recurrence, at degree 40
+    code, frob, _ = run_cli(capsys, "table", "frobenius", "--n-max", "40")
+    assert code == 0
+    code, qeul, _ = run_cli(capsys, "table", "qeuler", "--n-max", "40")
+    assert code == 0
+    assert frob == qeul
+
+
 def test_table_weighted_requires_alpha(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "weighted", "--n-max", "3"])

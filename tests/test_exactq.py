@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: canonical forms, field laws, substitutions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from qeuler.exactq import (
     QRatFn,
     XPoly,
     _cyclotomic_scale,
+    _int_poly_gcd,
     _ishift_add,
     _ishift_div,
     cyclotomic,
@@ -437,6 +439,22 @@ def test_kernel_gcd_matches_reference(a, b, h):
     # h makes a nontrivial common factor likely
     a, b = ref_mul(ref_trim(a), h), ref_mul(ref_trim(b), h)
     assert qpoly_gcd(QPoly(a), QPoly(b)).coeffs == tuple(ref_gcd(a, b))
+
+
+big_ints = st.integers(-(2**120), 2**120)
+big_coeff_lists = st.lists(big_ints, min_size=1, max_size=6).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), cyclotomic_exps, big_coeff_lists, big_coeff_lists)
+def test_kernel_gcd_of_cyclotomic_multiples_matches_reference(k, exps, u, v):
+    # the Frobenius shape: a common factor (1 + q)^k * prod Phi_d^exps[d]
+    # under cofactors with coefficients up to 2^120
+    g = cyclotomic(2) ** k * cyclotomic_product(exps)
+    a, b = QPoly(u) * g, QPoly(v) * g
+    assert qpoly_gcd(a, b).coeffs == tuple(ref_gcd(a.coeffs, b.coeffs))
+    if a.degree > 0 and b.degree > 0:
+        assert math.gcd(*_int_poly_gcd(a.prim, b.prim)) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -52,6 +52,24 @@ def test_add_zero_keeps_value_and_precision():
     assert s == x and s.prec == 6
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7]),
+    st.integers(-4, 12),
+    st.integers(-6, 14),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 15),
+)
+def test_constructor_normal_form(p, prec, val, u, k):
+    # reference: strip every factor p first, then reduce the unit mod p^(prec - val)
+    w, v = u * p**k, val
+    while w and w % p == 0:
+        w, v = w // p, v + 1
+    expected = (v, w % p ** (prec - v)) if w and v < prec else (prec, 0)
+    x = PAdicNum(p, prec, val, u * p**k)
+    assert (x.val, x.unit) == expected
+
+
 def test_mul_valuations_add():
     p = PAdicNum.from_rational(3, 3, 5)
     prod = p * p
