@@ -8,7 +8,6 @@ q-integral), ``bernstein`` (basis polynomials and their moments), and
 """
 
 from .bernstein import (
-    BernsteinBasis,
     bernstein_moment_lhs,
     bernstein_moment_rhs,
     bernstein_operator,
@@ -18,10 +17,8 @@ from .bernstein import (
     verify_theorem8,
 )
 from .euler import (
-    FrobeniusSeq,
     IdentityInstance,
     IdentityReport,
-    QEulerSeq,
     classical_euler_numbers,
     frobenius_numbers,
     frobenius_polynomial,
@@ -47,16 +44,13 @@ from .padic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernsteinBasis",
     "BigRat",
     "ConvergenceReport",
     "ConvergenceRow",
-    "FrobeniusSeq",
     "IdentityInstance",
     "IdentityReport",
     "PAdicNum",
     "QChoice",
-    "QEulerSeq",
     "QPoly",
     "QRatFn",
     "ShiftDefect",

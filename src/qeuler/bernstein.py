@@ -13,7 +13,6 @@ k = 0, which is exactly the erratum this suite detects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -28,31 +27,22 @@ from .euler import (
     _judged,
     _k0_remark_instance,
     _numerators_over,
-    _q_euler_entries,
     _reflected_entry,
     _thm7_instance,
+    weighted_recurrence,
 )
 from .exactq import BigRat, QRatFn, XPoly
 
 
-@dataclass(frozen=True)
-class BernsteinBasis:
-    """B_{k,n}(x) = C(n,k) x^k (1-x)^(n-k), expanded."""
-
-    k: int
-    n: int
-    poly: XPoly
-
-
-def bernstein_poly(k: int, n: int) -> BernsteinBasis:
-    """Expanded basis element of degree n; requires 0 <= k <= n."""
+def bernstein_poly(k: int, n: int) -> XPoly:
+    """B_{k,n}(x) = C(n,k) x^k (1-x)^(n-k), expanded; requires 0 <= k <= n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     c = comb(n, k)
     coeffs = [Fraction(0)] * (n + 1)
     for i in range(n - k + 1):
         coeffs[k + i] = Fraction(c * comb(n - k, i) * (-1) ** i)
-    return BernsteinBasis(k, n, XPoly.from_fractions(coeffs))
+    return XPoly.from_fractions(coeffs)
 
 
 def bernstein_operator(samples: "list[BigRat]", n: int, x: BigRat) -> Fraction:
@@ -73,7 +63,7 @@ def bernstein_moment_lhs(k: int, n: int) -> QRatFn:
     """Moment of B_{k,n} via the alternating sum over raw moments E_{k+l}."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    e = _q_euler_entries(n)
+    e = weighted_recurrence(0, n)
     total = ZERO
     for l in range(n - k + 1):
         total = total + e[k + l] * (comb(n - k, l) * (-1) ** l)
@@ -103,10 +93,9 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
 
 def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
     """Independent moment pipeline: expand B_{k,n} and sum coefficient * E_j."""
-    basis = bernstein_poly(k, n)
-    e = _q_euler_entries(n)
+    e = weighted_recurrence(0, n)
     total = ZERO
-    for j, c in enumerate(basis.poly.fraction_coeffs()):
+    for j, c in enumerate(bernstein_poly(k, n).fraction_coeffs()):
         if c:
             total = total + e[j] * c
     return total
@@ -164,7 +153,7 @@ def padic_moment_crosscheck(
     rows = padic._defect_rows(N_list, prec)
     qc = padic.QChoice(p, Fraction(q))
     return [
-        (n, k, rows(bernstein_poly(k, n).poly, qc, bernstein_moment_lhs(k, n).eval(qc.q)))
+        (n, k, rows(bernstein_poly(k, n), qc, bernstein_moment_lhs(k, n).eval(qc.q)))
         for n in range(1, n_max + 1)
         for k in range(n + 1)
     ]

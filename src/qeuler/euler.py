@@ -60,52 +60,19 @@ MINUS_Q_INV = QRatFn(QPoly((-1,)), QPoly((0, 1)))  # -1/q, the Frobenius paramet
 # sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QEulerSeq:
-    """Weight-0 q-Euler numbers E_0..E_n as canonical rational functions."""
-
-    entries: tuple[QRatFn, ...]
-
-    def __getitem__(self, n: int) -> QRatFn:
-        return self.entries[n]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class FrobeniusSeq:
-    """Frobenius-Euler numbers H_0(u)..H_n(u) for a fixed parameter u."""
-
-    u: QRatFn
-    entries: tuple[QRatFn, ...]
-
-    def __getitem__(self, n: int) -> QRatFn:
-        return self.entries[n]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def _q_euler_entries(n_max: int) -> tuple[QRatFn, ...]:
-    return tuple(weighted_recurrence(0, n_max))
-
-
 def _warm(cache_fn, n_max: int, *args) -> None:
     # fill the prefix iteratively so no request recurses more than one level
     for i in range(n_max + 1):
         cache_fn(*args, i)
 
 
-def q_euler_numbers(n_max: int) -> QEulerSeq:
+def q_euler_numbers(n_max: int) -> tuple[QRatFn, ...]:
     """Weight-0 q-Euler numbers via (1+q)*E_n = -q * sum_{k<n} C(n,k) E_k, E_0 = 1.
 
     Entry n is also the n-th moment of the fermionic measure; the padic
     module checks that numerically.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return QEulerSeq(_q_euler_entries(n_max))
+    return weighted_recurrence(0, n_max)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +93,7 @@ def _frobenius_prefix(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
     return _frobenius_entries(u, n_max)
 
 
-def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
+def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
     """Frobenius-Euler numbers: H_0 = 1, H_n = (sum_{k<n} C(n,k) H_k)/(u-1).
 
     The recurrence is the coefficient identity of (1-u)/(exp(t)-u); the
@@ -136,7 +103,7 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> FrobeniusSeq:
         raise ValueError("n_max must be >= 0")
     if u == ONE:
         raise ValueError("singular Frobenius parameter u = 1")
-    return FrobeniusSeq(u, _frobenius_prefix(u, n_max))
+    return _frobenius_prefix(u, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +181,13 @@ def _weighted_entry(alpha: int, n: int) -> QRatFn:
     return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), factors)
 
 
-def weighted_recurrence(alpha: int, n_max: int) -> list[QRatFn]:
+def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     """Weight-alpha numbers from E_n*(1+q^(alpha*n+1)) = -q*sum_{k<n} C(n,k) q^(alpha*k) E_k."""
     _check_weight(alpha, 0)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _warm(_weighted_numerators, n_max, alpha)
-    return [_weighted_entry(alpha, n) for n in range(n_max + 1)]
+    return tuple(_weighted_entry(alpha, n) for n in range(n_max + 1))
 
 
 def _alternating_numerator(alpha: int, n: int) -> list[int]:
@@ -255,7 +222,7 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
     return _reduce_over_cyclotomics([sign * c for c in _alternating_numerator(alpha, n)], factors)
 
 
-def q_euler_numbers_weighted(alpha: int, n_max: int) -> list[QRatFn]:
+def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     """Weight-alpha numbers computed by both independent routes.
 
     The recurrence gives E_n = N_n / D_n with D_n = prod_{1<=k<=n} (1+q^(alpha*k+1))
@@ -298,7 +265,7 @@ def q_euler_polynomial(n: int) -> XPoly:
     """E_n(x) = sum_l C(n,l) E_l x^(n-l); monic of degree n, constant term E_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    e = _q_euler_entries(n)
+    e = weighted_recurrence(0, n)
     return XPoly([e[n - j] * comb(n, j) for j in range(n + 1)])
 
 
@@ -392,7 +359,7 @@ def _judged(
 
 
 def _check_thm1(n_max: int) -> list[IdentityInstance]:
-    pairs = zip(_q_euler_entries(n_max), _frobenius_prefix(MINUS_Q_INV, n_max))
+    pairs = zip(weighted_recurrence(0, n_max), _frobenius_prefix(MINUS_Q_INV, n_max))
     return [_judged((n,), e == h, lambda: (e, h)) for n, (e, h) in enumerate(pairs)]
 
 
@@ -573,7 +540,7 @@ def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
 
 
 def _check_classical(n_max: int) -> list[IdentityInstance]:
-    values = [e.eval(1) for e in _q_euler_entries(n_max)]
+    values = [e.eval(1) for e in weighted_recurrence(0, n_max)]
     pairs = zip(values, classical_euler_numbers(n_max))
     return [_judged((n,), v == w, lambda: (v, w)) for n, (v, w) in enumerate(pairs)]
 

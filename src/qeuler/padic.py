@@ -227,7 +227,7 @@ class PAdicNum:
         return PAdicNum(p, val + rel, val, self.unit * pow(other.unit, -1, mod) % mod)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             other = PAdicNum.from_rational(other, self.prime, self.prec)
         if not isinstance(other, PAdicNum):
             return NotImplemented

@@ -1,9 +1,12 @@
 """CLI contract: flags, formats, exit codes, JSON round-trips."""
 
+import errno
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qeuler
 from qeuler import euler
 from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, main
 from qeuler.euler import SUITES
@@ -366,15 +370,22 @@ def _argv(draw):
     return argv
 
 
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @settings(max_examples=120, deadline=None)
 @given(argv=_argv(), cache_dir=st.one_of(
     st.none(),
     st.sampled_from(["", "/dev/null"]),
     st.text(alphabet="ab-_ /", max_size=8).map(lambda t: t.lstrip("/")),  # under the test's temp dir
-))
-def test_cli_exit_code_contract(tmp_path_factory, argv, cache_dir):
-    # any argv and any QEULER_CACHE_DIR: exit 0, 1 or 2, never a traceback
-    out, err = io.StringIO(), io.StringIO()
+), full_stdout=st.booleans())
+def test_cli_exit_code_contract(tmp_path_factory, argv, cache_dir, full_stdout):
+    # any argv, any QEULER_CACHE_DIR, even an unwritable stdout: exit 0, 1 or 2, never a traceback
+    out, err = _FullStdout() if full_stdout else io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
         if cache_dir is None:
             mp.delenv("QEULER_CACHE_DIR", raising=False)
@@ -388,3 +399,41 @@ def test_cli_exit_code_contract(tmp_path_factory, argv, cache_dir):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(n_max):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(euler._CHECK_BY_ID, "thm1", interrupted)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1", "--n-max", "2")
+    assert (code, out, err) == (130, "", "qeuler: interrupted\n")
+
+
+def _table_into(stdout) -> subprocess.CompletedProcess:
+    # stdout left buffered, so the failing write is a flush, not a print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(qeuler.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qeuler.cli", "table", "qeuler", "--n-max", "1"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_cli_full_device_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = _table_into(full)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"qeuler: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_cli_closed_pipe_exits_0_silently():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        proc = _table_into(write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

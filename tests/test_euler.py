@@ -5,6 +5,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,16 @@ def test_weight0_frozen_values():
     assert seq[1] == E1
     assert seq[2] == E2
     assert seq[3] == E3
+
+
+def test_weight0_denominator_is_the_full_power_of_1_plus_q():
+    # E_n = N_n / (1+q)^n is already in lowest terms: at q = -1 only the
+    # k = n-1 term of the recurrence survives, so N_n(-1) = n N_{n-1}(-1) = n!
+    # and Phi_2 = 1 + q never divides N_n.  _numerators_over relies on this.
+    seq = q_euler_numbers(60)
+    for n, e in enumerate(seq):
+        assert e.den == QPoly([comb(n, i) for i in range(n + 1)])
+        assert e.num.eval(-1) == factorial(n)
 
 
 def test_weight0_recurrence_invariant():

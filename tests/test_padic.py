@@ -146,6 +146,7 @@ def test_from_rational_is_ring_homomorphism(a, b):
     fa = PAdicNum.from_rational(a, 3, K)
     fb = PAdicNum.from_rational(b, 3, K)
     assert fa + fb == PAdicNum.from_rational(a + b, 3, K)
+    assert fa + fb == a + b  # an exact rational is coerced at the same precision
     assert fa - fb == PAdicNum.from_rational(a - b, 3, K)
     assert fa * fb == PAdicNum.from_rational(a * b, 3, K)
 
