@@ -13,6 +13,7 @@ k = 0, which is exactly the erratum this suite detects.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +28,6 @@ from .euler import (
     _judged,
     _k0_remark_instance,
     _numerators_over,
-    _reflected_entry,
     _thm7_instance,
     weighted_recurrence,
 )
@@ -81,10 +81,11 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
+    e = weighted_recurrence(0, n)
     q_sq = Q * Q
     total = ZERO
     for l in range(k + 1):
-        term = q_sq * _reflected_entry(n - l)
+        term = q_sq * e[n - l].subst_q_inverse()
         if variant == "full":
             term = term + ONE + Q
         total = total + term * (comb(k, l) * (-1) ** (k + l))
@@ -110,9 +111,10 @@ def verify_theorem8(n_max: int) -> IdentityReport:
     form (expected to pass); both outcomes are part of the contract.
 
     Every side is a sum of E_l and E_{l,1/q}, so the verdict compares its
-    integer numerator over (1+q)^n.  The canonical sides (for k >= 1,
-    ``bernstein_moment_lhs``/``rhs`` divided by C(n,k)) are built only as
-    the witnesses of a failing instance.
+    integer numerator over (1+q)^n.  A failing instance keeps the same two
+    numerators, reduced to canonical form, as its witness: for k >= 1,
+    ``bernstein_moment_lhs`` and the reduced ``bernstein_moment_rhs``, each
+    divided by C(n,k).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -130,10 +132,7 @@ def verify_theorem8(n_max: int) -> IdentityReport:
             right = _icombination(
                 (comb(k, l) * (-1) ** (k + l), (0, 0) + reflected[n - l]) for l in range(k + 1)
             )
-            instances.append(_judged((n, k), left == right, lambda: (
-                bernstein_moment_lhs(k, n) * Fraction(1, comb(n, k)),
-                bernstein_moment_rhs(k, n, "reduced") * Fraction(1, comb(n, k)),
-            )))
+            instances.append(_judged((n, k), left, right, Counter({2: n})))
     return IdentityReport("thm8", tuple(instances))
 
 

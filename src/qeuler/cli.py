@@ -329,11 +329,12 @@ def _discard_stdout() -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
-        sys.stdout.flush()  # a buffered write fails here, not at exit
-        return code
+        try:
+            args = parser.parse_args(argv)  # --help and usage errors end in SystemExit
+            return args.func(args, parser)
+        finally:
+            sys.stdout.flush()  # a buffered write fails here, not at exit
     except BrokenPipeError:
         _discard_stdout()
         return 0

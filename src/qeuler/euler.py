@@ -15,14 +15,13 @@ check it and are never merged with it:
   ``q_euler_numbers_weighted`` cross-checks the two before returning.
 
 The identity suite decides thm4-thm8, the k=0 remark and the weighted
-check on integer polynomials.  Each side is a sum of numbers with a known
-denominator, (1+q)^l at weight 0 and prod_{k<=n} (1+q^(alpha*k+1)) at
-weight alpha, so it is brought over one shared denominator, and the
-verdict is the equality of the two integer numerators: field equality,
-since the denominator is nonzero.  Canonical sides are built, through the
-public routes, only as the witnesses of a failing instance.  thm1, thm2,
-cor3 and classical compare canonical values, with Frobenius-Euler numbers
-as the independent side.
+check on integer polynomials.  Each side has a known denominator: (1+q)^n
+at weight 0, (q^alpha-1)^n prod_{k<=n} (1+q^(alpha*k+1)) at weight alpha.
+Over it the verdict is the equality of the two integer numerators: field
+equality, since the denominator is nonzero.  A failing instance keeps the
+same two numerators, reduced to canonical form, as its witness.  thm1,
+thm2, cor3 and classical compare canonical values, with Frobenius-Euler
+numbers as the independent side.
 """
 
 from __future__ import annotations
@@ -191,13 +190,13 @@ def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
 
 
 def _alternating_numerator(alpha: int, n: int) -> list[int]:
-    """T_n = sum_{l=0..n} C(n,l)(-1)^l prod_{j=0..n, j != l} (1+q^(alpha*j+1))."""
+    """(-1)^n T_n, with T_n = sum_{l=0..n} C(n,l)(-1)^l prod_{j=0..n, j != l} (1+q^(alpha*j+1))."""
     full = [1]
     for j in range(n + 1):
         full = _ishift_add(full, alpha * j + 1)
     t = [0] * len(full)
     for l in range(n + 1):
-        c = comb(n, l) * (-1) ** l
+        c = comb(n, l) * (-1) ** (n - l)
         for i, b in enumerate(_ishift_div(full, alpha * l + 1)):
             t[i] += c * b
     return t
@@ -208,18 +207,34 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
 
         [2]_q / ((1-q)^n [alpha]_q^n) * sum_{l=0..n} C(n,l)(-1)^l / (1+q^(alpha*l+1)),
 
-    which is T_n / ((1-q^alpha)^n D_n) with T_n from ``_alternating_numerator``
-    and D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.
+    which is T_n / ((1-q^alpha)^n D_n) = (-1)^n T_n / ((q^alpha-1)^n D_n), with
+    (-1)^n T_n from ``_alternating_numerator`` and D_n = prod_{1<=k<=n}
+    (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.
     """
     _check_weight(alpha, 1)
     if n < 0:
         raise ValueError("n must be >= 0")
+    factors = _closed_form_factors(alpha, n)
+    return _reduce_over_cyclotomics(_alternating_numerator(alpha, n), factors)
+
+
+def _q_alpha_minus_one(alpha: int, n: int) -> Counter:
+    """(q^alpha - 1)^n = prod_{d | alpha} Phi_d^n, as its Phi_d exponents."""
+    return Counter({d: n for d in range(1, alpha + 1) if alpha % d == 0})
+
+
+def _closed_form_factors(alpha: int, n: int) -> Counter:
+    """The Phi_d exponents of (q^alpha - 1)^n D_n, the denominator both weighted routes share."""
     factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-    for d in range(1, alpha + 1):
-        if alpha % d == 0:
-            factors[d] += n
-    sign = (-1) ** n  # 1 - q^alpha = -prod_{d | alpha} Phi_d
-    return _reduce_over_cyclotomics([sign * c for c in _alternating_numerator(alpha, n)], factors)
+    factors.update(_q_alpha_minus_one(alpha, n))
+    return factors
+
+
+def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
+    """(q^alpha-1)^n N_n and (-1)^n T_n: E^(alpha)_n by each route, over ``_closed_form_factors``."""
+    _warm(_weighted_numerators, n, alpha)
+    scaled = _cyclotomic_scale(_weighted_numerators(alpha, n)[n], _q_alpha_minus_one(alpha, n))
+    return _itrim(scaled), _itrim(_alternating_numerator(alpha, n))
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
@@ -227,34 +242,25 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
 
     The recurrence gives E_n = N_n / D_n with D_n = prod_{1<=k<=n} (1+q^(alpha*k+1))
     (``_weighted_numerators``), and the closed form gives
-    E_n = T_n / ((1-q^alpha)^n D_n) (``weighted_closed_form``).  Both share
-    the nonzero D_n, so the two values are equal in the field exactly when
-    the integer polynomials T_n and (1-q^alpha)^n N_n are equal.  That
-    identity is checked for every n; a mismatch would mean a kernel bug and
-    raises.  The values returned are the recurrence's, in canonical form.
+    E_n = T_n / ((1-q^alpha)^n D_n) (``weighted_closed_form``).  Over the
+    shared nonzero denominator (q^alpha-1)^n D_n the two values are equal in
+    the field exactly when the integer polynomials (q^alpha-1)^n N_n and
+    (-1)^n T_n are equal (``_weighted_sides``).  That identity is checked
+    for every n; a mismatch would mean a kernel bug and raises.  The values
+    returned are the recurrence's, in canonical form.
     """
     _check_weight(alpha, 1)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rec = weighted_recurrence(alpha, n_max)
     for n in range(n_max + 1):
-        if not _weighted_routes_agree(alpha, n):
+        left, right = _weighted_sides(alpha, n)
+        if left != right:
             raise ArithmeticError(
                 f"weighted routes disagree at alpha={alpha}, n={n}: "
                 f"T_n != (1-q^{alpha})^n N_n"
             )
     return rec
-
-
-def _weighted_routes_agree(alpha: int, n: int) -> bool:
-    """Whether T_n = (1-q^alpha)^n N_n, i.e. both routes give the same E^(alpha)_n.
-
-    Callers warm ``_weighted_numerators(alpha, n)`` first.
-    """
-    scaled = list(_weighted_numerators(alpha, n)[n])
-    for _ in range(n):
-        scaled = _ishift_add(scaled, alpha, -1)
-    return _itrim(_alternating_numerator(alpha, n)) == _itrim(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +308,12 @@ class IdentityInstance:
 
     The verdict is an exact comparison: of integer numerators over a
     shared known denominator for thm4-thm8, the k=0 remark and weighted,
-    of canonical values for the rest.  ``left``/``right`` hold both sides (canonical
-    QRatFn or XPoly) as a witness whenever the verdict is ``fail``, and are
-    built only then.  An instance is in order when its verdict matches its
-    expectation (some identities are *supposed* to fail, e.g. the k=0
-    erratum and the thm5 hypothesis probe).
+    of canonical values for the rest.  ``left``/``right`` hold the two sides
+    compared, in canonical form (QRatFn or XPoly), as a witness whenever the
+    verdict is ``fail``, and are reduced to that form only then.  An
+    instance is in order when its verdict matches its expectation (some
+    identities are *supposed* to fail, e.g. the k=0 erratum and the thm5
+    hypothesis probe).
     """
 
     params: tuple
@@ -342,33 +349,41 @@ class IdentityReport:
 
 def _judged(
     params: tuple,
-    holds: bool,
-    witness: Callable[[], tuple[object, object]],
+    left: object,
+    right: object,
+    over: Optional[Counter] = None,
     expected: str = PASS,
     note: str = "",
 ) -> IdentityInstance:
-    """One instance, judged by ``holds``: the outcome of an exact comparison.
+    """One instance, judged by the exact comparison ``left == right``.
 
-    ``witness`` builds both sides; it runs only for a failing instance,
-    and its values never change the verdict.
+    With ``over``, a Counter of Phi_d exponents, each side is an integer
+    numerator over that denominator, or a list of them, one per power of x;
+    a failing instance keeps both sides, reduced to a canonical QRatFn or
+    XPoly, as its witness.  Without ``over`` the sides are canonical already.
     """
-    if holds:
+    if left == right:
         return IdentityInstance(params, PASS, expected, note)
-    left, right = witness()
+    if over is not None:
+        left, right = (
+            XPoly(_reduce_over_cyclotomics(list(c), over) for c in side)
+            if side and isinstance(side[0], list)
+            else _reduce_over_cyclotomics(list(side), over)
+            for side in (left, right)
+        )
     return IdentityInstance(params, FAIL, expected, note, left, right)
 
 
 def _check_thm1(n_max: int) -> list[IdentityInstance]:
     pairs = zip(weighted_recurrence(0, n_max), _frobenius_prefix(MINUS_Q_INV, n_max))
-    return [_judged((n,), e == h, lambda: (e, h)) for n, (e, h) in enumerate(pairs)]
+    return [_judged((n,), e, h) for n, (e, h) in enumerate(pairs)]
 
 
 def _check_thm2(n_max: int) -> list[IdentityInstance]:
-    out = []
-    for n in range(n_max + 1):
-        left, right = q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n)
-        out.append(_judged((n,), left == right, lambda: (left, right)))
-    return out
+    return [
+        _judged((n,), q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n))
+        for n in range(n_max + 1)
+    ]
 
 
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
@@ -391,7 +406,7 @@ def _check_cor3(n_max: int) -> list[IdentityInstance]:
         for m in range(_COR3_M_MAX + 1):
             left = qn * h_polys[m].eval(QRatFn.const(n)) + h[m]
             right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
-            out.append(_judged((n, m), left == right, lambda: (left, right)))
+            out.append(_judged((n, m), left, right))
     return out
 
 
@@ -437,18 +452,6 @@ def _alternating_sum_numerator(n: int) -> list[int]:
     return _icombination(((-1) ** l * comb(n, l), direct[l]) for l in range(n + 1))
 
 
-@lru_cache(maxsize=None)
-def _alternating_sum(n: int) -> QRatFn:
-    """sum_{l=0..n} C(n,l) (-1)^l E_l in canonical form, a witness of thm7 and the k=0 remark."""
-    return _reduce_over_cyclotomics(_alternating_sum_numerator(n), Counter({2: n}))
-
-
-@lru_cache(maxsize=None)
-def _reflected_entry(n: int) -> QRatFn:
-    """E_{n,1/q}: the weight-0 number under q -> 1/q, in canonical form."""
-    return _reduce_over_cyclotomics(list(_numerators_over(n)[1][n]), Counter({2: n}))
-
-
 def _check_thm4(n_max: int) -> list[IdentityInstance]:
     """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1."""
     out = []
@@ -457,11 +460,7 @@ def _check_thm4(n_max: int) -> list[IdentityInstance]:
         # E_n(1) = sum_l C(n,l) E_l
         terms = [(comb(n, l), (0,) + direct[l]) for l in range(n + 1)]
         left = _icombination(terms + [(1, direct[n])])
-        right = [1, 1] if n == 0 else []
-        out.append(_judged((n,), left == right, lambda: (
-            Q * q_euler_polynomial(n).eval(ONE) + q_euler_numbers(n)[n],
-            TWO_Q if n == 0 else ZERO,
-        )))
+        out.append(_judged((n,), left, [1, 1] if n == 0 else [], Counter({2: n})))
     return out
 
 
@@ -479,18 +478,8 @@ def _check_thm5(n_max: int) -> list[IdentityInstance]:
             "expected": FAIL,
             "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
         }
-        out.append(_judged((n,), left == right, lambda: (
-            Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2)),
-            Q + Q * Q + q_euler_numbers(n)[n],
-        ), **probe))
+        out.append(_judged((n,), left, right, Counter({2: n}), **probe))
     return out
-
-
-def _thm6_sides(n: int) -> tuple[XPoly, XPoly]:
-    """thm6's canonical sides, the witnesses of a failing instance."""
-    poly = q_euler_polynomial(n)
-    left = poly.map_coeffs(QRatFn.subst_q_inverse).compose(XPoly((ONE, -ONE)))
-    return left, poly if n % 2 == 0 else -poly
 
 
 def _check_thm6(n_max: int) -> list[IdentityInstance]:
@@ -499,31 +488,27 @@ def _check_thm6(n_max: int) -> list[IdentityInstance]:
     for n in range(n_max + 1):
         direct, reflected = _numerators_over(n)
         # x^j in sum_l C(n,l) E_{l,1/q} (1-x)^(n-l), and in (-1)^n sum_l C(n,l) E_l x^(n-l)
-        holds = all(
+        left = [
             _icombination(
                 (comb(n, l) * comb(n - l, j) * (-1) ** j, reflected[l]) for l in range(n - j + 1)
             )
-            == _icombination([((-1) ** n * comb(n, j), direct[n - j])])
             for j in range(n + 1)
-        )
-        out.append(_judged((n,), holds, lambda: _thm6_sides(n)))
+        ]
+        right = [_icombination([((-1) ** n * comb(n, j), direct[n - j])]) for j in range(n + 1)]
+        out.append(_judged((n,), left, right, Counter({2: n})))
     return out
 
 
 def _thm7_instance(params: tuple, n: int) -> IdentityInstance:
     """sum_l C(n,l) (-1)^l E_l = 1 + q + q^2 E_{n,1/q}: thm7, and thm8's full k=0 row."""
     right = _icombination([(1, _binomial_row(n + 1)), (1, (0, 0) + _numerators_over(n)[1][n])])
-    return _judged(params, _alternating_sum_numerator(n) == right, lambda: (
-        _alternating_sum(n), ONE + Q + Q * Q * _reflected_entry(n)
-    ))
+    return _judged(params, _alternating_sum_numerator(n), right, Counter({2: n}))
 
 
 def _k0_remark_instance(params: tuple, n: int, note: str) -> IdentityInstance:
     """The k=0 shortcut sum_l C(n,l) (-1)^l E_l = q^2 E_{n,1/q}, expected to fail."""
     right = _icombination([(1, (0, 0) + _numerators_over(n)[1][n])])
-    return _judged(params, _alternating_sum_numerator(n) == right, lambda: (
-        _alternating_sum(n), Q * Q * _reflected_entry(n)
-    ), expected=FAIL, note=note)
+    return _judged(params, _alternating_sum_numerator(n), right, Counter({2: n}), FAIL, note)
 
 
 def _check_thm7(n_max: int) -> list[IdentityInstance]:
@@ -542,17 +527,15 @@ def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
 def _check_classical(n_max: int) -> list[IdentityInstance]:
     values = [e.eval(1) for e in weighted_recurrence(0, n_max)]
     pairs = zip(values, classical_euler_numbers(n_max))
-    return [_judged((n,), v == w, lambda: (v, w)) for n, (v, w) in enumerate(pairs)]
+    return [_judged((n,), v, w) for n, (v, w) in enumerate(pairs)]
 
 
 def _check_weighted(n_max: int) -> list[IdentityInstance]:
     out = []
     for alpha in (1, 2, 3):
-        _warm(_weighted_numerators, n_max, alpha)
         for n in range(n_max + 1):
-            out.append(_judged((alpha, n), _weighted_routes_agree(alpha, n), lambda: (
-                weighted_recurrence(alpha, n)[n], weighted_closed_form(alpha, n)
-            )))
+            left, right = _weighted_sides(alpha, n)
+            out.append(_judged((alpha, n), left, right, _closed_form_factors(alpha, n)))
     return out
 
 

@@ -423,11 +423,12 @@ def cyclotomic(n: int) -> QPoly:
     return _wrap(Fraction(1), _icyclotomic(n))
 
 
-def one_plus_q_power_factors(m: int) -> list[int]:
+@lru_cache(maxsize=None)
+def one_plus_q_power_factors(m: int) -> tuple[int, ...]:
     """Cyclotomic indices d with Phi_d | (1 + q^m): divisors of 2m not dividing m."""
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    return [d for d in range(1, 2 * m + 1) if (2 * m) % d == 0 and m % d != 0]
+    return tuple(d for d in range(1, 2 * m + 1) if (2 * m) % d == 0 and m % d != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,8 @@ def check_shift_identity_finite(
         raise ValueError("shift count n must be >= 1")
     if N < 1:
         raise ValueError("level N must be >= 1")
+    if prec < 1:
+        raise ValueError("need precision >= 1")
     working = prec + GUARD_DIGITS
     modulus = qc.p**working
     shifted = f.shift_x(n)

@@ -378,21 +378,11 @@ class _FullStdout(io.StringIO):
 
 
 @settings(max_examples=120, deadline=None)
-@given(argv=_argv(), cache_dir=st.one_of(
-    st.none(),
-    st.sampled_from(["", "/dev/null"]),
-    st.text(alphabet="ab-_ /", max_size=8).map(lambda t: t.lstrip("/")),  # under the test's temp dir
-), full_stdout=st.booleans())
-def test_cli_exit_code_contract(tmp_path_factory, argv, cache_dir, full_stdout):
-    # any argv, any QEULER_CACHE_DIR, even an unwritable stdout: exit 0, 1 or 2, never a traceback
+@given(argv=_argv(), full_stdout=st.booleans())
+def test_cli_exit_code_contract(argv, full_stdout):
+    # any argv, even an unwritable stdout: exit 0, 1 or 2, never a traceback
     out, err = _FullStdout() if full_stdout else io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
-        if cache_dir is None:
-            mp.delenv("QEULER_CACHE_DIR", raising=False)
-        elif cache_dir in ("", "/dev/null"):
-            mp.setenv("QEULER_CACHE_DIR", cache_dir)
-        else:
-            mp.setenv("QEULER_CACHE_DIR", str(tmp_path_factory.getbasetemp() / cache_dir))
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -410,21 +400,25 @@ def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
     assert (code, out, err) == (130, "", "qeuler: interrupted\n")
 
 
-def _table_into(stdout) -> subprocess.CompletedProcess:
+_TABLE_ARGV = ["table", "qeuler", "--n-max", "1"]
+
+
+def _cli_into(stdout, argv=_TABLE_ARGV) -> subprocess.CompletedProcess:
     # stdout left buffered, so the failing write is a flush, not a print
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(qeuler.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qeuler.cli", "table", "qeuler", "--n-max", "1"],
+        [sys.executable, "-m", "qeuler.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
-def test_cli_full_device_exits_2_with_one_line():
+@pytest.mark.parametrize("argv", [_TABLE_ARGV, ["--help"]], ids=["table", "help"])
+def test_cli_full_device_exits_2_with_one_line(argv):
     with open("/dev/full", "w") as full:
-        proc = _table_into(full)
+        proc = _cli_into(full, argv)
     assert (proc.returncode, proc.stderr) == (
         2, f"qeuler: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
@@ -433,7 +427,7 @@ def test_cli_closed_pipe_exits_0_silently():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write
     try:
-        proc = _table_into(write_end)
+        proc = _cli_into(write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")

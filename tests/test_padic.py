@@ -358,3 +358,6 @@ def test_shift_identity_rejects_bad_args():
         check_shift_identity_finite(XPoly.one(), 0, QC3, 12, 3)
     with pytest.raises(ValueError):
         check_shift_identity_finite(XPoly.one(), 1, QC3, 12, 0)
+    for prec in (0, -5):
+        with pytest.raises(ValueError, match="need precision >= 1"):
+            check_shift_identity_finite(XPoly.one(), 1, QC3, prec, 3)

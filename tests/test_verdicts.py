@@ -131,19 +131,24 @@ def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, m
         assert all(i.params[0] >= 5 for i in report.failures())
 
 
-def test_weighted_off_by_one_fails_with_real_witnesses(fresh_caches, monkeypatch):
+@pytest.mark.parametrize("n_bad", (2, 3))  # both signs of (-1)^n in the closed form
+def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monkeypatch):
     honest = euler._alternating_numerator
 
     def perturbed(alpha, n):
         t = honest(alpha, n)
-        if n == 3:
+        if n == n_bad:
             t[len(t) // 2] += 1
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
     report = verify_identity("weighted", 4)
-    assert [i.params for i in report.failures()] == [(1, 3), (2, 3), (3, 3)]
-    assert all(i.left != i.right for i in report.failures())
+    assert [i.params for i in report.failures()] == [(1, n_bad), (2, n_bad), (3, n_bad)]
+    for inst in report.failures():
+        alpha, n = inst.params
+        sides = (weighted_recurrence(alpha, n)[n], weighted_closed_form(alpha, n))
+        assert (inst.left, inst.right) == sides
+        assert inst.left != inst.right
 
 
 def test_theorem8_sign_mutation_fails_with_real_witnesses():
