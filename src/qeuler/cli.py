@@ -50,6 +50,8 @@ class OutputRecord:
     @classmethod
     def parse(cls, text: str) -> "OutputRecord":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"record is not a JSON object: {type(data).__name__}")
         if set(data) != {"kind", "metadata", "payload"}:
             raise ValueError(f"malformed record keys: {sorted(data)}")
         if data["kind"] not in ("number", "polynomial", "report", "convergence"):

@@ -14,14 +14,15 @@ check it and are never merged with it:
 * for alpha >= 1, the alternating closed-form sum;
   ``q_euler_numbers_weighted`` cross-checks the two before returning.
 
-The identity suite decides thm4-thm8, the k=0 remark and the weighted
-check on integer polynomials.  Each side has a known denominator: (1+q)^n
-at weight 0, (q^alpha-1)^n prod_{k<=n} (1+q^(alpha*k+1)) at weight alpha.
-Over it the verdict is the equality of the two integer numerators: field
-equality, since the denominator is nonzero.  A failing instance keeps the
-same two numerators, reduced to canonical form, as its witness.  thm1,
-thm2, cor3 and classical compare canonical values, with Frobenius-Euler
-numbers as the independent side.
+The identity suite decides cor3, thm4-thm8, the k=0 remark and the
+weighted check on integer polynomials.  Each side has a known denominator:
+(1+q)^n at weight 0, (q^alpha-1)^n prod_{k<=n} (1+q^(alpha*k+1)) at weight
+alpha.  Over it the verdict is the equality of the two integer numerators:
+field equality, since the denominator is nonzero.  A failing instance keeps
+the same two numerators, reduced to canonical form, as its witness.  thm1,
+thm2 and classical, where two different routes meet, compare canonical
+values, with Frobenius-Euler or classical Euler numbers as the independent
+side.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from .exactq import (
     _itrim,
     _qpoly,
     one_plus_q_power_factors,
-    q_integer,
 )
 
 ZERO = QRatFn.zero()
 ONE = QRatFn.one()
 Q = QRatFn.q()
-TWO_Q = QRatFn.from_poly(q_integer(2))  # [2]_q = 1 + q
 MINUS_Q_INV = QRatFn(QPoly((-1,)), QPoly((0, 1)))  # -1/q, the Frobenius parameter
 
 
@@ -307,10 +306,11 @@ class IdentityInstance:
     """One checked parameter instance of an identity.
 
     The verdict is an exact comparison: of integer numerators over a
-    shared known denominator for thm4-thm8, the k=0 remark and weighted,
-    of canonical values for the rest.  ``left``/``right`` hold the two sides
-    compared, in canonical form (QRatFn or XPoly), as a witness whenever the
-    verdict is ``fail``, and are reduced to that form only then.  An
+    shared known denominator for cor3, thm4-thm8, the k=0 remark and
+    weighted, of canonical values for the rest.  ``left``/``right`` hold
+    the two sides compared, in canonical form (QRatFn or XPoly), as a
+    witness whenever the verdict is ``fail``, and are reduced to that form
+    only then.  An
     instance is in order when its verdict matches its expectation (some
     identities are *supposed* to fail, e.g. the k=0 erratum and the thm5
     hypothesis probe).
@@ -386,30 +386,6 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
     ]
 
 
-# cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
-_COR3_M_MAX = 15
-
-
-def _alternating_power_qpoly(n: int, m: int) -> QPoly:
-    """sum_{l=0..n-1} (-1)^l l^m q^l with the 0^0 = 1 convention."""
-    return QPoly([Fraction((-1) ** l * l**m) for l in range(n)])
-
-
-def _check_cor3(n_max: int) -> list[IdentityInstance]:
-    if n_max < 1:
-        return []
-    h = _frobenius_prefix(MINUS_Q_INV, _COR3_M_MAX)
-    h_polys = [frobenius_polynomial(MINUS_Q_INV, m) for m in range(_COR3_M_MAX + 1)]
-    out = []
-    for n in range(1, n_max + 1, 2):
-        qn = QRatFn.from_poly(QPoly.monomial(n))
-        for m in range(_COR3_M_MAX + 1):
-            left = qn * h_polys[m].eval(QRatFn.const(n)) + h[m]
-            right = TWO_Q * QRatFn.from_poly(_alternating_power_qpoly(n, m))
-            out.append(_judged((n, m), left, right))
-    return out
-
-
 def _binomial_row(m: int) -> list[int]:
     """(1+q)^m."""
     return [comb(m, i) for i in range(m + 1)]
@@ -452,33 +428,50 @@ def _alternating_sum_numerator(n: int) -> list[int]:
     return _icombination(((-1) ** l * comb(n, l), direct[l]) for l in range(n + 1))
 
 
+# cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
+_COR3_M_MAX = 15
+
+
+def _shifted_numerator(n: int, m: int) -> list[int]:
+    """q^n E_m(n) = q^n sum_l C(m,l) n^(m-l) E_l over (1+q)^m, with 0^0 = 1."""
+    direct = _numerators_over(m)[0]
+    return _icombination((comb(m, l) * n ** (m - l), (0,) * n + direct[l]) for l in range(m + 1))
+
+
+def _shift_instance(params: tuple, n: int, m: int) -> IdentityInstance:
+    """q^n E_m(n) + E_m = [2]_q sum_{l<n} (-1)^l l^m q^l for odd n: cor3, and thm4 at n = 1."""
+    left = _icombination([(1, _shifted_numerator(n, m)), (1, _numerators_over(m)[0][m])])
+    # [2]_q = (1+q)^(m+1) / (1+q)^m
+    right = _itrim(_imul(_binomial_row(m + 1), [(-1) ** l * l**m for l in range(n)]))
+    return _judged(params, left, right, Counter({2: m}))
+
+
+def _check_cor3(n_max: int) -> list[IdentityInstance]:
+    return [
+        _shift_instance((n, m), n, m)
+        for n in range(1, n_max + 1, 2)
+        for m in range(_COR3_M_MAX + 1)
+    ]
+
+
 def _check_thm4(n_max: int) -> list[IdentityInstance]:
     """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1."""
-    out = []
-    for n in range(n_max + 1):
-        direct = _numerators_over(n)[0]
-        # E_n(1) = sum_l C(n,l) E_l
-        terms = [(comb(n, l), (0,) + direct[l]) for l in range(n + 1)]
-        left = _icombination(terms + [(1, direct[n])])
-        out.append(_judged((n,), left, [1, 1] if n == 0 else [], Counter({2: n})))
-    return out
+    return [_shift_instance((n,), 1, n) for n in range(n_max + 1)]
 
 
 def _check_thm5(n_max: int) -> list[IdentityInstance]:
     """q^2 E_n(2) = q + q^2 + E_n for n >= 1."""
     out = []
     for n in range(n_max + 1):
-        direct = _numerators_over(n)[0]
-        # E_n(2) = sum_l C(n,l) 2^(n-l) E_l, and q + q^2 = q (1+q)
-        left = _icombination((comb(n, l) * 2 ** (n - l), (0, 0) + direct[l]) for l in range(n + 1))
-        right = _icombination([(1, [0] + _binomial_row(n + 1)), (1, direct[n])])
+        # q + q^2 = q (1+q)
+        right = _icombination([(1, [0] + _binomial_row(n + 1)), (1, _numerators_over(n)[0][n])])
         # n = 0 sits outside the hypothesis (n >= 1): both sides are computable
         # and must differ, which the suite asserts as an expected failure.
         probe = {} if n else {
             "expected": FAIL,
             "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
         }
-        out.append(_judged((n,), left, right, Counter({2: n}), **probe))
+        out.append(_judged((n,), _shifted_numerator(2, n), right, Counter({2: n}), **probe))
     return out
 
 

@@ -207,13 +207,6 @@ class QPoly:
         c = Fraction(c)
         return _wrap(c, (1,)) if c else _QP_ZERO
 
-    @classmethod
-    def monomial(cls, k: int, c: RatLike = 1) -> "QPoly":
-        """c * q**k."""
-        if k < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        return cls.const(c).shift(k)
-
     # -- structure ----------------------------------------------------
 
     @property

@@ -72,6 +72,16 @@ def test_table_poly_json_roundtrip(capsys):
     assert OutputRecord.parse(record.serialize()) == record
 
 
+@pytest.mark.parametrize("text", [
+    "1", "null", "[]", '"kind"', "{",
+    '{"kind": "number", "metadata": {}}',
+    '{"kind": "table", "metadata": {}, "payload": []}',
+])
+def test_output_record_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        OutputRecord.parse(text)
+
+
 def _rebuilt(payload: dict) -> QRatFn:
     num, den = (QPoly(Fraction(c) for c in payload[key]) for key in ("num", "den"))
     f = QRatFn(num, den)

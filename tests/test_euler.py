@@ -298,6 +298,18 @@ def test_cor3_small_range():
     assert {p[1] for p in (i.params for i in report.instances)} == set(range(16))
 
 
+def test_cor3_on_the_frobenius_route():
+    # q^n H_m(-1/q, n) + H_m(-1/q) = [2]_q sum_{l<n} (-1)^l l^m q^l: the generic
+    # route still meets the corollary that the suite decides on integer numerators
+    q = QRatFn.q()
+    h = frobenius_numbers(MINUS_Q_INV, 15)
+    for m in range(16):
+        h_poly = frobenius_polynomial(MINUS_Q_INV, m)
+        for n in range(1, 16, 2):
+            right = (ONE + q) * QRatFn(QPoly([(-1) ** l * l**m for l in range(n)]))
+            assert q**n * h_poly.eval(QRatFn.const(n)) + h[m] == right, (n, m)
+
+
 def test_thm4_n0_gives_two_q():
     report = verify_identity("thm4", 0)
     assert report.ok and report.instances[0].verdict == "pass"

@@ -1,6 +1,6 @@
 """Integer-numerator verdicts against the canonical route, and under mutations.
 
-thm4-thm8 and weighted decide each verdict by comparing integer numerators
+cor3, thm4-thm8 and weighted decide each verdict by comparing integer numerators
 over a shared known denominator.  Here every such verdict is checked
 against the canonical comparison of the identity's two sides, built from
 the public API in ``QRatFn``/``XPoly`` arithmetic; and each check is shown
@@ -25,7 +25,7 @@ from qeuler.euler import (
     weighted_closed_form,
     weighted_recurrence,
 )
-from qeuler.exactq import QRatFn, XPoly
+from qeuler.exactq import QPoly, QRatFn, XPoly
 
 ONE, Q = QRatFn.one(), QRatFn.q()
 N_MAX = 10
@@ -42,6 +42,11 @@ def _sides(identity, n_max):
     """(left, right) of every instance, in report order, by the canonical route."""
     e = q_euler_numbers(n_max)
     refl = [e[n].subst_q_inverse() for n in range(n_max + 1)]
+    if identity == "cor3":  # every m = 0..15 at each odd n
+        e = q_euler_numbers(15)
+        return [(Q**n * q_euler_polynomial(m).eval(QRatFn.const(n)) + e[m],
+                 (ONE + Q) * QRatFn(QPoly([(-1) ** l * l**m for l in range(n)])))
+                for n in range(1, n_max + 1, 2) for m in range(16)]
     if identity == "thm4":
         return [(Q * q_euler_polynomial(n).eval(ONE) + e[n], ONE + Q if n == 0 else QRatFn.zero())
                 for n in range(n_max + 1)]
@@ -78,7 +83,7 @@ def _sides(identity, n_max):
     return out
 
 
-CONVERTED = ("thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "thm8")
+CONVERTED = ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "thm8")
 
 
 @pytest.fixture
@@ -121,14 +126,15 @@ def test_integer_verdict_matches_canonical_comparison(identity, fresh_caches):
     _assert_matches_canonical(verify_identity(identity, N_MAX), _sides(identity, N_MAX))
 
 
-@pytest.mark.parametrize("identity", ("thm4", "thm5", "thm6", "thm7", "k0-remark", "thm8"))
+@pytest.mark.parametrize("identity", ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "thm8"))
 def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, monkeypatch):
     _perturb_numerator(monkeypatch)
     report = verify_identity(identity, N_MAX)
     _assert_matches_canonical(report, _sides(identity, N_MAX))
     if identity != "k0-remark":  # its instances fail by design either way
         assert not report.ok
-        assert all(i.params[0] >= 5 for i in report.failures())
+        index = 1 if identity == "cor3" else 0  # cor3's params are (n, m)
+        assert all(i.params[index] >= 5 for i in report.failures())
 
 
 @pytest.mark.parametrize("n_bad", (2, 3))  # both signs of (-1)^n in the closed form
@@ -184,15 +190,27 @@ def test_every_fail_in_the_full_suite_carries_real_witnesses():
 
 
 def test_passing_instances_build_no_ratfn(fresh_caches, monkeypatch):
+    # Count the constructor and ``_raw``, the two ways a QRatFn is built.  A
+    # patched ``__new__`` would leave the type's constructor slot broken for
+    # every later QRatFn(num, den), even after the patch is undone.
     built = []
+    honest_init, honest_raw = QRatFn.__init__, QRatFn._raw.__func__
 
-    def counting_new(cls, *args, **kwargs):
-        built.append(cls)
-        return object.__new__(cls)
+    def counting_init(self, *args):
+        built.append("init")
+        honest_init(self, *args)
 
-    monkeypatch.setattr(QRatFn, "__new__", counting_new)
-    for identity in ("thm4", "thm6", "thm7", "weighted"):
-        assert verify_identity(identity, N_MAX).ok
-    assert built == []
-    assert bernstein.verify_theorem8(3).ok
-    assert len(built) > 0  # the k=0 remark rows fail by design and carry witnesses
+    def counting_raw(cls, num, den):
+        built.append("raw")
+        return honest_raw(cls, num, den)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(QRatFn, "__init__", counting_init)
+        patched.setattr(QRatFn, "_raw", classmethod(counting_raw))
+        for identity in ("cor3", "thm4", "thm6", "thm7", "weighted"):
+            assert verify_identity(identity, N_MAX).ok
+        assert built == []
+        assert bernstein.verify_theorem8(3).ok
+        assert len(built) > 0  # the k=0 remark rows fail by design and carry witnesses
+    assert "__new__" not in vars(QRatFn)
+    assert QRatFn(Q.num, Q.den) == Q
