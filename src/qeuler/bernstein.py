@@ -149,10 +149,11 @@ def padic_moment_crosscheck(
     partial sum is in closed form); returns, per (n, k), the defect's
     valuation floor across the requested levels (at least one).
     """
-    rows = padic._defect_rows(N_list, prec)
+    levels = padic._levels(N_list)
     qc = padic.QChoice(p, Fraction(q))
     return [
-        (n, k, rows(bernstein_poly(k, n), qc, bernstein_moment_lhs(k, n).eval(qc.q)))
+        (n, k, padic._defect_rows(
+            bernstein_poly(k, n), qc, bernstein_moment_lhs(k, n).eval(qc.q), levels, prec))
         for n in range(1, n_max + 1)
         for k in range(n + 1)
     ]

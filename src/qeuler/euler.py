@@ -286,6 +286,8 @@ def frobenius_polynomial(u: QRatFn, n: int) -> XPoly:
 
 def classical_euler_numbers(n_max: int) -> list[Fraction]:
     """Classical Euler numbers E_n at q = 1: E_0 = 1, 2*E_n = -sum_{k<n} C(n,k) E_k."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     out = [Fraction(1)]
     for n in range(1, n_max + 1):
         s = sum(comb(n, k) * out[k] for k in range(n))

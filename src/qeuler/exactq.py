@@ -239,6 +239,8 @@ class QPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self.degree < 1:  # equal to its Fraction value, so hashed as it
+            return hash(self.content)
         return hash(("QPoly", self.content, self.prim))
 
     # -- arithmetic ---------------------------------------------------
@@ -509,6 +511,8 @@ class QRatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        if self.den == _QP_ONE:  # equal to its numerator QPoly, so hashed as it
+            return hash(self.num)
         return hash(("QRatFn", self.num, self.den))
 
     # -- field arithmetic ----------------------------------------------

@@ -9,13 +9,14 @@ The level-N partial integral is the finite alternating sum
 
     [2]_q / (1 + q^(p^N)) * sum_{x=0}^{p^N - 1} f(x) (-q)^x
 
-evaluated exactly in modular arithmetic at working precision K + guard
-digits.  The sum is never expanded term by term: ``alt_weighted_power_sum``
-gives it in closed form, dividing once by 1 + q.  That division is exact
-because an admissible q has |1 - q|_p < 1, so 1 + q = 2 - (1 - q) is 2 mod p,
-a p-adic unit for odd p.  A level costs O(deg^2 + log p^N) operations, so
-levels in the hundreds are cheap.  Its defect against the exact symbolic
-moment shrinks p-adically as N grows, which ``convergence_report`` measures.
+evaluated mod p^K.  That residue is exact, with no guard digits: each step
+is a ring operation or the inverse of a unit (1 + q and 1 + q^(p^N) are 2
+mod p, as an admissible q has |1 - q|_p < 1), so it commutes with reduction
+mod p^K.  The sum is never expanded term by term: ``alt_weighted_power_sum``
+gives it in closed form, dividing once by 1 + q.  A level costs
+O(deg^2 + log p^N) operations, so levels in the hundreds are cheap.  Its
+defect against the exact moment shrinks p-adically as N grows, which
+``convergence_report`` measures.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import euler
 from .exactq import BigRat, XPoly
 
-GUARD_DIGITS = 4
 DEFAULT_PRECISION = 12
 
 
@@ -163,12 +163,6 @@ class PAdicNum:
             raise ValueError("negative valuation has no integer residue")
         return self.unit * self.prime**self.val % self.prime**self.prec
 
-    def with_precision(self, prec: int) -> "PAdicNum":
-        """Truncate to a smaller absolute precision."""
-        if prec >= self.prec:
-            return self
-        return PAdicNum(self.prime, prec, self.val, self.unit)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same_prime(self, other: "PAdicNum") -> None:
@@ -247,8 +241,8 @@ class PAdicNum:
 class QChoice:
     """An admissible base q for the fermionic measure: |1 - q|_p < 1.
 
-    q is kept as an exact rational so it can be embedded at any working
-    precision on demand.
+    q is kept as an exact rational so it can be embedded at any precision
+    on demand.
     """
 
     p: int
@@ -262,9 +256,6 @@ class QChoice:
         if diff != 0:
             if diff.denominator % self.p == 0 or diff.numerator % self.p != 0:
                 raise ValueError(f"need |1 - q|_p < 1; q = {self.q} fails at p = {self.p}")
-
-    def q_residue(self, modulus: int) -> int:
-        return _embed_residue(self.q, self.p, modulus)
 
 
 def _embed_residue(r: Fraction, p: int, modulus: int) -> int:
@@ -312,69 +303,58 @@ def alt_weighted_power_sum(coeffs, q: int, modulus: int, count: int) -> int:
     return total % modulus
 
 
-def _integral_residue(f: XPoly, qc: QChoice, N: int, modulus: int) -> int:
-    """Level-N partial integral as a residue at the working modulus."""
-    count = qc.p**N
-    coeffs = [_embed_residue(c, qc.p, modulus) for c in f.fraction_coeffs()]
-    if not coeffs:
-        return 0
-    qres = qc.q_residue(modulus)
-    s = alt_weighted_power_sum(coeffs, qres, modulus, count)
-    denom = (1 + pow(qres, count, modulus)) % modulus  # a unit: = 2 mod p
-    prefactor = (1 + qres) * pow(denom, -1, modulus) % modulus
-    return prefactor * s % modulus
-
-
 def fermionic_integral_partial(
     f: XPoly,
     qc: QChoice,
     N: int,
     prec: int = DEFAULT_PRECISION,
 ) -> PAdicNum:
-    """Finite-level fermionic q-integral of a polynomial with rational coefficients.
+    """Finite-level fermionic q-integral of a polynomial with p-integral coefficients.
 
-    Computed at working precision prec + GUARD_DIGITS.  Exact at every level
-    for constants; for f = 1 the alternating sum telescopes against the
-    prefactor and the result is exactly 1.  Total loss of significance comes
-    back flagged (is_zero_at_prec), not silent.
+    Computed mod p^prec, which is exact (see the module docstring).  Exact
+    at every level for constants; for f = 1 the alternating sum telescopes
+    against the prefactor and the result is exactly 1.  Total loss of
+    significance comes back flagged (is_zero_at_prec), not silent.
     """
     if N < 1:
         raise ValueError("level N must be >= 1")
     if prec < 1:
         raise ValueError("need precision >= 1")
-    working = prec + GUARD_DIGITS
-    total = _integral_residue(f, qc, N, qc.p**working)
-    return PAdicNum.from_residue(total, qc.p, working).with_precision(prec)
+    modulus = qc.p**prec
+    count = qc.p**N
+    coeffs = [_embed_residue(c, qc.p, modulus) for c in f.fraction_coeffs()]
+    qres = _embed_residue(qc.q, qc.p, modulus)
+    s = alt_weighted_power_sum(coeffs, qres, modulus, count)
+    denom = 1 + pow(qres, count, modulus)  # a unit: = 2 mod p
+    prefactor = (1 + qres) * pow(denom, -1, modulus)
+    return PAdicNum.from_residue(prefactor * s, qc.p, prec)
 
 
 @dataclass(frozen=True)
 class ConvergenceRow:
     N: int
     valuation: int  # best known lower bound for v_p(defect)
-    exact: bool  # defect indistinguishable from zero at working precision
+    exact: bool  # defect indistinguishable from zero at precision prec
 
 
-def _defect_rows(
-    N_list: Iterable[int], prec: int
-) -> Callable[[XPoly, QChoice, Fraction], tuple[ConvergenceRow, ...]]:
-    """rows(f, qc, exact): v_p(I_N(f) - exact) for each level N, in increasing N.
-
-    The levels are sorted, and an empty list rejected, here, before any
-    integral is computed.
-    """
+def _levels(N_list: Iterable[int]) -> list[int]:
+    """The levels in increasing order; an empty list is rejected before any integral."""
     levels = sorted(N_list)
     if not levels:
         raise ValueError("need at least one level N")
+    return levels
 
-    def rows(f: XPoly, qc: QChoice, exact: Fraction) -> tuple[ConvergenceRow, ...]:
-        target = PAdicNum.from_rational(exact, qc.p, prec)
-        out = []
-        for N in levels:
-            defect = fermionic_integral_partial(f, qc, N, prec) - target
-            out.append(ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
-        return tuple(out)
 
-    return rows
+def _defect_rows(
+    f: XPoly, qc: QChoice, exact: Fraction, levels: list[int], prec: int
+) -> tuple[ConvergenceRow, ...]:
+    """v_p(I_N(f) - exact) for each level N of ``levels``."""
+    target = PAdicNum.from_rational(exact, qc.p, prec)
+    out = []
+    for N in levels:
+        defect = fermionic_integral_partial(f, qc, N, prec) - target
+        out.append(ConvergenceRow(N, defect.valuation_floor, defect.is_zero_at_prec))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -420,9 +400,10 @@ def convergence_report(
     """
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    rows = _defect_rows(N_list, prec)
+    levels = _levels(N_list)
     exact = euler.q_euler_numbers(n)[n].eval(qc.q)
-    return ConvergenceReport(n, qc.p, qc.q, prec, rows(XPoly((0,) * n + (1,)), qc, exact))
+    rows = _defect_rows(XPoly((0,) * n + (1,)), qc, exact, levels, prec)
+    return ConvergenceReport(n, qc.p, qc.q, prec, rows)
 
 
 @dataclass(frozen=True)
@@ -450,19 +431,11 @@ def check_shift_identity_finite(
 ) -> ShiftDefect:
     if n < 1:
         raise ValueError("shift count n must be >= 1")
-    if N < 1:
-        raise ValueError("level N must be >= 1")
-    if prec < 1:
-        raise ValueError("need precision >= 1")
-    working = prec + GUARD_DIGITS
-    modulus = qc.p**working
-    shifted = f.shift_x(n)
-    lhs = pow(qc.q_residue(modulus), n, modulus) * _integral_residue(shifted, qc, N, modulus)
-    lhs += (1 if n % 2 else -1) * _integral_residue(f, qc, N, modulus)
-    rhs_exact = Fraction(0)
-    for l in range(n):
-        rhs_exact += (-1) ** (n - 1 - l) * f.eval(Fraction(l)).as_fraction() * qc.q**l
-    rhs_exact *= 1 + qc.q
-    defect_residue = (lhs - _embed_residue(rhs_exact, qc.p, modulus)) % modulus
-    defect = PAdicNum.from_residue(defect_residue, qc.p, working).with_precision(prec)
+    shifted = fermionic_integral_partial(f.shift_x(n), qc, N, prec)
+    plain = fermionic_integral_partial(f, qc, N, prec)
+    rhs = (1 + qc.q) * sum(
+        (-1) ** (n - 1 - l) * f.eval(Fraction(l)).as_fraction() * qc.q**l for l in range(n)
+    )
+    lhs = PAdicNum.from_rational(qc.q**n, qc.p, prec) * shifted + (plain if n % 2 else -plain)
+    defect = lhs - PAdicNum.from_rational(rhs, qc.p, prec)
     return ShiftDefect(n, N, defect.valuation_floor, defect.is_zero_at_prec)

@@ -266,6 +266,9 @@ def test_weighted_rejects_bad_alpha():
             q_euler_numbers_weighted(bad, 3)
     with pytest.raises(ValueError):
         weighted_closed_form(0, 3)
+    for seq in (classical_euler_numbers, q_euler_numbers, lambda n: weighted_recurrence(1, n)):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            seq(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,16 @@ def test_hash_consistency():
     a = ratfn((0, 2), (2, 2))
     b = ratfn((0, 1), (1, 1))
     assert a == b and hash(a) == hash(b)
+    # values equal across types hash equal, so they meet in dicts and sets
+    for x, y in (
+        (QRatFn.one(), 1),
+        (QRatFn.const(Fraction(1, 2)), Fraction(1, 2)),
+        (QPoly.zero(), 0),
+        (QPoly.const(2), 2),
+        (QRatFn.q(), QPoly.q()),
+    ):
+        assert x == y and hash(x) == hash(y), (x, y)
+        assert x in {y} and y in {x}, (x, y)
 
 
 # ---------------------------------------------------------------------------

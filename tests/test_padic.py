@@ -253,22 +253,12 @@ def _exact_moment(n: int, q: Fraction) -> Fraction:
     return es[n]
 
 
-def _exact_defect_valuation(n: int, q: Fraction, p: int, N: int) -> "int | None":
-    """Independent oracle: v_p of the level-N defect, in plain Fractions.
-
-    The partial sum is expanded term by term and the target comes from the
-    shift identity, so neither side goes through qeuler.  None means the
-    defect is exactly zero.
-    """
-    count = p**N
-    partial = (1 + q) / (1 + q**count) * sum(
-        Fraction(x) ** n * (-q) ** x for x in range(count)
-    )
-    diff = partial - _exact_moment(n, q)
-    if diff == 0:
+def _fraction_valuation(r: Fraction, p: int) -> "int | None":
+    """v_p of an exact rational; None for zero."""
+    if r == 0:
         return None
     v = 0
-    num, den = diff.numerator, diff.denominator
+    num, den = r.numerator, r.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -276,6 +266,58 @@ def _exact_defect_valuation(n: int, q: Fraction, p: int, N: int) -> "int | None"
         den //= p
         v -= 1
     return v
+
+
+def _exact_partial(f, q: Fraction, p: int, N: int) -> Fraction:
+    """Level-N partial integral of the function f, summed term by term in Fractions."""
+    count = p**N
+    return (1 + q) / (1 + q**count) * sum(f(x) * (-q) ** x for x in range(count))
+
+
+def _exact_defect_valuation(n: int, q: Fraction, p: int, N: int) -> "int | None":
+    """Independent oracle: v_p of the level-N defect, in plain Fractions.
+
+    The partial sum is expanded term by term and the target comes from the
+    shift identity, so neither side goes through qeuler.  None means the
+    defect is exactly zero.
+    """
+    partial = _exact_partial(lambda x: Fraction(x) ** n, q, p, N)
+    return _fraction_valuation(partial - _exact_moment(n, q), p)
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# p-integral at p = 3, 5, 7: denominators are products of 2 and 11
+ORACLE_POLYS = (
+    (),
+    (Fraction(3, 2),),
+    (0, 1),
+    (Fraction(-5, 4), 0, 7),
+    (2, Fraction(1, 11), Fraction(-3, 8), 1),
+    (Fraction(7, 2), -6, 0, Fraction(9, 22), Fraction(-1, 4)),
+)
+
+
+def test_integral_matches_fraction_oracle_at_every_precision():
+    # (val, unit, prec) of the level-N integral equal the exact term-by-term
+    # Fraction sum embedded at the same precision, p^N <= 343.
+    for p, N_max in ((3, 5), (5, 3), (7, 3)):
+        for c in (1, -1, 2):
+            qc = QChoice(p, Fraction(1 + c * p))
+            for N in range(1, N_max + 1):
+                for coeffs in ORACLE_POLYS:
+                    f = XPoly.from_fractions(coeffs)
+                    exact = _exact_partial(lambda x: _horner(coeffs, x), qc.q, p, N)
+                    for prec in (1, 2, 5, 12):
+                        got = fermionic_integral_partial(f, qc, N, prec)
+                        want = PAdicNum.from_rational(exact, p, prec)
+                        cell = (p, c, N, coeffs, prec)
+                        assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec), cell
 
 
 def test_integral_defect_valuation_equals_level():
@@ -361,3 +403,29 @@ def test_shift_identity_rejects_bad_args():
     for prec in (0, -5):
         with pytest.raises(ValueError, match="need precision >= 1"):
             check_shift_identity_finite(XPoly.one(), 1, QC3, prec, 3)
+
+
+def test_shift_identity_matches_fraction_oracle():
+    # q^n I_N(f(x+n)) + (-1)^(n-1) I_N(f) - [2]_q sum_{l<n} (-1)^(n-1-l) f(l) q^l,
+    # in plain Fractions: its valuation capped at prec is the reported one, and
+    # a defect of valuation >= prec (or exactly zero) is reported exact.
+    p = 3
+    for c in (1, -1, 2):
+        qc = QChoice(p, Fraction(1 + c * p))
+        q = qc.q
+        for coeffs in ORACLE_POLYS:
+            f = XPoly.from_fractions(coeffs)
+            for n in (1, 2, 3, 4):
+                rhs = (1 + q) * sum(
+                    (-1) ** (n - 1 - l) * _horner(coeffs, l) * q**l for l in range(n)
+                )
+                for N in (1, 2, 3):
+                    shifted = _exact_partial(lambda x: _horner(coeffs, x + n), q, p, N)
+                    plain = _exact_partial(lambda x: _horner(coeffs, x), q, p, N)
+                    v = _fraction_valuation(q**n * shifted + (-1) ** (n - 1) * plain - rhs, p)
+                    for prec in (1, 3, 12):
+                        res = check_shift_identity_finite(f, n, qc, prec, N)
+                        exact = v is None or v >= prec
+                        cell = (c, coeffs, n, N, prec)
+                        assert res.exact == exact, cell
+                        assert res.valuation == (prec if exact else v), cell
