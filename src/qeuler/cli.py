@@ -56,6 +56,8 @@ class OutputRecord:
             raise ValueError(f"malformed record keys: {sorted(data)}")
         if data["kind"] not in ("number", "polynomial", "report", "convergence"):
             raise ValueError(f"unknown record kind {data['kind']!r}")
+        if not isinstance(data["metadata"], dict) or not isinstance(data["payload"], list):
+            raise ValueError("record metadata must be a JSON object and payload an array")
         return cls(data["kind"], data["metadata"], data["payload"])
 
 

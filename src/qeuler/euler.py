@@ -8,9 +8,9 @@ One integer recurrence, run over the known denominators, serves every
 weight alpha >= 0; weight 0 is its alpha = 0 case.  Two independent routes
 check it and are never merged with it:
 
-* Frobenius-Euler numbers use ``H_n = (sum_{k<n} C(n,k) H_k) / (u-1)`` in
-  generic ``QRatFn`` arithmetic; their agreement with weight 0 at u = -1/q
-  is a verified identity, not a definition.
+* Frobenius-Euler numbers come from their Stirling closed form, a
+  polynomial in 1/(u-1), in generic ``QRatFn`` arithmetic; their agreement
+  with weight 0 at u = -1/q is a verified identity, not a definition.
 * for alpha >= 1, the alternating closed-form sum;
   ``q_euler_numbers_weighted`` cross-checks the two before returning.
 
@@ -21,8 +21,8 @@ alpha.  Over it the verdict is the equality of the two integer numerators:
 field equality, since the denominator is nonzero.  A failing instance keeps
 the same two numerators, reduced to canonical form, as its witness.  thm1,
 thm2 and classical, where two different routes meet, compare canonical
-values, with Frobenius-Euler or classical Euler numbers as the independent
-side.
+values: the recurrence against the Frobenius closed form or the classical
+Euler numbers.
 """
 
 from __future__ import annotations
@@ -74,34 +74,32 @@ def q_euler_numbers(n_max: int) -> tuple[QRatFn, ...]:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_entries(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
-    if n_max == 0:
-        return (ONE,)
-    prev = _frobenius_entries(u, n_max - 1)
-    n = n_max
-    s = ZERO
-    for k in range(n):
-        s = s + prev[k] * comb(n, k)
-    return prev + (s / (u - ONE),)
+def _frobenius_number(u: QRatFn, n: int) -> QRatFn:
+    """H_n(u) = sum_{k<=n} k! S(n,k) w^k, w = 1/(u-1): the Fubini polynomial at w.
 
-
-def _frobenius_prefix(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
-    """H_0(u)..H_n_max(u); the only way callers reach ``_frobenius_entries``."""
-    _warm(_frobenius_entries, n_max, u)
-    return _frobenius_entries(u, n_max)
+    With exp(t) - u = (1-u) + (exp(t)-1), (1-u)/(exp(t)-u) = sum_k w^k (exp(t)-1)^k,
+    and (exp(t)-1)^k = k! sum_n S(n,k) t^n/n! (Concrete Mathematics, 7.4),
+    where k! S(n,k) = sum_{j<=k} (-1)^(k-j) C(k,j) j^n with 0^0 = 1.  Horner in w
+    only multiplies by w and adds integers, so every gcd is against w.num or w.den.
+    """
+    if u == ONE:
+        raise ValueError("singular Frobenius parameter u = 1")
+    w = (u - ONE).inverse()
+    acc = ZERO
+    for k in range(n, -1, -1):
+        acc = acc * w + sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+    return acc
 
 
 def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
-    """Frobenius-Euler numbers: H_0 = 1, H_n = (sum_{k<n} C(n,k) H_k)/(u-1).
+    """Frobenius-Euler numbers: (1-u)/(exp(t)-u) = sum_n H_n(u) t^n/n!, singular at u = 1.
 
-    The recurrence is the coefficient identity of (1-u)/(exp(t)-u); the
-    parameter u = 1 makes it singular and is rejected.
+    Each entry is computed on its own by ``_frobenius_number(u, n)``, a
+    polynomial in 1/(u-1) whose coefficients are the integers k! S(n,k).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if u == ONE:
-        raise ValueError("singular Frobenius parameter u = 1")
-    return _frobenius_prefix(u, n_max)
+    return tuple(_frobenius_number(u, n) for n in range(n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +276,7 @@ def frobenius_polynomial(u: QRatFn, n: int) -> XPoly:
     """H_n(u, x) = sum_l C(n,l) H_l(u) x^(n-l)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if u == ONE:
-        raise ValueError("singular Frobenius parameter u = 1")
-    h = _frobenius_prefix(u, n)
-    return XPoly([h[n - j] * comb(n, j) for j in range(n + 1)])
+    return XPoly([_frobenius_number(u, n - j) * comb(n, j) for j in range(n + 1)])
 
 
 def classical_euler_numbers(n_max: int) -> list[Fraction]:
@@ -377,7 +372,7 @@ def _judged(
 
 
 def _check_thm1(n_max: int) -> list[IdentityInstance]:
-    pairs = zip(weighted_recurrence(0, n_max), _frobenius_prefix(MINUS_Q_INV, n_max))
+    pairs = zip(weighted_recurrence(0, n_max), frobenius_numbers(MINUS_Q_INV, n_max))
     return [_judged((n,), e, h) for n, (e, h) in enumerate(pairs)]
 
 

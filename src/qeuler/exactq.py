@@ -84,8 +84,8 @@ def _int_poly_gcd(A: Sequence[int], B: Sequence[int]) -> Sequence[int]:
     """The gcd, primitive and up to sign, of two primitive nonzero integer polynomials.
 
     Primitive Euclid (Knuth 4.6.1, Algorithm E): each pseudo-remainder is
-    cut to its primitive part.  On the Frobenius route, whose denominators
-    are powers of 1 + q, the remainders carry large contents; dropping them
+    cut to its primitive part.  When the inputs share a high power of a
+    factor such as 1 + q, the remainders carry large contents; dropping them
     beats the subresultant PRS (Algorithm C), which keeps them.  On random
     coprime input the two carry about the same size and the PRS is faster.
     """

@@ -76,6 +76,8 @@ def test_table_poly_json_roundtrip(capsys):
     "1", "null", "[]", '"kind"', "{",
     '{"kind": "number", "metadata": {}}',
     '{"kind": "table", "metadata": {}, "payload": []}',
+    '{"kind": "number", "metadata": 1, "payload": []}',
+    '{"kind": "number", "metadata": {}, "payload": "x"}',
 ])
 def test_output_record_rejects_malformed(text):
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qeuler import euler
+from qeuler import euler, exactq
 from qeuler.euler import (
     MINUS_Q_INV,
     classical_euler_numbers,
@@ -148,12 +148,12 @@ def test_frobenius_at_minus_q_inverse_matches_weight0():
 
 
 def test_frobenius_umbral_invariant():
-    # sum_{k<=n} C(n,k) H_k = u * H_n for n >= 1
-    from math import comb
-
-    for u in (QRatFn.const(3), MINUS_Q_INV):
-        h = frobenius_numbers(u, 9)
-        for n in range(1, 10):
+    # sum_{k<=n} C(n,k) H_k = u * H_n for n >= 1: the recurrence
+    # H_n = (sum_{k<n} C(n,k) H_k)/(u-1), checked against the closed form
+    for u in (QRatFn.const(3), MINUS_Q_INV, QRatFn.const(Fraction(-1, 2)), QRatFn.q(),
+              ratfn((1, 2))):
+        h = frobenius_numbers(u, 20)
+        for n in range(1, 21):
             acc = QRatFn.zero()
             for k in range(n + 1):
                 acc = acc + h[k] * comb(n, k)
@@ -169,6 +169,24 @@ def test_frobenius_polynomial_first_request_does_not_recurse_per_n():
     finally:
         sys.setrecursionlimit(limit)
     assert poly.degree == 80 and poly.coeffs[0] == frobenius_numbers(QRatFn.const(5), 80)[80]
+
+
+def test_frobenius_gcds_meet_only_degree_one_operands(monkeypatch):
+    # Horner in w = 1/(u-1) = -q/(1+q) multiplies by w and adds integers, so
+    # each gcd QRatFn arithmetic takes is against w's numerator or denominator.
+    for fn in vars(euler).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    smaller = []
+    gcd = exactq._int_poly_gcd
+
+    def spy(a, b):
+        smaller.append(min(len(a), len(b)) - 1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(exactq, "_int_poly_gcd", spy)
+    frobenius_numbers(MINUS_Q_INV, 30)
+    assert smaller and max(smaller) <= 1
 
 
 def test_frobenius_singular_parameter():
@@ -266,9 +284,17 @@ def test_weighted_rejects_bad_alpha():
             q_euler_numbers_weighted(bad, 3)
     with pytest.raises(ValueError):
         weighted_closed_form(0, 3)
-    for seq in (classical_euler_numbers, q_euler_numbers, lambda n: weighted_recurrence(1, n)):
+    for seq in (
+        classical_euler_numbers,
+        q_euler_numbers,
+        lambda n: weighted_recurrence(1, n),
+        lambda n: frobenius_numbers(MINUS_Q_INV, n),
+    ):
         with pytest.raises(ValueError, match="n_max must be >= 0"):
             seq(-1)
+    for poly in (lambda n: frobenius_polynomial(MINUS_Q_INV, n), q_euler_polynomial):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            poly(-1)
 
 
 # ---------------------------------------------------------------------------
