@@ -1,7 +1,8 @@
 """Bernstein basis polynomials, their fermionic moments, and the
 alternating-moment identity suite (including the inconsistent k=0 remark).
 
-The moment of B_{k,n} under the fermionic measure has two expansions:
+The moment of B_{k,n} under the fermionic functional I(y^l) = E_l has two
+expansions, the second through its reflection I'(y^l) = E_{l,1/q}:
 
     lhs:  C(n,k) * sum_{l=0..n-k} C(n-k,l) (-1)^l     E_{k+l, q}
     rhs:  C(n,k) * sum_{l=0..k}   C(k,l) (-1)^(k+l) * (1 + q + q^2 E_{n-l, 1/q})
@@ -24,10 +25,9 @@ from .euler import (
     ZERO,
     IdentityInstance,
     IdentityReport,
-    _icombination,
     _judged,
     _k0_remark_instance,
-    _numerators_over,
+    _moment,
     _thm7_instance,
     weighted_recurrence,
 )
@@ -105,16 +105,13 @@ def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
 def verify_theorem8(n_max: int) -> IdentityReport:
     """Check the alternating-moment identity over 1 <= k < n <= n_max.
 
-    Each (n, k) instance compares both moment expansions divided by
-    C(n,k).  The k = 0 row is checked twice: against the claimed k=0
-    shortcut (expected to fail -- the dropped 1+q) and against the full
-    form (expected to pass); both outcomes are part of the contract.
-
-    Every side is a sum of E_l and E_{l,1/q}, so the verdict compares its
-    integer numerator over (1+q)^n.  A failing instance keeps the same two
-    numerators, reduced to canonical form, as its witness: for k >= 1,
+    Row (n, k) is I(y^k (1-y)^(n-k)) = q^2 I'(sum_l C(k,l) (-1)^(k+l) y^(n-l)):
     ``bernstein_moment_lhs`` and the reduced ``bernstein_moment_rhs``, each
-    divided by C(n,k).
+    divided by C(n,k), as ``_moment`` numerators over (1+q)^n.  A failing
+    instance keeps both, reduced to canonical form, as its witness.  The
+    k = 0 row is checked twice: against the claimed k=0 shortcut (expected
+    to fail -- the dropped 1+q) and against the full form (expected to
+    pass); both outcomes are part of the contract.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -124,14 +121,10 @@ def verify_theorem8(n_max: int) -> IdentityReport:
             _k0_remark_instance((n, 0, "k0-remark"), n, "claimed k=0 shortcut drops the 1+q term")
         )
         instances.append(_thm7_instance((n, 0, "full"), n))
-        direct, reflected = _numerators_over(n)
         for k in range(1, n):
-            left = _icombination(
-                (comb(n - k, l) * (-1) ** l, direct[k + l]) for l in range(n - k + 1)
-            )
-            right = _icombination(
-                (comb(k, l) * (-1) ** (k + l), (0, 0) + reflected[n - l]) for l in range(k + 1)
-            )
+            left = _moment(n, [(comb(n - k, l) * (-1) ** l, 0, k + l) for l in range(n - k + 1)])
+            terms = [(comb(k, l) * (-1) ** (k + l), 2, n - l) for l in range(k + 1)]
+            right = _moment(n, terms, reflected=True)
             instances.append(_judged((n, k), left, right, Counter({2: n})))
     return IdentityReport("thm8", tuple(instances))
 

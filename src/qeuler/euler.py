@@ -11,18 +11,18 @@ check it and are never merged with it:
 * Frobenius-Euler numbers come from their Stirling closed form, a
   polynomial in 1/(u-1), in generic ``QRatFn`` arithmetic; their agreement
   with weight 0 at u = -1/q is a verified identity, not a definition.
-* for alpha >= 1, the alternating closed-form sum;
-  ``q_euler_numbers_weighted`` cross-checks the two before returning.
+* for alpha >= 1, the alternating closed form, ``_weighted_moment`` at
+  (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two.
 
-The identity suite decides cor3, thm4-thm8, the k=0 remark and the
-weighted check on integer polynomials.  Each side has a known denominator:
-(1+q)^n at weight 0, (q^alpha-1)^n prod_{k<=n} (1+q^(alpha*k+1)) at weight
-alpha.  Over it the verdict is the equality of the two integer numerators:
-field equality, since the denominator is nonzero.  A failing instance keeps
-the same two numerators, reduced to canonical form, as its witness.  thm1,
-thm2 and classical, where two different routes meet, compare canonical
-values: the recurrence against the Frobenius closed form or the classical
-Euler numbers.
+Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
+of some f equals some g.  ``_moment`` maps the terms of a side through
+I(y^l) = E_l, or I'(y^l) = E_{l,1/q}, to an integer numerator over (1+q)^n;
+``_weighted_moment`` maps them through I(X^j) = [2]_q/(1+q^(alpha*j+1)),
+X = q^(alpha*x).  The verdict is the equality of the two numerators: field
+equality, since the denominator is nonzero.  A failing instance keeps both,
+reduced to canonical form, as its witness.  thm1, thm2 and classical compare
+canonical values: the recurrence against the Frobenius closed form or the
+classical Euler numbers.
 """
 
 from __future__ import annotations
@@ -141,6 +141,17 @@ def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
     return QRatFn._raw(_qpoly(num), _qpoly(_cyclotomic_scale([1], left)))
 
 
+def _icombination(terms: Iterable[tuple[int, int, Sequence[int]]]) -> list[int]:
+    """sum c*q^s*cs over the (c, s, cs) terms, trimmed, so equal sums compare equal."""
+    out: list[int] = []
+    for c, s, cs in terms:
+        if len(out) < s + len(cs):
+            out.extend([0] * (s + len(cs) - len(out)))
+        for i, a in enumerate(cs, s):
+            out[i] += c * a
+    return _itrim(out)
+
+
 def _check_weight(alpha: int, minimum: int) -> None:
     if not isinstance(alpha, int) or isinstance(alpha, bool) or alpha < minimum:
         raise ValueError(f"weight must be an integer >= {minimum}, got {alpha!r}")
@@ -186,17 +197,21 @@ def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     return tuple(_weighted_entry(alpha, n) for n in range(n_max + 1))
 
 
-def _alternating_numerator(alpha: int, n: int) -> list[int]:
-    """(-1)^n T_n, with T_n = sum_{l=0..n} C(n,l)(-1)^l prod_{j=0..n, j != l} (1+q^(alpha*j+1))."""
+def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int]) -> list[int]:
+    """I(sum_j c_j X^j), X = q^(alpha*x), j <= n, as its numerator over D_n.
+
+    D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)), and a geometric sum gives
+    I(X^j) = [2]_q/(1+q^(alpha*j+1)) = prod_{0<=k<=n, k != j} (1+q^(alpha*k+1)) / D_n.
+    """
     full = [1]
-    for j in range(n + 1):
-        full = _ishift_add(full, alpha * j + 1)
-    t = [0] * len(full)
-    for l in range(n + 1):
-        c = comb(n, l) * (-1) ** (n - l)
-        for i, b in enumerate(_ishift_div(full, alpha * l + 1)):
-            t[i] += c * b
-    return t
+    for k in range(n + 1):
+        full = _ishift_add(full, alpha * k + 1)
+    return _icombination((c, 0, _ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+
+
+def _alternating_numerator(alpha: int, n: int) -> list[int]:
+    """(-1)^n T_n = I((X-1)^n) over D_n, the closed form's numerator (``weighted_closed_form``)."""
+    return _weighted_moment(alpha, n, [comb(n, j) * (-1) ** (n - j) for j in range(n + 1)])
 
 
 def weighted_closed_form(alpha: int, n: int) -> QRatFn:
@@ -228,10 +243,10 @@ def _closed_form_factors(alpha: int, n: int) -> Counter:
 
 
 def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
-    """(q^alpha-1)^n N_n and (-1)^n T_n: E^(alpha)_n by each route, over ``_closed_form_factors``."""
+    """(q^alpha-1)^n N_n and I((X-1)^n): E^(alpha)_n by each route, over _closed_form_factors."""
     _warm(_weighted_numerators, n, alpha)
     scaled = _cyclotomic_scale(_weighted_numerators(alpha, n)[n], _q_alpha_minus_one(alpha, n))
-    return _itrim(scaled), _itrim(_alternating_numerator(alpha, n))
+    return _itrim(scaled), _alternating_numerator(alpha, n)
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
@@ -302,13 +317,12 @@ FAIL = "fail"
 class IdentityInstance:
     """One checked parameter instance of an identity.
 
-    The verdict is an exact comparison: of integer numerators over a
-    shared known denominator for cor3, thm4-thm8, the k=0 remark and
-    weighted, of canonical values for the rest.  ``left``/``right`` hold
-    the two sides compared, in canonical form (QRatFn or XPoly), as a
-    witness whenever the verdict is ``fail``, and are reduced to that form
-    only then.  An
-    instance is in order when its verdict matches its expectation (some
+    The verdict is an exact comparison: for cor3, thm4-thm8, the k=0 remark
+    and weighted, of the integer numerators of I(f) and g over a known
+    denominator (see ``_moment``), of canonical values for the rest.
+    ``left``/``right`` hold the two sides compared, reduced to canonical
+    form (QRatFn or XPoly) only when the verdict is ``fail``, as a witness.
+    An instance is in order when its verdict matches its expectation (some
     identities are *supposed* to fail, e.g. the k=0 erratum and the thm5
     hypothesis probe).
     """
@@ -355,9 +369,9 @@ def _judged(
     """One instance, judged by the exact comparison ``left == right``.
 
     With ``over``, a Counter of Phi_d exponents, each side is an integer
-    numerator over that denominator, or a list of them, one per power of x;
-    a failing instance keeps both sides, reduced to a canonical QRatFn or
-    XPoly, as its witness.  Without ``over`` the sides are canonical already.
+    numerator over it from ``_moment`` or ``_weighted_moment``, or a list of
+    them, one per power of x; a failing instance keeps both sides, reduced
+    to a canonical QRatFn or XPoly, as its witness.  Else they are canonical.
     """
     if left == right:
         return IdentityInstance(params, PASS, expected, note)
@@ -383,22 +397,6 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
     ]
 
 
-def _binomial_row(m: int) -> list[int]:
-    """(1+q)^m."""
-    return [comb(m, i) for i in range(m + 1)]
-
-
-def _icombination(terms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
-    """sum c*cs over the (c, cs) terms, trimmed, so equal sums compare equal."""
-    out: list[int] = []
-    for c, cs in terms:
-        if len(out) < len(cs):
-            out.extend([0] * (len(cs) - len(out)))
-        for i, a in enumerate(cs):
-            out[i] += c * a
-    return _itrim(out)
-
-
 @lru_cache(maxsize=None)
 def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The numerators over (1+q)^n of E_l and of E_{l,1/q}, for l = 0..n.
@@ -412,34 +410,32 @@ def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
     for l, num in enumerate(_weighted_numerators(0, n)):
         num = _itrim(list(num))
         shift = l + 1 - len(num)
-        assert shift >= 0, f"deg N_{l} > {l}"
-        row = _binomial_row(n - l)
+        if shift < 0:
+            raise ArithmeticError(f"deg N_{l} > {l}: E_{l} is not over (1+q)^{l}")
+        row = [comb(n - l, i) for i in range(n - l + 1)]
         direct.append(tuple(_imul(num, row)))
         reflected.append(tuple(_imul([0] * shift + num[::-1], row)))
     return tuple(direct), tuple(reflected)
 
 
-def _alternating_sum_numerator(n: int) -> list[int]:
-    """sum_{l=0..n} C(n,l) (-1)^l E_l over (1+q)^n."""
-    direct = _numerators_over(n)[0]
-    return _icombination(((-1) ** l * comb(n, l), direct[l]) for l in range(n + 1))
+def _moment(n: int, terms: Iterable[tuple[int, int, int]], reflected: bool = False) -> list[int]:
+    """sum c*q^s*I(y^l) over the (c, s, l) terms, l <= n, as its numerator over (1+q)^n.
+
+    I is the fermionic functional I(y^l) = E_l, or I'(y^l) = E_{l,1/q} when
+    ``reflected``; a constant is c*I(1), since E_0 = 1.
+    """
+    moments = _numerators_over(n)[reflected]
+    return _icombination((c, s, moments[l]) for c, s, l in terms)
 
 
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
 _COR3_M_MAX = 15
 
 
-def _shifted_numerator(n: int, m: int) -> list[int]:
-    """q^n E_m(n) = q^n sum_l C(m,l) n^(m-l) E_l over (1+q)^m, with 0^0 = 1."""
-    direct = _numerators_over(m)[0]
-    return _icombination((comb(m, l) * n ** (m - l), (0,) * n + direct[l]) for l in range(m + 1))
-
-
 def _shift_instance(params: tuple, n: int, m: int) -> IdentityInstance:
     """q^n E_m(n) + E_m = [2]_q sum_{l<n} (-1)^l l^m q^l for odd n: cor3, and thm4 at n = 1."""
-    left = _icombination([(1, _shifted_numerator(n, m)), (1, _numerators_over(m)[0][m])])
-    # [2]_q = (1+q)^(m+1) / (1+q)^m
-    right = _itrim(_imul(_binomial_row(m + 1), [(-1) ** l * l**m for l in range(n)]))
+    left = _moment(m, [(comb(m, l) * n ** (m - l), n, l) for l in range(m + 1)] + [(1, 0, m)])
+    right = _moment(m, [((-1) ** l * l**m, s, 0) for l in range(n) for s in (l, l + 1)])
     return _judged(params, left, right, Counter({2: m}))
 
 
@@ -457,18 +453,18 @@ def _check_thm4(n_max: int) -> list[IdentityInstance]:
 
 
 def _check_thm5(n_max: int) -> list[IdentityInstance]:
-    """q^2 E_n(2) = q + q^2 + E_n for n >= 1."""
+    """q^2 I((y+2)^n) = (q + q^2) I(1) + I(y^n), that is q^2 E_n(2) = q + q^2 + E_n, for n >= 1."""
     out = []
     for n in range(n_max + 1):
-        # q + q^2 = q (1+q)
-        right = _icombination([(1, [0] + _binomial_row(n + 1)), (1, _numerators_over(n)[0][n])])
+        left = _moment(n, [(comb(n, l) * 2 ** (n - l), 2, l) for l in range(n + 1)])
+        right = _moment(n, [(1, 1, 0), (1, 2, 0), (1, 0, n)])
         # n = 0 sits outside the hypothesis (n >= 1): both sides are computable
         # and must differ, which the suite asserts as an expected failure.
         probe = {} if n else {
             "expected": FAIL,
             "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
         }
-        out.append(_judged((n,), _shifted_numerator(2, n), right, Counter({2: n}), **probe))
+        out.append(_judged((n,), left, right, Counter({2: n}), **probe))
     return out
 
 
@@ -476,29 +472,29 @@ def _check_thm6(n_max: int) -> list[IdentityInstance]:
     """E_{n,1/q}(1-x) = (-1)^n E_n(x), compared coefficient by coefficient in x."""
     out = []
     for n in range(n_max + 1):
-        direct, reflected = _numerators_over(n)
-        # x^j in sum_l C(n,l) E_{l,1/q} (1-x)^(n-l), and in (-1)^n sum_l C(n,l) E_l x^(n-l)
+        # x^j: C(n,j) (-1)^j I'((1+y)^(n-j)) on the left, (-1)^n C(n,j) I(y^(n-j)) on the right
         left = [
-            _icombination(
-                (comb(n, l) * comb(n - l, j) * (-1) ** j, reflected[l]) for l in range(n - j + 1)
-            )
+            _moment(n, [(comb(n, j) * (-1) ** j * comb(n - j, l), 0, l) for l in range(n - j + 1)],
+                    reflected=True)
             for j in range(n + 1)
         ]
-        right = [_icombination([((-1) ** n * comb(n, j), direct[n - j])]) for j in range(n + 1)]
+        right = [_moment(n, [((-1) ** n * comb(n, j), 0, n - j)]) for j in range(n + 1)]
         out.append(_judged((n,), left, right, Counter({2: n})))
     return out
 
 
 def _thm7_instance(params: tuple, n: int) -> IdentityInstance:
-    """sum_l C(n,l) (-1)^l E_l = 1 + q + q^2 E_{n,1/q}: thm7, and thm8's full k=0 row."""
-    right = _icombination([(1, _binomial_row(n + 1)), (1, (0, 0) + _numerators_over(n)[1][n])])
-    return _judged(params, _alternating_sum_numerator(n), right, Counter({2: n}))
+    """I((1-y)^n) = (1+q) I'(1) + q^2 I'(y^n): thm7, and thm8's full k=0 row."""
+    left = _moment(n, [((-1) ** l * comb(n, l), 0, l) for l in range(n + 1)])
+    right = _moment(n, [(1, 0, 0), (1, 1, 0), (1, 2, n)], reflected=True)
+    return _judged(params, left, right, Counter({2: n}))
 
 
 def _k0_remark_instance(params: tuple, n: int, note: str) -> IdentityInstance:
-    """The k=0 shortcut sum_l C(n,l) (-1)^l E_l = q^2 E_{n,1/q}, expected to fail."""
-    right = _icombination([(1, (0, 0) + _numerators_over(n)[1][n])])
-    return _judged(params, _alternating_sum_numerator(n), right, Counter({2: n}), FAIL, note)
+    """The k=0 shortcut I((1-y)^n) = q^2 I'(y^n), thm7 without (1+q) I'(1): expected to fail."""
+    left = _moment(n, [((-1) ** l * comb(n, l), 0, l) for l in range(n + 1)])
+    right = _moment(n, [(1, 2, n)], reflected=True)
+    return _judged(params, left, right, Counter({2: n}), FAIL, note)
 
 
 def _check_thm7(n_max: int) -> list[IdentityInstance]:

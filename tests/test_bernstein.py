@@ -1,5 +1,6 @@
 """Bernstein basis, operator, moments, and the alternating-moment identity."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qeuler.bernstein import (
     padic_moment_crosscheck,
     verify_theorem8,
 )
-from qeuler.euler import q_euler_numbers
+from qeuler.euler import _moment, _reduce_over_cyclotomics, q_euler_numbers
 from qeuler.exactq import QPoly, QRatFn, XPoly
 
 
@@ -100,7 +101,11 @@ def test_moment_rhs_argument_checks():
 def test_moment_pipelines_agree():
     for n in range(0, 10):
         for k in range(n + 1):
-            assert moment_via_basis_expansion(k, n) == bernstein_moment_lhs(k, n)
+            lhs = bernstein_moment_lhs(k, n)
+            assert moment_via_basis_expansion(k, n) == lhs
+            coeffs = [int(c) for c in bernstein_poly(k, n).fraction_coeffs()]
+            numerator = _moment(n, [(c, 0, j) for j, c in enumerate(coeffs)])
+            assert _reduce_over_cyclotomics(numerator, Counter({2: n})) == lhs
 
 
 def test_theorem8_report():

@@ -51,7 +51,8 @@ def test_weight0_frozen_values():
 def test_weight0_denominator_is_the_full_power_of_1_plus_q():
     # E_n = N_n / (1+q)^n is already in lowest terms: at q = -1 only the
     # k = n-1 term of the recurrence survives, so N_n(-1) = n N_{n-1}(-1) = n!
-    # and Phi_2 = 1 + q never divides N_n.  _numerators_over relies on this.
+    # and Phi_2 = 1 + q never divides N_n.  So (1+q)^n, the denominator that
+    # _moment puts each weight-0 side over, is E_n's own.
     seq = q_euler_numbers(60)
     for n, e in enumerate(seq):
         assert e.den == QPoly([comb(n, i) for i in range(n + 1)])
@@ -254,6 +255,51 @@ def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
     num, den = QPoly(base) * cyclotomic_product(common), cyclotomic_product(factors)
     ints = [int(c) for c in num.coeffs]
     assert euler._reduce_over_cyclotomics(ints, Counter(factors)) == QRatFn(num, den)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_moment_functionals_match_the_qratfn_route(data):
+    # _moment: sum c q^s I(y^l) over (1+q)^n, with I(y^l) = E_l, or E_{l,1/q} reflected
+    n = data.draw(st.integers(0, 10))
+    term = st.tuples(st.integers(-9, 9), st.integers(0, 5), st.integers(0, n))
+    terms = data.draw(st.lists(term, max_size=6))
+    reflected = data.draw(st.booleans())
+    e = q_euler_numbers(n)
+    if reflected:
+        e = [v.subst_q_inverse() for v in e]
+    expected = sum((e[l] * QRatFn.q() ** s * c for c, s, l in terms), QRatFn.zero())
+    numerator = euler._moment(n, terms, reflected)
+    assert euler._reduce_over_cyclotomics(numerator, Counter({2: n})) == expected
+    # _weighted_moment: sum c_j I(X^j) over prod_{k<=n} (1+q^(alpha*k+1)),
+    # with I(X^j) = [2]_q / (1+q^(alpha*j+1))
+    alpha, n = data.draw(st.sampled_from((1, 2, 3))), data.draw(st.integers(0, 6))
+    coeffs = data.draw(st.lists(st.integers(-9, 9), max_size=n + 1))
+    expected = sum(
+        (ratfn((1, 1), (1,) + (0,) * (alpha * j) + (1,)) * c for j, c in enumerate(coeffs)),
+        QRatFn.zero(),
+    )
+    factors = euler._one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+    numerator = euler._weighted_moment(alpha, n, coeffs)
+    assert euler._reduce_over_cyclotomics(numerator, factors) == expected
+
+
+def test_numerator_above_its_degree_raises(monkeypatch):
+    # q -> 1/q reverses N_l in place only while deg N_l <= l; a longer N_l must
+    # raise, also under python -O, rather than give a misaligned reflected side
+    honest = euler._weighted_numerators
+
+    def too_long(alpha, n_max):
+        nums = honest(alpha, n_max)
+        return nums[:3] + ((0,) * 4 + (1,),) if alpha == 0 and n_max == 3 else nums
+
+    euler._numerators_over.cache_clear()
+    monkeypatch.setattr(euler, "_weighted_numerators", too_long)
+    try:
+        with pytest.raises(ArithmeticError, match="deg N_3 > 3"):
+            verify_identity("thm7", 3)
+    finally:
+        euler._numerators_over.cache_clear()
 
 
 def test_weighted_routes_disagreeing_raise(monkeypatch):
