@@ -25,8 +25,6 @@ from . import euler
 from .exactq import QRatFn, XPoly, signed_terms
 from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 
-TABLE_KINDS = ("qeuler", "frobenius", "weighted", "qeuler-poly")
-
 
 # ---------------------------------------------------------------------------
 # records
@@ -107,6 +105,7 @@ _LATEX_LHS = {
     "weighted": "\\tilde{{E}}^{{({alpha})}}_{{{n}}}",
     "qeuler-poly": "\\tilde{{E}}_{{{n}}}(x)",
 }
+TABLE_KINDS = tuple(_LATEX_LHS)
 
 
 def _latex_row(kind: str, n: int, value: "QRatFn | XPoly", alpha: "int | None") -> str:
@@ -208,8 +207,7 @@ def _report_payload(report: euler.IdentityReport) -> dict:
 
 def _print_report_text(report: euler.IdentityReport) -> None:
     good, total = report.counts
-    expected_fails = [i for i in report.instances if i.expected == euler.FAIL]
-    if report.ok and expected_fails and all(i.expected == euler.FAIL for i in report.instances):
+    if report.ok and report.instances and all(i.expected == euler.FAIL for i in report.instances):
         print(f"{report.identity_id}: FAIL (expected) [{good}/{total} instances]")
     elif report.ok:
         print(f"{report.identity_id}: PASS [{good}/{total} instances]")
@@ -327,13 +325,15 @@ def _discard_stdout() -> None:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
-    except (OSError, ValueError):  # no file descriptor behind stdout
+    except (AttributeError, OSError, ValueError):  # no stdout, or no file descriptor behind it
         pass
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        if sys.stdout is None:  # descriptor 1 was closed before start-up
+            raise OSError("stdout is closed")
         try:
             args = parser.parse_args(argv)  # --help and usage errors end in SystemExit
             return args.func(args, parser)

@@ -40,6 +40,7 @@ from .exactq import (
     XPoly,
     _cyclotomic_remainder,
     _cyclotomic_scale,
+    _icombination,
     _imul,
     _ishift_add,
     _ishift_div,
@@ -141,17 +142,6 @@ def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
     return QRatFn._raw(_qpoly(num), _qpoly(_cyclotomic_scale([1], left)))
 
 
-def _icombination(terms: Iterable[tuple[int, int, Sequence[int]]]) -> list[int]:
-    """sum c*q^s*cs over the (c, s, cs) terms, trimmed, so equal sums compare equal."""
-    out: list[int] = []
-    for c, s, cs in terms:
-        if len(out) < s + len(cs):
-            out.extend([0] * (s + len(cs) - len(out)))
-        for i, a in enumerate(cs, s):
-            out[i] += c * a
-    return _itrim(out)
-
-
 def _check_weight(alpha: int, minimum: int) -> None:
     if not isinstance(alpha, int) or isinstance(alpha, bool) or alpha < minimum:
         raise ValueError(f"weight must be an integer >= {minimum}, got {alpha!r}")
@@ -167,17 +157,9 @@ def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
     # Horner over the sparse factors f_j = 1 + q^(alpha*j+1):
     # S = sum_{k<n} C(n,k) q^(alpha*k) N_k * prod_{j=k+1..n-1} f_j,
     # built ascending so the k-th term picks up exactly the factors j > k.
-    s = list(nums[0])
-    for k in range(1, n):
-        s = _ishift_add(s, alpha * k + 1)
-        c = comb(n, k)
-        sh = alpha * k
-        term = nums[k]
-        need = sh + len(term)
-        if len(s) < need:
-            s.extend([0] * (need - len(s)))
-        for i, tc in enumerate(term):
-            s[sh + i] += c * tc
+    s: list[int] = []
+    for k in range(n):
+        s = _icombination(_ishift_add(s, alpha * k + 1), [(comb(n, k), alpha * k, nums[k])])
     return nums + (tuple([0] + [-c for c in s]),)  # N_n = -q * S
 
 
@@ -206,7 +188,8 @@ def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int]) -> list[int]:
     full = [1]
     for k in range(n + 1):
         full = _ishift_add(full, alpha * k + 1)
-    return _icombination((c, 0, _ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+    terms = ((c, 0, _ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+    return _icombination([], terms)
 
 
 def _alternating_numerator(alpha: int, n: int) -> list[int]:
@@ -425,7 +408,7 @@ def _moment(n: int, terms: Iterable[tuple[int, int, int]], reflected: bool = Fal
     ``reflected``; a constant is c*I(1), since E_0 = 1.
     """
     moments = _numerators_over(n)[reflected]
-    return _icombination((c, s, moments[l]) for c, s, l in terms)
+    return _icombination([], ((c, s, moments[l]) for c, s, l in terms))
 
 
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.

@@ -7,7 +7,8 @@ Three layers, all immutable and safe to share between threads:
   ``BigRat``, each a rational content times a primitive integer polynomial
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
   One integer pseudo-division, ``_pdivmod``, serves division, the gcd
-  (primitive Euclid) and the cyclotomic divisibility test.  Multiplying
+  (primitive Euclid) and the cyclotomic divisibility test; one
+  accumulator, ``_icombination``, every sum of shifted multiples.  Multiplying
   or dividing by a product of cyclotomic polynomials is sparse instead
   (``_cyclotomic_scale``): each Phi_d is a product of powers of q^e - 1.
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
@@ -99,6 +100,16 @@ def _int_poly_gcd(A: Sequence[int], B: Sequence[int]) -> Sequence[int]:
             return [1]
         g = math.gcd(*R)
         A, B = B, [c // g for c in R]
+
+
+def _icombination(out: list[int], terms: Iterable[tuple[int, int, Sequence[int]]]) -> list[int]:
+    """out += sum c*q^s*cs over the (c, s, cs) terms; trimmed, so equal sums compare equal."""
+    for c, s, cs in terms:
+        if len(out) < s + len(cs):
+            out.extend([0] * (s + len(cs) - len(out)))
+        for i, a in enumerate(cs, s):
+            out[i] += c * a
+    return _itrim(out)
 
 
 def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
@@ -256,10 +267,7 @@ class QPoly:
         a, b = self.content, other.content
         L = math.lcm(a.denominator, b.denominator)
         x, y = a.numerator * (L // a.denominator), b.numerator * (L // b.denominator)
-        out = [x * c for c in self.prim] + [0] * (len(other.prim) - len(self.prim))
-        for i, c in enumerate(other.prim):
-            out[i] += y * c
-        return _qpoly(out, Fraction(1, L))
+        return _qpoly(_icombination([], [(x, 0, self.prim), (y, 0, other.prim)]), Fraction(1, L))
 
     def __neg__(self) -> "QPoly":
         return _wrap(-self.content, self.prim)
@@ -292,14 +300,7 @@ class QPoly:
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a QPoly")
-        result = _QP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _QP_ONE)
 
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero:
@@ -342,6 +343,17 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({[str(c) for c in self.coeffs]})"
+
+
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, with ``one`` the unit of base's ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _wrap(content: Fraction, prim: tuple[int, ...]) -> QPoly:
@@ -595,14 +607,7 @@ class QRatFn:
     def __pow__(self, n: int) -> "QRatFn":
         if n < 0:
             return self.inverse() ** (-n)
-        result = _QR_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, _QR_ONE)
 
     # -- evaluation and substitution -------------------------------------
 

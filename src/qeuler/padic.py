@@ -429,13 +429,10 @@ def check_shift_identity_finite(
     prec: int = DEFAULT_PRECISION,
     N: int = 4,
 ) -> ShiftDefect:
+    """The defect at level N of the identity times (-1)^(n-1), by linearity one integral."""
     if n < 1:
         raise ValueError("shift count n must be >= 1")
-    shifted = fermionic_integral_partial(f.shift_x(n), qc, N, prec)
-    plain = fermionic_integral_partial(f, qc, N, prec)
-    rhs = (1 + qc.q) * sum(
-        (-1) ** (n - 1 - l) * f.eval(Fraction(l)).as_fraction() * qc.q**l for l in range(n)
-    )
-    lhs = PAdicNum.from_rational(qc.q**n, qc.p, prec) * shifted + (plain if n % 2 else -plain)
-    defect = lhs - PAdicNum.from_rational(rhs, qc.p, prec)
-    return ShiftDefect(n, N, defect.valuation_floor, defect.is_zero_at_prec)
+    g = f - XPoly(((-qc.q) ** n,)) * f.shift_x(n)
+    rhs = (1 + qc.q) * sum(f.eval(l).as_fraction() * (-qc.q) ** l for l in range(n))
+    (row,) = _defect_rows(g, qc, rhs, [N], prec)
+    return ShiftDefect(n, N, row.valuation, row.exact)

@@ -37,6 +37,15 @@ def test_basis_rejects_k_above_n():
         bernstein_poly(3, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bernstein_moment_lhs(3, 2), "need 0 <= k <= n"),
+    (lambda: verify_theorem8(0), "n_max must be >= 1"),
+], ids=["moment_lhs", "theorem8"])
+def test_out_of_range_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_partition_of_unity():
     for n in range(13):
         total = XPoly.zero()

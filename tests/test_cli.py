@@ -1,9 +1,11 @@
 """CLI contract: flags, formats, exit codes, JSON round-trips."""
 
+import ast
 import errno
 import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 
 import qeuler
 from qeuler import euler
-from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, main
+from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, main
 from qeuler.euler import SUITES
 from qeuler.exactq import QPoly, QRatFn, XPoly
 from qeuler.padic import PRIME_LIMIT, is_odd_prime
+from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +155,12 @@ def test_table_latex_poly_well_formed(capsys):
         assert _braces_balanced(line)
 
 
+def test_latex_poly_writes_fractions_with_frac():
+    # no table has a non-integer coefficient, so only a direct call reaches \frac
+    coeffs = (Fraction(1, 2), Fraction(-3, 4), Fraction(1))
+    assert latex_poly(coeffs) == "\\frac{1}{2} - \\frac{3}{4} q + q^{2}"
+
+
 def test_table_frobenius_prints_the_qeuler_table(capsys):
     # thm1 through the CLI: the gcd-bound Frobenius route against the
     # gcd-free recurrence, at degree 40
@@ -178,6 +187,19 @@ def test_table_bad_kind(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "nonsense", "--n-max", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["padic", "--n", "1", "--p", "3", "--N-max", "0"], "--N-max must be >= 1"),
+    (["padic", "--n", "1", "--p", "3", "--K", "0"], "--K must be >= 1"),
+    (["table", "weighted", "--alpha", "0", "--n-max", "3"],
+     "weight must be an integer >= 1, got 0"),
+], ids=["padic-N-max", "padic-K", "table-alpha"])
+def test_usage_error_exits_2_with_its_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +284,29 @@ def test_verify_json_roundtrip(capsys):
     assert witness["left"] == "(1 + 2*q)/(1 + q)"
     assert witness["right"] == "(-q^2)/(1 + q)"
     assert OutputRecord.parse(record.serialize()) == record
+
+
+def test_verify_text_mismatch_report(capsys, monkeypatch, fresh_caches):
+    # the closed form's numerator off by one at n = 3 fails weighted at (alpha, 3)
+    honest = euler._alternating_numerator
+
+    def perturbed(alpha, n):
+        t = honest(alpha, n)
+        if n == 3:
+            t[len(t) // 2] += 1
+        return t
+
+    monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
+    code, out, err = run_cli(capsys, "verify", "--suite", "weighted", "--n-max", "4")
+    expected = ["weighted: MISMATCH [12/15 instances in order]"]
+    for alpha in (1, 2, 3):
+        expected += [
+            f"  params=({alpha}, 3): got fail, expected pass",
+            f"    left  = {euler.weighted_recurrence(alpha, 3)[3]}",
+            f"    right = {euler.weighted_closed_form(alpha, 3)}",
+        ]
+    expected.append("suite weighted: MISMATCH")
+    assert (code, out.splitlines(), err) == (1, expected, "")
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +460,14 @@ def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
 _TABLE_ARGV = ["table", "qeuler", "--n-max", "1"]
 
 
-def _cli_into(stdout, argv=_TABLE_ARGV) -> subprocess.CompletedProcess:
+def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
     # stdout left buffered, so the failing write is a flush, not a print
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(qeuler.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qeuler.cli", *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **popen,
     )
 
 
@@ -443,3 +488,37 @@ def test_cli_closed_pipe_exits_0_silently():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+_CLOSED_STDOUT_ARGV = {
+    "verify": ["verify", "--suite", "thm4", "--n-max", "1"],
+    "table": _TABLE_ARGV,
+    "padic": ["padic", "--n", "1", "--p", "3"],
+    "help": ["--help"],
+    "usage-error": ["table", "qeuler", "--n-max", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", _CLOSED_STDOUT_ARGV.values(), ids=_CLOSED_STDOUT_ARGV)
+def test_cli_closed_stdout_exits_2_with_one_line(argv):
+    # descriptor 1 closed, so sys.stdout is None in the child: unwritable, not a crash
+    proc = _cli_into(None, argv, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (2, "qeuler: cannot write output: stdout is closed\n")
+
+
+def test_cli_closed_stdout_and_stderr_exits_2():
+    proc = _cli_into(None, _TABLE_ARGV, preexec_fn=lambda: (os.close(1), os.close(2)))
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no check in the package may rest on one
+    paths = sorted(pathlib.Path(qeuler.__file__).parent.glob("*.py"))
+    assert {p.name for p in paths} >= {"cli.py", "euler.py", "exactq.py", "padic.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

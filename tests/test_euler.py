@@ -343,6 +343,16 @@ def test_weighted_rejects_bad_alpha():
             poly(-1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: weighted_closed_form(1, -1), "n must be >= 0"),
+    (lambda: q_euler_numbers_weighted(1, -1), "n_max must be >= 0"),
+    (lambda: verify_identity("thm1", -1), "n_max must be >= 0"),
+], ids=["weighted_closed_form", "q_euler_numbers_weighted", "verify_identity"])
+def test_negative_index_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # identity suite
 # ---------------------------------------------------------------------------

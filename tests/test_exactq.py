@@ -87,6 +87,18 @@ def test_q_integer_values():
         q_integer(-1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: cyclotomic(0), ValueError, "cyclotomic index must be >= 1"),
+    (lambda: one_plus_q_power_factors(0), ValueError, "exponent must be >= 1"),
+    (lambda: QPoly((1, 1)) ** -1, ValueError, "negative power of a QPoly"),
+    (lambda: divmod(QPoly((1,)), QPoly()), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: QPoly((1, 0, 1)).divexact(QPoly((1, 1))), ArithmeticError, "inexact"),
+], ids=["cyclotomic", "one_plus_q_power", "negative_power", "divmod_by_zero", "divexact"])
+def test_kernel_rejects_invalid_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_cyclotomic_basics():
     assert cyclotomic(1) == QPoly((-1, 1))
     assert cyclotomic(2) == QPoly((1, 1))

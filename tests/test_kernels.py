@@ -47,6 +47,15 @@ def test_closed_form_handles_any_modulus():
             assert alt_weighted_power_sum([1, 1, -3], 4, modulus, count) == want
 
 
+@pytest.mark.parametrize("modulus, count, message", [
+    (0, 1, "modulus must be positive"),
+    (9, -1, "count must be >= 0"),
+])
+def test_bad_modulus_or_count_rejected(modulus, count, message):
+    with pytest.raises(ValueError, match=message):
+        alt_weighted_power_sum([1], 4, modulus, count)
+
+
 def test_empty_polynomial_sums_to_zero():
     assert alt_weighted_power_sum([], 5, 3**10, 100) == 0
     assert alt_weighted_power_sum([7, 1], 4, 3**10, 0) == 0

@@ -363,6 +363,15 @@ def test_convergence_report_matches_oracle_on_criterion5_grid():
                 assert row.valuation >= row.N, (cell, row)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: convergence_report(-1, QChoice(3, 4)), "moment index must be >= 0"),
+    (lambda: PAdicNum.from_rational(Fraction(1, 3), 3, 5).residue(), "negative valuation"),
+], ids=["negative_moment", "residue_of_negative_valuation"])
+def test_out_of_range_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_convergence_rows_sorted_by_level():
     rep = convergence_report(2, QC3, 12, (3, 1, 2))
     assert [r.N for r in rep.rows] == [1, 2, 3]
