@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import euler
-from .exactq import QRatFn, XPoly, signed_terms
+from .exactq import QRatFn, XPoly, _display_coeffs, signed_terms
 from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 
 
@@ -61,8 +61,8 @@ class OutputRecord:
 
 def _ratfn_payload(f: QRatFn) -> dict:
     return {
-        "num": [str(c) for c in f.num.coeffs],
-        "den": [str(c) for c in f.den.coeffs],
+        "num": [str(c) for c in _display_coeffs(f.num)],
+        "den": [str(c) for c in _display_coeffs(f.den)],
     }
 
 
@@ -76,10 +76,10 @@ def _json_row(n: int, value: "QRatFn | XPoly") -> dict:
 # rendering
 # ---------------------------------------------------------------------------
 
-def latex_poly(coeffs: "tuple[Fraction, ...]", var: str = "q") -> str:
+def latex_poly(coeffs: "tuple[Fraction, ...] | list[int]", var: str = "q") -> str:
     """Single-line LaTeX for a polynomial, ascending powers, balanced braces."""
 
-    def term(mag: Fraction, k: int) -> str:
+    def term(mag: "Fraction | int", k: int) -> str:
         if mag.denominator == 1:
             mag_s = str(mag.numerator)
         else:
@@ -93,10 +93,10 @@ def latex_poly(coeffs: "tuple[Fraction, ...]", var: str = "q") -> str:
 
 
 def latex_ratfn(f: QRatFn) -> str:
-    num = latex_poly(f.num.coeffs)
+    num = latex_poly(_display_coeffs(f.num))
     if f.den == 1:
         return num
-    return f"\\frac{{{num}}}{{{latex_poly(f.den.coeffs)}}}"
+    return f"\\frac{{{num}}}{{{latex_poly(_display_coeffs(f.den))}}}"
 
 
 _LATEX_LHS = {
@@ -330,6 +330,7 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # fd 2 closed: else argparse uses stdout
     parser = build_parser()
     try:
         if sys.stdout is None:  # descriptor 1 was closed before start-up

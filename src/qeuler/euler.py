@@ -38,12 +38,11 @@ from .exactq import (
     QPoly,
     QRatFn,
     XPoly,
-    _cyclotomic_remainder,
+    _cyclotomic_quotient,
     _cyclotomic_scale,
     _icombination,
     _imul,
     _ishift_add,
-    _ishift_div,
     _itrim,
     _qpoly,
     one_plus_q_power_factors,
@@ -110,12 +109,12 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 # For integer weight a >= 0 the denominators are structurally known:
 # products of (1 + q^(a*k+1)) factors plus, for the closed form, a power of
 # 1 - q^a.  All of those split into cyclotomic polynomials, so a denominator
-# is kept only as its Counter of Phi_d exponents.  The canonical form is
-# reached by trial-dividing the numerator by each Phi_d in it, and the
-# denominator is built once, from the exponents left -- no large generic
-# gcd is ever needed.  The numerators have integer coefficients throughout,
-# so this entire path runs on the exactq kernel's int lists and becomes a
-# QPoly only at the very end.
+# is kept as its Counter of Phi_d exponents.  The canonical form is reached
+# by trial-dividing the numerator by each Phi_d in it, or, for the
+# recurrence, by one division down to ``_canonical_denominator`` -- no large
+# generic gcd is ever needed.  The numerators have integer coefficients
+# throughout, so this entire path runs on the exactq kernel's int lists and
+# becomes a QPoly only at the very end.
 
 def _one_plus_q_powers(ms) -> Counter:
     """The index d of each Phi_d in prod (1 + q^m) over ms, counted with multiplicity."""
@@ -125,21 +124,26 @@ def _one_plus_q_powers(ms) -> Counter:
     return factors
 
 
-def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
+def _reduce_over_cyclotomics(num: list[int], factors: Counter, den: QPoly | None = None) -> QRatFn:
     """num / prod Phi_d^factors[d] in canonical form.
 
     Each Phi_d is divided out of num while it still divides it; the monic
-    denominator is then built from the exponents left.
+    denominator is then built from the exponents left, or from ``den``, the
+    head start prod Phi_d^factors[d], by dividing out the Phi_d found.
     """
     _itrim(num)
     if not num:
         return ZERO
     left = Counter(factors)
     for d in factors:
-        while left[d] and not _cyclotomic_remainder(num, d):
-            num = _cyclotomic_scale(num, {d: -1})
+        while left[d] and (quotient := _cyclotomic_quotient(num, d)) is not None:
+            num = quotient
             left[d] -= 1
-    return QRatFn._raw(_qpoly(num), _qpoly(_cyclotomic_scale([1], left)))
+    if den is None:
+        den = _qpoly(_cyclotomic_scale([1], left))
+    elif left != factors:
+        den = _qpoly(_cyclotomic_scale(den.prim, {d: left[d] - k for d, k in factors.items()}))
+    return QRatFn._raw(_qpoly(num), den)
 
 
 def _check_weight(alpha: int, minimum: int) -> None:
@@ -164,10 +168,33 @@ def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _canonical_denominator(alpha: int, n: int) -> tuple[Counter, QPoly]:
+    """den_n = Phi_2^(n*[alpha even]) prod_{d in S_n, d != 2} Phi_d, as exponents and a QPoly.
+
+    S_n holds the d with Phi_d | 1 + q^(alpha*k+1), 1 <= k <= n.  E^(alpha)_n's
+    canonical denominator divides den_n: the recurrence puts E_n over D_n =
+    prod_{1<=k<=n} (1+q^(alpha*k+1)), the closed form over (q^alpha-1)^n
+    lcm_{0<=l<=n} (1+q^(alpha*l+1)) / [2]_q.  A d != 2 in S_n does not divide
+    alpha (d | alpha and d | 2(alpha*k+1) force d | 2), so the second bound
+    holds Phi_d at most once.  For odd alpha its lcm holds Phi_2 once and [2]_q
+    cancels it; for even alpha D_n caps Phi_2's exponent at n.  Equality is
+    unproven, so ``_weighted_entry`` still tests what is left for coprimality.
+    """
+    if n == 0:
+        return Counter(), QPoly.one()
+    exps, den = _canonical_denominator(alpha, n - 1)
+    new = {d: 1 for d in one_plus_q_power_factors(alpha * n + 1)
+           if (d not in exps if d != 2 else alpha % 2 == 0)}
+    return exps + Counter(new), _qpoly(_cyclotomic_scale(den.prim, new))
+
+
+@lru_cache(maxsize=None)
 def _weighted_entry(alpha: int, n: int) -> QRatFn:
-    """E^(alpha)_n in canonical form; callers warm ``_weighted_numerators`` first."""
-    factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-    return _reduce_over_cyclotomics(list(_weighted_numerators(alpha, n)[n]), factors)
+    """E^(alpha)_n: N_n divided exactly by D_n / den_n, then reduced; callers warm N_n first."""
+    exps, den = _canonical_denominator(alpha, n)
+    quotient = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1)) - exps
+    num = _cyclotomic_scale(_weighted_numerators(alpha, n)[n], {d: -k for d, k in quotient.items()})
+    return _reduce_over_cyclotomics(num, exps, den)
 
 
 def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
@@ -183,13 +210,16 @@ def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int]) -> list[int]:
     """I(sum_j c_j X^j), X = q^(alpha*x), j <= n, as its numerator over D_n.
 
     D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)), and a geometric sum gives
-    I(X^j) = [2]_q/(1+q^(alpha*j+1)) = prod_{0<=k<=n, k != j} (1+q^(alpha*k+1)) / D_n.
+    I(X^j) = [2]_q/(1+q^(alpha*j+1)) = prod_{k<=n, k != j} f_k / D_n, f_k = 1+q^(alpha*k+1).
+    By Horner, A_j = A_{j-1} f_j + c_j P_{j-1} with P_j = prod_{k<=j} f_k, and A_n is it.
     """
-    full = [1]
-    for k in range(n + 1):
-        full = _ishift_add(full, alpha * k + 1)
-    terms = ((c, 0, _ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
-    return _icombination([], terms)
+    acc, prod = [], [1]
+    for j in range(n + 1):
+        c = coeffs[j] if j < len(coeffs) else 0
+        acc = _icombination(_ishift_add(acc, alpha * j + 1), [(c, 0, prod)])
+        if j + 1 < len(coeffs):  # P_j is read only by a later c_j
+            prod = _ishift_add(prod, alpha * j + 1)
+    return acc
 
 
 def _alternating_numerator(alpha: int, n: int) -> list[int]:

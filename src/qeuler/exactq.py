@@ -6,11 +6,11 @@ Three layers, all immutable and safe to share between threads:
 * ``QPoly`` -- dense univariate polynomials in the indeterminate q over
   ``BigRat``, each a rational content times a primitive integer polynomial
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
-  One integer pseudo-division, ``_pdivmod``, serves division, the gcd
-  (primitive Euclid) and the cyclotomic divisibility test; one
-  accumulator, ``_icombination``, every sum of shifted multiples.  Multiplying
-  or dividing by a product of cyclotomic polynomials is sparse instead
-  (``_cyclotomic_scale``): each Phi_d is a product of powers of q^e - 1.
+  One integer pseudo-division, ``_pdivmod``, serves division and the gcd
+  (primitive Euclid); one accumulator, ``_icombination``, every sum of
+  shifted multiples.  Multiplying or dividing by a product of cyclotomic
+  polynomials is sparse (``_cyclotomic_scale``), and so is a Phi_d
+  divisibility test, after one evaluation at q = 2^32 (``_cyclotomic_quotient``).
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -170,9 +170,24 @@ def _icyclotomic(n: int) -> tuple[int, ...]:
     return tuple(_cyclotomic_scale([1], {n: 1}))
 
 
-def _cyclotomic_remainder(num: list[int], d: int) -> list[int]:
-    """num mod Phi_d, taken from num mod (q^d - 1), of which Phi_d is a factor."""
-    return _pdivmod([sum(num[i::d]) for i in range(d)], _icyclotomic(d))[1]
+@lru_cache(maxsize=None)
+def _cyclotomic_at_radix(d: int) -> int:
+    return sum(c << (32 * i) for i, c in enumerate(_icyclotomic(d)))  # Phi_d(2^32)
+
+
+def _cyclotomic_quotient(num: Sequence[int], d: int) -> list[int] | None:
+    """num / Phi_d when Phi_d divides num, else None.
+
+    Phi_d is monic and divides q^d - 1, so if Phi_d | num, Phi_d(R) divides the
+    fold num mod q^d - 1 at R = 2^32: a nonzero residue proves Phi_d does not
+    divide num, and a zero one is settled by the exact sparse division.
+    """
+    if sum(sum(num[i::d]) << (32 * i) for i in range(d)) % _cyclotomic_at_radix(d):
+        return None
+    try:
+        return _cyclotomic_scale(num, {d: -1})
+    except ArithmeticError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +354,7 @@ class QPoly:
         return self.eval(c)
 
     def __str__(self) -> str:
-        return poly_str(self.coeffs, "q")
+        return poly_str(_display_coeffs(self), "q")
 
     def __repr__(self) -> str:
         return f"QPoly({[str(c) for c in self.coeffs]})"
@@ -354,6 +369,12 @@ def _power(base, n: int, one):
         base = base * base
         n >>= 1
     return result
+
+
+def _display_coeffs(p: QPoly) -> Sequence[RatLike]:
+    """``p.coeffs``, as ints when the content is integral: they print and compare the same."""
+    c = p.content
+    return [c.numerator * a for a in p.prim] if c.denominator == 1 else p.coeffs
 
 
 def _wrap(content: Fraction, prim: tuple[int, ...]) -> QPoly:
@@ -377,7 +398,7 @@ _QP_ONE = _wrap(Fraction(1), (1,))
 _QP_Q = _wrap(Fraction(1), (0, 1))
 
 
-def signed_terms(coeffs: Sequence[Fraction], term: Callable[[Fraction, int], str]) -> str:
+def signed_terms(coeffs: Sequence[RatLike], term: Callable[[RatLike, int], str]) -> str:
     """The nonzero terms ``term(|c_k|, k)`` joined by their signs, ascending; "0" for no coeffs."""
     if not coeffs:
         return "0"
@@ -393,10 +414,10 @@ def signed_terms(coeffs: Sequence[Fraction], term: Callable[[Fraction, int], str
     return " ".join(parts)
 
 
-def poly_str(coeffs: Sequence[Fraction], var: str) -> str:
+def poly_str(coeffs: Sequence[RatLike], var: str) -> str:
     """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
 
-    def term(mag: Fraction, k: int) -> str:
+    def term(mag: RatLike, k: int) -> str:
         if k == 0:
             return str(mag)
         power = var if k == 1 else f"{var}^{k}"

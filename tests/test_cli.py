@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import qeuler
 from qeuler import euler
-from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, main
+from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, latex_ratfn, main
 from qeuler.euler import SUITES
-from qeuler.exactq import QPoly, QRatFn, XPoly
+from qeuler.exactq import QPoly, QRatFn, XPoly, poly_str
 from qeuler.padic import PRIME_LIMIT, is_odd_prime
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
 
@@ -159,6 +159,17 @@ def test_latex_poly_writes_fractions_with_frac():
     # no table has a non-integer coefficient, so only a direct call reaches \frac
     coeffs = (Fraction(1, 2), Fraction(-3, 4), Fraction(1))
     assert latex_poly(coeffs) == "\\frac{1}{2} - \\frac{3}{4} q + q^{2}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=6), max_size=8))
+def test_renderers_print_integer_content_as_its_fractions(coeffs):
+    # text, JSON and LaTeX read coefficients as ints when the content is
+    # integral; each must print exactly what the Fraction coefficients print
+    p = QPoly(coeffs)
+    assert str(p) == poly_str(p.coeffs, "q")
+    assert _ratfn_payload(QRatFn(p))["num"] == [str(c) for c in p.coeffs]
+    assert latex_ratfn(QRatFn(p)) == latex_poly(p.coeffs)
 
 
 def test_table_frobenius_prints_the_qeuler_table(capsys):
@@ -509,6 +520,14 @@ def test_cli_closed_stdout_exits_2_with_one_line(argv):
 def test_cli_closed_stdout_and_stderr_exits_2():
     proc = _cli_into(None, _TABLE_ARGV, preexec_fn=lambda: (os.close(1), os.close(2)))
     assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def test_cli_closed_stderr_usage_error_exits_2_silently():
+    # descriptor 2 closed, so sys.stderr is None in the child, and argparse
+    # would print its usage line to stdout instead
+    argv = _CLOSED_STDOUT_ARGV["usage-error"]
+    proc = _cli_into(subprocess.PIPE, argv, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_package_has_no_assert_statements():

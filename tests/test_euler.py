@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ from qeuler.euler import (
     weighted_closed_form,
     weighted_recurrence,
 )
-from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_remainder, cyclotomic
-from test_exactq import cyclotomic_exps, cyclotomic_product, ref_divmod  # dense references
+from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
+from test_exactq import cyclotomic_exps, cyclotomic_product  # dense references
 
 ONE = QRatFn.one()
 
@@ -239,13 +240,27 @@ def test_weighted_routes_agree():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-9, 9), max_size=40), st.integers(1, 30), st.booleans())
-def test_cyclotomic_remainder_matches_long_division(num, d, multiple):
+def test_cyclotomic_quotient_matches_long_division(num, d, multiple):
     phi = cyclotomic(d)
     if multiple:  # make Phi_d divide num
         num = [int(c) for c in (QPoly(num) * phi).coeffs]
-    expected = ref_divmod(num, phi.coeffs)[1]
-    assert _cyclotomic_remainder(num, d) == expected
-    assert not expected or not multiple
+    quotient, remainder = divmod(QPoly(num), phi)
+    got = _cyclotomic_quotient(num, d)
+    assert (got is None) == bool(remainder)
+    assert got is None or QPoly(got) == quotient
+    assert not remainder or not multiple
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 7, 12, 30])
+def test_cyclotomic_quotient_settles_a_false_zero_exactly(d, monkeypatch):
+    # the constant Phi_d(2^32) vanishes mod Phi_d(2^32), yet Phi_d does not divide it:
+    # the evaluation cannot decide, so the exact division must, and must say no
+    value = int(cyclotomic(d).eval(2**32))
+    calls, scale = [], exactq._cyclotomic_scale
+    monkeypatch.setattr(
+        exactq, "_cyclotomic_scale", lambda cs, exps: calls.append(d) or scale(cs, exps))
+    assert _cyclotomic_quotient([value], d) is None
+    assert calls == [d]
 
 
 @settings(max_examples=100, deadline=None)
@@ -254,7 +269,9 @@ def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
     # num = base * prod Phi_d^common[d] over den = prod Phi_d^factors[d], both built densely
     num, den = QPoly(base) * cyclotomic_product(common), cyclotomic_product(factors)
     ints = [int(c) for c in num.coeffs]
-    assert euler._reduce_over_cyclotomics(ints, Counter(factors)) == QRatFn(num, den)
+    assert euler._reduce_over_cyclotomics(list(ints), Counter(factors)) == QRatFn(num, den)
+    # with den as the head start, each Phi_d found in num is divided out of it
+    assert euler._reduce_over_cyclotomics(ints, Counter(factors), den) == QRatFn(num, den)
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,6 +299,41 @@ def test_moment_functionals_match_the_qratfn_route(data):
     factors = euler._one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
     numerator = euler._weighted_moment(alpha, n, coeffs)
     assert euler._reduce_over_cyclotomics(numerator, factors) == expected
+
+
+def test_weighted_entry_matches_the_plain_search():
+    # the head start over the known denominator den_n against trial division of
+    # N_n by every Phi_d of D_n = prod_{k<=n} (1+q^(alpha*k+1)); and den_n's degree
+    # is that of Phi_2^(n*[alpha even]) * prod_{d in S_n, d != 2} Phi_d
+    for alpha in range(7):
+        euler._warm(euler._weighted_numerators, 24, alpha)
+        for n in range(25):
+            factors = euler._one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+            numerator = list(euler._weighted_numerators(alpha, n)[n])
+            entry = euler._weighted_entry(alpha, n)
+            assert entry == euler._reduce_over_cyclotomics(numerator, factors)
+            degree = n * (alpha % 2 == 0) + sum(cyclotomic(d).degree for d in factors if d != 2)
+            assert entry.den.degree == degree, (alpha, n)
+
+
+def _weighted_moment_by_division(alpha, n, coeffs):
+    # reference: sum_j c_j prod_{0<=k<=n} f_k / f_j, f_k = 1+q^(alpha*k+1), with
+    # the full product built once and divided by each f_j
+    full = [1]
+    for k in range(n + 1):
+        full = exactq._ishift_add(full, alpha * k + 1)
+    terms = ((c, 0, exactq._ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+    return exactq._icombination([], terms)
+
+
+def test_weighted_moment_matches_product_and_divide():
+    rng = Random(18)
+    for alpha in range(4):
+        for n in range(13):
+            for length in range(n + 2):  # every coefficient list up to n+1 long
+                coeffs = [rng.randint(-50, 50) for _ in range(length)]
+                expected = _weighted_moment_by_division(alpha, n, coeffs)
+                assert euler._weighted_moment(alpha, n, coeffs) == expected, (alpha, n, coeffs)
 
 
 def test_numerator_above_its_degree_raises(monkeypatch):
