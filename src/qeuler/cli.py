@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import euler
 from .exactq import QRatFn, XPoly, _display_coeffs, signed_terms
@@ -99,17 +100,37 @@ def latex_ratfn(f: QRatFn) -> str:
     return f"\\frac{{{num}}}{{{latex_poly(_display_coeffs(f.den))}}}"
 
 
-_LATEX_LHS = {
-    "qeuler": "\\tilde{{E}}_{{{n}}}",
-    "frobenius": "H_{{{n}}}",
-    "weighted": "\\tilde{{E}}^{{({alpha})}}_{{{n}}}",
-    "qeuler-poly": "\\tilde{{E}}_{{{n}}}(x)",
+class _Table(NamedTuple):
+    """A table kind: its LaTeX left side, its entries 0..n_max, and whether it takes --alpha."""
+
+    latex_lhs: str
+    values: Callable[[int, "int | None"], tuple]
+    takes_alpha: bool = False
+
+
+# Every table kind the CLI's ``table`` offers, in the order it lists them.
+# Each entry looks its function up in ``euler`` at call time, so one rebound there
+# (``perfbench/replay.py`` wraps them to time them) is the one called.
+_TABLES: dict[str, _Table] = {
+    "qeuler": _Table("\\tilde{{E}}_{{{n}}}", lambda n_max, alpha: euler.q_euler_numbers(n_max)),
+    "frobenius": _Table(
+        "H_{{{n}}}", lambda n_max, alpha: euler.frobenius_numbers(euler.MINUS_Q_INV, n_max)
+    ),
+    "weighted": _Table(
+        "\\tilde{{E}}^{{({alpha})}}_{{{n}}}",
+        lambda n_max, alpha: euler.q_euler_numbers_weighted(alpha, n_max),
+        takes_alpha=True,
+    ),
+    "qeuler-poly": _Table(
+        "\\tilde{{E}}_{{{n}}}(x)",
+        lambda n_max, alpha: tuple(euler.q_euler_polynomial(n) for n in range(n_max + 1)),
+    ),
 }
-TABLE_KINDS = tuple(_LATEX_LHS)
+TABLE_KINDS = tuple(_TABLES)
 
 
 def _latex_row(kind: str, n: int, value: "QRatFn | XPoly", alpha: "int | None") -> str:
-    lhs = _LATEX_LHS[kind].format(n=n, alpha=alpha)
+    lhs = _TABLES[kind].latex_lhs.format(n=n, alpha=alpha)
     if isinstance(value, XPoly):
         terms = []
         for k, c in enumerate(value.coeffs):
@@ -129,27 +150,17 @@ def _latex_row(kind: str, n: int, value: "QRatFn | XPoly", alpha: "int | None") 
 # table command
 # ---------------------------------------------------------------------------
 
-def _table_values(kind: str, n_max: int, alpha: "int | None") -> tuple:
-    """Entries 0..n_max of a table: ``QRatFn`` numbers, or ``XPoly`` for qeuler-poly."""
-    if kind == "qeuler-poly":
-        return tuple(euler.q_euler_polynomial(n) for n in range(n_max + 1))
-    if kind == "qeuler":
-        return euler.q_euler_numbers(n_max)
-    if kind == "frobenius":
-        return euler.frobenius_numbers(euler.MINUS_Q_INV, n_max)
-    return euler.q_euler_numbers_weighted(alpha, n_max)
-
-
 def cmd_table(args, parser) -> int:
-    if args.kind == "weighted" and args.alpha is None:
-        parser.error("--alpha is required for kind 'weighted'")
-    if args.kind != "weighted" and args.alpha is not None:
+    table = _TABLES[args.kind]
+    if table.takes_alpha and args.alpha is None:
+        parser.error(f"--alpha is required for kind '{args.kind}'")
+    if not table.takes_alpha and args.alpha is not None:
         parser.error("--alpha only applies to kind 'weighted'")
     if args.n_max < 0:
         parser.error("--n-max must be >= 0")
     alpha = args.alpha
     try:
-        values = _table_values(args.kind, args.n_max, alpha)
+        values = table.values(args.n_max, alpha)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -157,7 +168,7 @@ def cmd_table(args, parser) -> int:
         meta = {"kind_param": args.kind, "n_max": args.n_max}
         if alpha is not None:
             meta["alpha"] = alpha
-        record_kind = "polynomial" if args.kind == "qeuler-poly" else "number"
+        record_kind = "polynomial" if isinstance(values[0], XPoly) else "number"
         rows = [_json_row(n, value) for n, value in enumerate(values)]
         print(OutputRecord(record_kind, meta, rows).serialize())
     elif args.format == "latex":

@@ -243,23 +243,20 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
     return _reduce_over_cyclotomics(_alternating_numerator(alpha, n), factors)
 
 
-def _q_alpha_minus_one(alpha: int, n: int) -> Counter:
-    """(q^alpha - 1)^n = prod_{d | alpha} Phi_d^n, as its Phi_d exponents."""
-    return Counter({d: n for d in range(1, alpha + 1) if alpha % d == 0})
-
-
 def _closed_form_factors(alpha: int, n: int) -> Counter:
     """The Phi_d exponents of (q^alpha - 1)^n D_n, the denominator both weighted routes share."""
     factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-    factors.update(_q_alpha_minus_one(alpha, n))
+    factors.update({d: n for d in range(1, alpha + 1) if alpha % d == 0})  # q^alpha - 1
     return factors
 
 
 def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
     """(q^alpha-1)^n N_n and I((X-1)^n): E^(alpha)_n by each route, over _closed_form_factors."""
     _warm(_weighted_numerators, n, alpha)
-    scaled = _cyclotomic_scale(_weighted_numerators(alpha, n)[n], _q_alpha_minus_one(alpha, n))
-    return _itrim(scaled), _alternating_numerator(alpha, n)
+    scaled = list(_weighted_numerators(alpha, n)[n])
+    for _ in range(n):
+        scaled = _ishift_add(scaled, alpha, -1)  # times 1 - q^alpha
+    return _itrim([-c for c in scaled] if n % 2 else scaled), _alternating_numerator(alpha, n)
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:

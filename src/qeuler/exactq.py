@@ -8,9 +8,10 @@ Three layers, all immutable and safe to share between threads:
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
   One integer pseudo-division, ``_pdivmod``, serves division and the gcd
   (primitive Euclid); one accumulator, ``_icombination``, every sum of
-  shifted multiples.  Multiplying or dividing by a product of cyclotomic
-  polynomials is sparse (``_cyclotomic_scale``), and so is a Phi_d
-  divisibility test, after one evaluation at q = 2^32 (``_cyclotomic_quotient``).
+  shifted multiples, dense products (``_imul``) included.  Multiplying or
+  dividing by a product of cyclotomic polynomials is sparse
+  (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after one
+  evaluation at q = 2^32 (``_cyclotomic_quotient``).
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -44,13 +45,10 @@ def _itrim(cs: list[int]) -> list[int]:
 
 
 def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The product of two nonzero integer polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    """The product of two nonzero integer polynomials, one shifted copy of the longer per term."""
+    if len(a) > len(b):
+        a, b = b, a
+    return _icombination([0] * (len(a) + len(b) - 1), ((x, i, b) for i, x in enumerate(a) if x))
 
 
 def _pdivmod(A: Sequence[int], B: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -687,12 +685,9 @@ def _coerce(v) -> "QRatFn":
     return NotImplemented
 
 
-_QR_ZERO = QRatFn.__new__(QRatFn)
-_QR_ZERO.num, _QR_ZERO.den = _QP_ZERO, _QP_ONE
-_QR_ONE = QRatFn.__new__(QRatFn)
-_QR_ONE.num, _QR_ONE.den = _QP_ONE, _QP_ONE
-_QR_Q = QRatFn.__new__(QRatFn)
-_QR_Q.num, _QR_Q.den = _QP_Q, _QP_ONE
+_QR_ZERO = QRatFn._raw(_QP_ZERO, _QP_ONE)
+_QR_ONE = QRatFn._raw(_QP_ONE, _QP_ONE)
+_QR_Q = QRatFn._raw(_QP_Q, _QP_ONE)
 
 
 # ---------------------------------------------------------------------------

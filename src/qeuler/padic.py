@@ -91,8 +91,10 @@ class PAdicNum:
     unit: int
 
     def __init__(self, prime: int, prec: int, val: int, unit: int):
-        # prec may drop to 0 or below through division chains with negative
-        # valuations; entry points that take a requested K validate K >= 1.
+        # Every arithmetic result is built here, which reduces the unit mod
+        # p^(prec - val) and strips its factors of p.  prec may drop to 0 or
+        # below through division chains with negative valuations; entry
+        # points that take a requested K validate K >= 1.
         if not is_odd_prime(prime):
             raise ValueError(f"p must be an odd prime, got {prime}")
         if unit:
@@ -132,11 +134,7 @@ class PAdicNum:
     @classmethod
     def from_residue(cls, value: int, prime: int, prec: int) -> "PAdicNum":
         """Wrap an integer known mod p^prec."""
-        value %= prime**prec
-        if value == 0:
-            return cls.zero_at(prime, prec)
-        v, u = _vp(value, prime)
-        return cls(prime, prec, v, u)
+        return cls(prime, prec, 0, value)
 
     # -- structure ---------------------------------------------------------
 
@@ -176,17 +174,11 @@ class PAdicNum:
         p = self.prime
         prec = min(self.prec, other.prec)
         vmin = min(self.val, other.val)
-        window = prec - vmin
-        if window <= 0:
-            return PAdicNum.zero_at(p, prec)
         s = self.unit * p ** (self.val - vmin) + other.unit * p ** (other.val - vmin)
-        return PAdicNum(p, prec, vmin, s % p**window)
+        return PAdicNum(p, prec, vmin, s)
 
     def __neg__(self) -> "PAdicNum":
-        if self.unit == 0:
-            return self
-        rel = self.prec - self.val
-        return PAdicNum(self.prime, self.prec, self.val, self.prime**rel - self.unit)
+        return PAdicNum(self.prime, self.prec, self.val, -self.unit)
 
     def __sub__(self, other: "PAdicNum") -> "PAdicNum":
         if not isinstance(other, PAdicNum):
@@ -200,9 +192,7 @@ class PAdicNum:
         p = self.prime
         rel = min(self.prec - self.val, other.prec - other.val)
         val = self.val + other.val
-        if self.unit == 0 or other.unit == 0 or rel <= 0:
-            return PAdicNum.zero_at(p, val)
-        return PAdicNum(p, val + rel, val, self.unit * other.unit % p**rel)
+        return PAdicNum(p, val + rel, val, self.unit * other.unit)
 
     def __truediv__(self, other: "PAdicNum") -> "PAdicNum":
         if not isinstance(other, PAdicNum):
@@ -215,10 +205,7 @@ class PAdicNum:
         p = self.prime
         rel = min(self.prec - self.val, other.prec - other.val)
         val = self.val - other.val
-        if self.unit == 0 or rel <= 0:
-            return PAdicNum.zero_at(p, val)
-        mod = p**rel
-        return PAdicNum(p, val + rel, val, self.unit * pow(other.unit, -1, mod) % mod)
+        return PAdicNum(p, val + rel, val, self.unit * pow(other.unit, -1, p**rel))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -186,12 +186,23 @@ def test_table_weighted_requires_alpha(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "weighted", "--n-max", "3"])
     assert exc.value.code == 2
+    assert "error: --alpha is required for kind 'weighted'\n" in capsys.readouterr().err
 
 
 def test_table_alpha_only_for_weighted(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "qeuler", "--n-max", "3", "--alpha", "2"])
-    assert exc.value.code == 2
+    for kind in ("qeuler", "frobenius", "qeuler-poly"):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", kind, "--n-max", "3", "--alpha", "2"])
+        assert exc.value.code == 2
+        assert "error: --alpha only applies to kind 'weighted'\n" in capsys.readouterr().err
+
+
+def test_table_weighted_huge_alpha_answers_quickly(capsys):
+    # n_max = 0 needs no power of q^alpha - 1, so nothing may scale with alpha
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "table", "weighted", "--alpha", "100000000", "--n-max", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "0\t(1)/(1)\n"
 
 
 def test_table_bad_kind(capsys):

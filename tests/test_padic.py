@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qeuler.exactq import XPoly
@@ -60,14 +60,22 @@ def test_add_zero_keeps_value_and_precision():
     st.integers(-(10**6), 10**6),
     st.integers(0, 15),
 )
+@example(5, 4, 0, 1, 4)  # a flagged zero, whose negation must keep prec 4
 def test_constructor_normal_form(p, prec, val, u, k):
-    # reference: strip every factor p first, then reduce the unit mod p^(prec - val)
-    w, v = u * p**k, val
-    while w and w % p == 0:
-        w, v = w // p, v + 1
-    expected = (v, w % p ** (prec - v)) if w and v < prec else (prec, 0)
+    def reference(w, v):
+        # strip every factor p first, then reduce the unit mod p^(prec - v)
+        while w and w % p == 0:
+            w, v = w // p, v + 1
+        return (v, w % p ** (prec - v)) if w and v < prec else (prec, 0)
+
     x = PAdicNum(p, prec, val, u * p**k)
-    assert (x.val, x.unit) == expected
+    assert (x.val, x.unit) == reference(u * p**k, val)
+    neg = -x
+    assert (neg.prec, neg.val, neg.unit) == (prec, *reference(-u * p**k, val))
+    # residues that are negative, at least p^prec, or multiples of p^prec
+    for w in (u * p**k, u * p**k + p ** max(prec, 0), u * p ** max(prec, 0)):
+        r = PAdicNum.from_residue(w, p, prec)
+        assert (r.prec, r.val, r.unit) == (prec, *reference(w, 0))
 
 
 def test_mul_valuations_add():
