@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -31,8 +30,7 @@ from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 # records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """Machine-readable result: kind, parameters used, canonical payload."""
 
     kind: str  # number | polynomial | report | convergence

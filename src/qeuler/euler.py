@@ -28,7 +28,6 @@ classical Euler numbers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -127,9 +126,9 @@ def _one_plus_q_powers(ms) -> Counter:
 def _reduce_over_cyclotomics(num: list[int], factors: Counter, den: QPoly | None = None) -> QRatFn:
     """num / prod Phi_d^factors[d] in canonical form.
 
-    Each Phi_d is divided out of num while it still divides it; the monic
-    denominator is then built from the exponents left, or from ``den``, the
-    head start prod Phi_d^factors[d], by dividing out the Phi_d found.
+    Each Phi_d is divided out of num while it still divides it.  The monic
+    denominator is ``den``, the head start prod Phi_d^factors[d], when none
+    was found; otherwise it is built from the exponents left.
     """
     _itrim(num)
     if not num:
@@ -139,10 +138,8 @@ def _reduce_over_cyclotomics(num: list[int], factors: Counter, den: QPoly | None
         while left[d] and (quotient := _cyclotomic_quotient(num, d)) is not None:
             num = quotient
             left[d] -= 1
-    if den is None:
+    if den is None or left != factors:
         den = _qpoly(_cyclotomic_scale([1], left))
-    elif left != factors:
-        den = _qpoly(_cyclotomic_scale(den.prim, {d: left[d] - k for d, k in factors.items()}))
     return QRatFn._raw(_qpoly(num), den)
 
 
@@ -323,8 +320,7 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
-class IdentityInstance:
+class IdentityInstance(NamedTuple):
     """One checked parameter instance of an identity.
 
     The verdict is an exact comparison: for cor3, thm4-thm8, the k=0 remark
@@ -349,8 +345,7 @@ class IdentityInstance:
         return self.verdict == self.expected
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     identity_id: str
     instances: tuple[IdentityInstance, ...]
 
@@ -412,8 +407,9 @@ def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
     """The numerators over (1+q)^n of E_l and of E_{l,1/q}, for l = 0..n.
 
     E_l = N_l / (1+q)^l with N_l = ``_weighted_numerators(0, l)[l]``, and
-    q -> 1/q turns it into q^(l - deg N_l) rev(N_l) / (1+q)^l.  Each is
-    lifted to (1+q)^n by the binomial row of (1+q)^(n-l).
+    q -> 1/q turns it into q^(l - deg N_l) rev(N_l) / (1+q)^l.  Over (1+q)^n,
+    E_l's numerator is D = N_l (1+q)^(n-l), and E_{l,1/q}'s is
+    q^(l - deg N_l) rev(D), since (1+q)^(n-l) is palindromic.
     """
     _warm(_weighted_numerators, n, 0)
     direct, reflected = [], []
@@ -422,9 +418,9 @@ def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
         shift = l + 1 - len(num)
         if shift < 0:
             raise ArithmeticError(f"deg N_{l} > {l}: E_{l} is not over (1+q)^{l}")
-        row = [comb(n - l, i) for i in range(n - l + 1)]
-        direct.append(tuple(_imul(num, row)))
-        reflected.append(tuple(_imul([0] * shift + num[::-1], row)))
+        lifted = _imul(num, [comb(n - l, i) for i in range(n - l + 1)])
+        direct.append(tuple(lifted))
+        reflected.append(tuple(_itrim([0] * shift + lifted[::-1])))
     return tuple(direct), tuple(reflected)
 
 

@@ -21,11 +21,10 @@ defect against the exact moment shrinks p-adically as N grows, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import euler
 from .exactq import BigRat, XPoly
@@ -224,25 +223,28 @@ class PAdicNum:
         return f"{self.prime}^{self.val}*{self.unit} + O({self.prime}^{self.prec})"
 
 
-@dataclass(frozen=True)
-class QChoice:
+class QChoice(NamedTuple("QChoice", [("p", int), ("q", Fraction)])):
     """An admissible base q for the fermionic measure: |1 - q|_p < 1.
 
     q is kept as an exact rational so it can be embedded at any precision
-    on demand.
+    on demand.  ``_make``, and so ``_replace``, build through the same check.
     """
 
-    p: int
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_odd_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        object.__setattr__(self, "q", Fraction(self.q))
-        diff = 1 - self.q
+    def __new__(cls, p: int, q: Fraction) -> QChoice:
+        if not is_odd_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        q = Fraction(q)
+        diff = 1 - q
         if diff != 0:
-            if diff.denominator % self.p == 0 or diff.numerator % self.p != 0:
-                raise ValueError(f"need |1 - q|_p < 1; q = {self.q} fails at p = {self.p}")
+            if diff.denominator % p == 0 or diff.numerator % p != 0:
+                raise ValueError(f"need |1 - q|_p < 1; q = {q} fails at p = {p}")
+        return super().__new__(cls, p, q)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> QChoice:
+        return cls(*iterable)
 
 
 def _embed_residue(r: Fraction, p: int, modulus: int) -> int:
@@ -317,8 +319,7 @@ def fermionic_integral_partial(
     return PAdicNum.from_residue(prefactor * s, qc.p, prec)
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     N: int
     valuation: int  # best known lower bound for v_p(defect)
     exact: bool  # defect indistinguishable from zero at precision prec
@@ -344,8 +345,7 @@ def _defect_rows(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Defect valuations v_p(I_N - exact moment) across levels."""
 
     n: int
@@ -393,8 +393,7 @@ def convergence_report(
     return ConvergenceReport(n, qc.p, qc.q, prec, rows)
 
 
-@dataclass(frozen=True)
-class ShiftDefect:
+class ShiftDefect(NamedTuple):
     """Finite-level defect of the n-step shift identity
 
         q^n I(f_n) + (-1)^(n-1) I(f) = [2]_q sum_{l<n} (-1)^(n-1-l) f(l) q^l

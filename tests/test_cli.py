@@ -64,6 +64,11 @@ def test_table_json_roundtrip(capsys):
     assert record.kind == "number"
     assert record.payload[1] == {"n": 1, "num": ["0", "-1"], "den": ["1", "1"]}
     assert OutputRecord.parse(record.serialize()) == record
+    assert repr(OutputRecord("number", {"n_max": 0}, [])) == (
+        "OutputRecord(kind='number', metadata={'n_max': 0}, payload=[])"
+    )
+    with pytest.raises(AttributeError):
+        record.kind = "polynomial"
 
 
 def test_table_poly_json_roundtrip(capsys):
@@ -482,15 +487,29 @@ def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
 _TABLE_ARGV = ["table", "qeuler", "--n-max", "1"]
 
 
-def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
-    # stdout left buffered, so the failing write is a flush, not a print
+def _python(args, stdout, **popen) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this qeuler; stdout left buffered, so a failing write is a flush."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(qeuler.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qeuler.cli", *argv],
+        [sys.executable, *args],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **popen,
     )
+
+
+def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
+    return _python(["-m", "qeuler.cli", *argv], stdout, **popen)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process, so whatever importing qeuler.cli loads is paid each time
+    code = (
+        "import sys; before = set(sys.modules); import qeuler.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = _python(["-c", code], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

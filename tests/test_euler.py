@@ -460,6 +460,23 @@ def test_thm5_hypothesis_probe_at_zero():
     # both sides computable: q^2 vs 1 + q + q^2
     assert probe.left == ratfn((0, 0, 1))
     assert probe.right == ratfn((1, 1, 1))
+    assert repr(probe) == (
+        "IdentityInstance(params=(0,), verdict='fail', expected='fail', "
+        "note='n=0 excluded by the n >= 1 hypothesis; inequality confirmed', "
+        "left=QRatFn(QPoly(['0', '0', '1']), QPoly(['1'])), "
+        "right=QRatFn(QPoly(['1', '1', '1']), QPoly(['1'])))"
+    )
+    passed = (
+        "IdentityInstance(params=(1,), verdict='pass', expected='pass', note='', "
+        "left=None, right=None)"
+    )
+    assert repr(verify_identity("thm5", 1)) == (
+        f"IdentityReport(identity_id='thm5', instances=({probe!r}, {passed}))"
+    )
+    with pytest.raises(AttributeError):
+        probe.verdict = "pass"
+    with pytest.raises(AttributeError):
+        report.instances = ()
 
 
 def test_k0_remark_witness_at_n1():

@@ -1,5 +1,7 @@
 """Capped-precision p-adic arithmetic and the finite-level fermionic integral."""
 
+import pickle
+import re
 from fractions import Fraction
 from math import comb
 
@@ -138,6 +140,26 @@ def test_qchoice_requires_q_near_one():
     with pytest.raises(ValueError, match="1 - q"):
         QChoice(3, Fraction(2))  # |1-2|_3 = 1
     QChoice(3, Fraction(1))  # q = 1 is admissible (|0|_p < 1)
+
+
+def test_qchoice_every_construction_route_validates():
+    # a QChoice is a tuple, yet _make, _replace and unpickling all pass the constructor's check
+    qc = QChoice(3, 4)
+    assert type(qc.q) is Fraction and repr(qc) == "QChoice(p=3, q=Fraction(4, 1))"
+    assert qc == QChoice(3, Fraction(4)) and hash(qc) == hash(QChoice(3, Fraction(4)))
+    for copy in (pickle.loads(pickle.dumps(qc)), QChoice._make((3, 4)), qc._replace(q=4)):
+        assert type(copy) is QChoice and type(copy.q) is Fraction and copy == qc
+    assert qc._replace(q=Fraction(-2)) == QChoice(3, -2)
+    for build, message in [
+        (lambda: qc._replace(q=5), "need |1 - q|_p < 1; q = 5 fails at p = 3"),
+        (lambda: QChoice._make((3, 2)), "need |1 - q|_p < 1; q = 2 fails at p = 3"),
+        (lambda: QChoice._make((4, 5)), "p must be an odd prime, got 4"),
+        (lambda: qc._replace(p=2), "p must be an odd prime, got 2"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+    with pytest.raises(AttributeError):
+        qc.q = Fraction(7)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -383,6 +405,15 @@ def test_out_of_range_arguments_rejected(call, message):
 def test_convergence_rows_sorted_by_level():
     rep = convergence_report(2, QC3, 12, (3, 1, 2))
     assert [r.N for r in rep.rows] == [1, 2, 3]
+    assert repr(rep) == (
+        "ConvergenceReport(n=2, p=3, q=Fraction(4, 1), prec=12, rows=("
+        + ", ".join(f"ConvergenceRow(N={N}, valuation={N}, exact=False)" for N in (1, 2, 3))
+        + "))"
+    )
+    with pytest.raises(AttributeError):
+        rep.rows = ()
+    with pytest.raises(AttributeError):
+        rep.rows[0].valuation = 0
 
 
 def test_convergence_report_rejects_empty_level_list():
@@ -398,6 +429,9 @@ def test_convergence_report_rejects_empty_level_list():
 def test_shift_identity_constants_exact():
     res = check_shift_identity_finite(XPoly.one(), 1, QC3, 12, 3)
     assert res.exact
+    assert repr(res) == "ShiftDefect(n=1, N=3, valuation=12, exact=True)"
+    with pytest.raises(AttributeError):
+        res.exact = False
 
 
 def test_shift_identity_defect_grows_odd_n():
