@@ -15,7 +15,6 @@ arrays, so records round-trip losslessly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -38,14 +37,14 @@ class OutputRecord(NamedTuple):
     payload: list
 
     def serialize(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "metadata": self.metadata, "payload": self.payload},
-            sort_keys=True,
-            indent=2,
-        )
+        import json  # loaded here, so text output does not pay for it
+
+        return json.dumps(self._asdict(), sort_keys=True, indent=2)
 
     @classmethod
     def parse(cls, text: str) -> "OutputRecord":
+        import json
+
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"record is not a JSON object: {type(data).__name__}")

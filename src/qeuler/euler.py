@@ -8,8 +8,8 @@ One integer recurrence, run over the known denominators, serves every
 weight alpha >= 0; weight 0 is its alpha = 0 case.  Two independent routes
 check it and are never merged with it:
 
-* Frobenius-Euler numbers come from their Stirling closed form, a
-  polynomial in 1/(u-1), in generic ``QRatFn`` arithmetic; their agreement
+* Frobenius-Euler numbers come from their Stirling closed form, an integer
+  numerator over (a-b)^n for u = a/b, canonical by proof; their agreement
   with weight 0 at u = -1/q is a verified identity, not a definition.
 * for alpha >= 1, the alternating closed form, ``_weighted_moment`` at
   (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two.
@@ -30,13 +30,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exactq import (
     QPoly,
     QRatFn,
     XPoly,
+    _coerce,
     _cyclotomic_quotient,
     _cyclotomic_scale,
     _icombination,
@@ -78,16 +79,24 @@ def _frobenius_number(u: QRatFn, n: int) -> QRatFn:
 
     With exp(t) - u = (1-u) + (exp(t)-1), (1-u)/(exp(t)-u) = sum_k w^k (exp(t)-1)^k,
     and (exp(t)-1)^k = k! sum_n S(n,k) t^n/n! (Concrete Mathematics, 7.4),
-    where k! S(n,k) = sum_{j<=k} (-1)^(k-j) C(k,j) j^n with 0^0 = 1.  Horner in w
-    only multiplies by w and adds integers, so every gcd is against w.num or w.den.
+    where F(n,k) = k! S(n,k) = sum_{j<=k} (-1)^(k-j) C(k,j) j^n with 0^0 = 1.
+    With u = a/b, a and b coprime in Z[q] (one integer scales u's num and den),
+    w = b/c for c = a - b, and H_n(u) = N/c^n with N = sum_k F(n,k) b^k c^(n-k).
+    That is canonical: mod c, N = F(n,n) b^n = n! b^n, and gcd(b, c) = gcd(b, a) = 1.
     """
-    if u == ONE:
+    if (u := _coerce(u)) is NotImplemented:
+        raise TypeError("the Frobenius parameter must be an int, Fraction, QPoly or QRatFn")
+    r = u.num.content / u.den.content
+    a, b = [r.numerator * x for x in u.num.prim], [r.denominator * x for x in u.den.prim]
+    c = _icombination(a, [(-1, 0, b)])
+    if not c:
         raise ValueError("singular Frobenius parameter u = 1")
-    w = (u - ONE).inverse()
-    acc = ZERO
-    for k in range(n, -1, -1):
-        acc = acc * w + sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
-    return acc
+    acc, c_pow = [factorial(n)], [1]  # homogeneous Horner from F(n,n) = n!
+    for k in range(n - 1, -1, -1):
+        c_pow = _imul(c_pow, c)
+        f = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+        acc = _icombination(_imul(acc, b), [(f, 0, c_pow)])
+    return QRatFn._raw(_qpoly(acc, Fraction(1, c_pow[-1])), _qpoly(c_pow).monic()) if acc else ZERO
 
 
 def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:

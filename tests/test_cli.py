@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeuler
-from qeuler import euler
+from qeuler import euler, exactq
 from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, latex_ratfn, main
 from qeuler.euler import SUITES
 from qeuler.exactq import QPoly, QRatFn, XPoly, poly_str
@@ -420,6 +420,27 @@ def test_table_ignores_qeuler_cache_dir(capsys, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "qeuler.json").read_text()) == planted
 
 
+@pytest.mark.parametrize("argv", [
+    "table frobenius --n-max 30",
+    "verify --suite all --n-max 20",
+    "table qeuler-poly --n-max 20",
+    "table weighted --alpha 3 --n-max 12",
+    "padic --n 2 --p 5 --N-max 4",
+])
+def test_cli_commands_make_no_generic_gcd_call(argv, monkeypatch, capsys, fresh_caches):
+    # every route the CLI takes reaches canonical form by proof or by cyclotomic
+    # division, so none reaches the generic gcd behind QRatFn arithmetic
+    calls = []
+    gcd = exactq._int_poly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(exactq, "_int_poly_gcd", spy)
+    assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
+
+
 _OPTIONS = {
     "table": ["--n-max", "--alpha", "--format"],
     "verify": ["--suite", "--n-max", "--json"],
@@ -510,6 +531,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     proc = _python(["-c", code], subprocess.PIPE)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_cli_import_does_not_load_json():
+    # only JSON output and OutputRecord.parse read json, so text output does not pay for it
+    code = (
+        "import sys; before = set(sys.modules); import qeuler.cli; "
+        "print('json' in set(sys.modules) - before)"
+    )
+    proc = _python(["-c", code], subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")

@@ -81,30 +81,21 @@ def test_classical_specialization():
         assert seq[n].eval(1) == oracle[n]
 
 
-def _series_coeffs(f, order):
-    """Taylor coefficients of a QRatFn around q = 0 (denominator unit there)."""
-    num = list(f.num.coeffs) + [Fraction(0)] * order
-    den = list(f.den.coeffs) + [Fraction(0)] * order
-    assert den[0] != 0
-    out = []
-    for i in range(order):
-        c = (num[i] - sum(den[j] * out[i - j] for j in range(1, i + 1))) / den[0]
-        out.append(c)
-    return out
-
-
 def test_weight0_power_series_oracle():
-    # Independent route: as a formal power series in q the n-th number is
-    # (1+q) * sum_{m>=0} (-1)^m m^n q^m, one term per power of q.  With
-    # numerator and denominator degrees <= n+1, agreement to order 2n+3
-    # pins E_n exactly (Pade uniqueness), for every n the tables print.
-    seq = q_euler_numbers(40)
-    for n in range(41):
-        order = 2 * n + 3
-        assert seq[n].num.degree <= n + 1 and seq[n].den.degree <= n + 1
-        alt = [Fraction((-1) ** m * m**n) for m in range(order)]
-        expected = [alt[0]] + [alt[m] + alt[m - 1] for m in range(1, order)]
-        assert _series_coeffs(seq[n], order) == expected, n
+    # Independent route: in Z[[q]] the n-th number is [2]_q * sum_{m>=0} (-q)^m m^n,
+    # the q-Euler zeta function at -n.  With E_n = N_n/(1+q)^n and deg N_n <= n+1,
+    # dividing N_n by 1+q n times and matching coefficients 0..2n+1 pins E_n,
+    # for every n the tables print, on the recurrence and on the Frobenius route.
+    for seq in (q_euler_numbers(40), frobenius_numbers(MINUS_Q_INV, 40)):
+        for n, e in enumerate(seq):
+            assert e.den == QPoly([comb(n, i) for i in range(n + 1)]) and e.num.degree <= n + 1
+            assert e.num.content.denominator == 1
+            series = [e.num.content.numerator * c for c in e.num.prim] + [0] * (n + 1)
+            for _ in range(n):
+                for i in range(1, 2 * n + 2):
+                    series[i] -= series[i - 1]
+            alt = [(-1) ** m * m**n for m in range(2 * n + 2)]
+            assert series == [alt[0]] + [alt[m] + alt[m - 1] for m in range(1, 2 * n + 2)], n
 
 
 def _stirling2(n, k, _cache={}):
@@ -116,12 +107,27 @@ def _stirling2(n, k, _cache={}):
     return _cache[(n, k)]
 
 
+# Frobenius parameters, each with an int, Fraction or QPoly spelling (or None)
+# that must give the same values.  Beyond the plain cases: u = -1, where
+# H_n = 0 at each even n >= 2; u = 0; a u whose numerator and denominator
+# contents differ, which the closed form rescales by one common integer.
+_FROBENIUS_PARAMS = (
+    (QRatFn.const(3), 3),
+    (MINUS_Q_INV, None),
+    (QRatFn.const(Fraction(-1, 2)), Fraction(-1, 2)),
+    (QRatFn.q(), QPoly.q()),
+    (ratfn((1, 2)), QPoly((1, 2))),
+    (QRatFn.const(-1), -1),
+    (QRatFn.zero(), 0),
+    (ratfn((1, 1), (0, 2)), None),
+    (ratfn((Fraction(1, 3), 5), (7, 0, 1)), None),
+)
+
+
 def test_frobenius_stirling_oracle():
     # Independent route: expanding 1/(exp(t)-u) in powers of exp(t)-1 gives
-    # H_n(u) = sum_k (-1)^k k! S2(n,k) / (1-u)^k.
-    from math import factorial
-
-    for u in (QRatFn.const(3), MINUS_Q_INV, QRatFn.const(Fraction(-1, 2))):
+    # H_n(u) = sum_k (-1)^k k! S2(n,k) / (1-u)^k, summed in generic QRatFn arithmetic.
+    for u, plain in _FROBENIUS_PARAMS:
         h = frobenius_numbers(u, 10)
         one_minus_u = ONE - u
         for n in range(11):
@@ -131,6 +137,10 @@ def test_frobenius_stirling_oracle():
                 if s2:
                     total = total + (one_minus_u ** -k) * ((-1) ** k * factorial(k) * s2)
             assert h[n] == total, (n, str(u))
+        if plain is not None:
+            assert frobenius_numbers(plain, 10) == h, str(u)
+    h = frobenius_numbers(-1, 10)
+    assert [(f.num, f.den) for f in h[2::2]] == [(QPoly.zero(), QPoly.one())] * 5
 
 
 def test_frobenius_first_values():
@@ -152,14 +162,15 @@ def test_frobenius_at_minus_q_inverse_matches_weight0():
 def test_frobenius_umbral_invariant():
     # sum_{k<=n} C(n,k) H_k = u * H_n for n >= 1: the recurrence
     # H_n = (sum_{k<n} C(n,k) H_k)/(u-1), checked against the closed form
-    for u in (QRatFn.const(3), MINUS_Q_INV, QRatFn.const(Fraction(-1, 2)), QRatFn.q(),
-              ratfn((1, 2))):
+    for u, plain in _FROBENIUS_PARAMS:
         h = frobenius_numbers(u, 20)
         for n in range(1, 21):
             acc = QRatFn.zero()
             for k in range(n + 1):
                 acc = acc + h[k] * comb(n, k)
             assert acc == u * h[n]
+        if plain is not None:
+            assert frobenius_numbers(plain, 20) == h, str(u)
 
 
 def test_frobenius_polynomial_first_request_does_not_recurse_per_n():
@@ -171,24 +182,6 @@ def test_frobenius_polynomial_first_request_does_not_recurse_per_n():
     finally:
         sys.setrecursionlimit(limit)
     assert poly.degree == 80 and poly.coeffs[0] == frobenius_numbers(QRatFn.const(5), 80)[80]
-
-
-def test_frobenius_gcds_meet_only_degree_one_operands(monkeypatch):
-    # Horner in w = 1/(u-1) = -q/(1+q) multiplies by w and adds integers, so
-    # each gcd QRatFn arithmetic takes is against w's numerator or denominator.
-    for fn in vars(euler).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
-    smaller = []
-    gcd = exactq._int_poly_gcd
-
-    def spy(a, b):
-        smaller.append(min(len(a), len(b)) - 1)
-        return gcd(a, b)
-
-    monkeypatch.setattr(exactq, "_int_poly_gcd", spy)
-    frobenius_numbers(MINUS_Q_INV, 30)
-    assert smaller and max(smaller) <= 1
 
 
 def test_frobenius_singular_parameter():
