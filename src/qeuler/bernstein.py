@@ -7,9 +7,11 @@ expansions, the second through its reflection I'(y^l) = E_{l,1/q}:
     lhs:  C(n,k) * sum_{l=0..n-k} C(n-k,l) (-1)^l     E_{k+l, q}
     rhs:  C(n,k) * sum_{l=0..k}   C(k,l) (-1)^(k+l) * (1 + q + q^2 E_{n-l, 1/q})
 
-The rhs's constant 1+q telescopes away only for k >= 1; the "reduced"
-variant that drops it is therefore valid for 1 <= k < n but wrong at
-k = 0, which is exactly the erratum this suite detects.
+They are the two sides of ``euler``'s Bernstein row (n, k), whose k = 0 row
+is thm7.  The rhs's 1+q telescopes away only for k >= 1, so the "reduced"
+variant that drops it is wrong at k = 0: the erratum this suite detects.
+``moment_via_basis_expansion`` is the one generic ``QRatFn`` route, the
+independent check on them.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from math import comb
 
 from . import padic
 from .euler import (
-    ONE,
-    Q,
+    FAIL,
     ZERO,
     IdentityInstance,
     IdentityReport,
-    _judged,
-    _k0_remark_instance,
-    _moment,
-    _thm7_instance,
+    _bernstein_instance,
+    _bernstein_left,
+    _bernstein_right,
+    _reduce_over_cyclotomics,
     weighted_recurrence,
 )
 from .exactq import BigRat, QRatFn, XPoly
@@ -63,11 +64,7 @@ def bernstein_moment_lhs(k: int, n: int) -> QRatFn:
     """Moment of B_{k,n} via the alternating sum over raw moments E_{k+l}."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    e = weighted_recurrence(0, n)
-    total = ZERO
-    for l in range(n - k + 1):
-        total = total + e[k + l] * (comb(n - k, l) * (-1) ** l)
-    return total * comb(n, k)
+    return _reduce_over_cyclotomics(_bernstein_left(n, k, comb(n, k)), Counter({2: n}))
 
 
 def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
@@ -81,19 +78,12 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    e = weighted_recurrence(0, n)
-    q_sq = Q * Q
-    total = ZERO
-    for l in range(k + 1):
-        term = q_sq * e[n - l].subst_q_inverse()
-        if variant == "full":
-            term = term + ONE + Q
-        total = total + term * (comb(k, l) * (-1) ** (k + l))
-    return total * comb(n, k)
+    right = _bernstein_right(n, k, variant == "full", comb(n, k))
+    return _reduce_over_cyclotomics(right, Counter({2: n}))
 
 
 def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
-    """Independent moment pipeline: expand B_{k,n} and sum coefficient * E_j."""
+    """Independent moment pipeline: expand B_{k,n} and sum coefficient * E_j as ``QRatFn``s."""
     e = weighted_recurrence(0, n)
     total = ZERO
     for j, c in enumerate(bernstein_poly(k, n).fraction_coeffs()):
@@ -103,12 +93,10 @@ def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
 
 
 def verify_theorem8(n_max: int) -> IdentityReport:
-    """Check the alternating-moment identity over 1 <= k < n <= n_max.
+    """Check the alternating-moment identity, every Bernstein row with n <= n_max.
 
-    Row (n, k) is I(y^k (1-y)^(n-k)) = q^2 I'(sum_l C(k,l) (-1)^(k+l) y^(n-l)):
-    ``bernstein_moment_lhs`` and the reduced ``bernstein_moment_rhs``, each
-    divided by C(n,k), as ``_moment`` numerators over (1+q)^n.  A failing
-    instance keeps both, reduced to canonical form, as its witness.  The
+    Row (n, k), 1 <= k < n, is I(y^k (1-y)^(n-k)) = q^2 I'(sum_l C(k,l)
+    (-1)^(k+l) y^(n-l)), judged by ``euler._bernstein_instance``.  The
     k = 0 row is checked twice: against the claimed k=0 shortcut (expected
     to fail -- the dropped 1+q) and against the full form (expected to
     pass); both outcomes are part of the contract.
@@ -116,16 +104,11 @@ def verify_theorem8(n_max: int) -> IdentityReport:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     instances: list[IdentityInstance] = []
+    note = "claimed k=0 shortcut drops the 1+q term"
     for n in range(1, n_max + 1):
-        instances.append(
-            _k0_remark_instance((n, 0, "k0-remark"), n, "claimed k=0 shortcut drops the 1+q term")
-        )
-        instances.append(_thm7_instance((n, 0, "full"), n))
-        for k in range(1, n):
-            left = _moment(n, [(comb(n - k, l) * (-1) ** l, 0, k + l) for l in range(n - k + 1)])
-            terms = [(comb(k, l) * (-1) ** (k + l), 2, n - l) for l in range(k + 1)]
-            right = _moment(n, terms, reflected=True)
-            instances.append(_judged((n, k), left, right, Counter({2: n})))
+        instances.append(_bernstein_instance((n, 0, "k0-remark"), n, 0, expected=FAIL, note=note))
+        instances.append(_bernstein_instance((n, 0, "full"), n, 0, full=True))
+        instances.extend(_bernstein_instance((n, k), n, k) for k in range(1, n))
     return IdentityReport("thm8", tuple(instances))
 
 

@@ -152,7 +152,8 @@ def cmd_table(args, parser) -> int:
     if table.takes_alpha and args.alpha is None:
         parser.error(f"--alpha is required for kind '{args.kind}'")
     if not table.takes_alpha and args.alpha is not None:
-        parser.error("--alpha only applies to kind 'weighted'")
+        kinds = " or ".join(f"'{kind}'" for kind, t in _TABLES.items() if t.takes_alpha)
+        parser.error(f"--alpha only applies to kind {kinds}")
     if args.n_max < 0:
         parser.error("--n-max must be >= 0")
     alpha = args.alpha

@@ -15,8 +15,9 @@ check it and are never merged with it:
   (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two.
 
 Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
-of some f equals some g.  ``_moment`` maps the terms of a side through
-I(y^l) = E_l, or I'(y^l) = E_{l,1/q}, to an integer numerator over (1+q)^n;
+of some f equals some g; thm7, the k=0 remark and thm8 are one family of
+Bernstein rows (``_bernstein_instance``).  ``_moment`` maps the terms of a side
+through I(y^l) = E_l, or I'(y^l) = E_{l,1/q}, to an integer numerator over (1+q)^n;
 ``_weighted_moment`` maps them through I(X^j) = [2]_q/(1+q^(alpha*j+1)),
 X = q^(alpha*x).  The verdict is the equality of the two numerators: field
 equality, since the denominator is nonzero.  A failing instance keeps both,
@@ -49,8 +50,6 @@ from .exactq import (
 )
 
 ZERO = QRatFn.zero()
-ONE = QRatFn.one()
-Q = QRatFn.q()
 MINUS_Q_INV = QRatFn(QPoly((-1,)), QPoly((0, 1)))  # -1/q, the Frobenius parameter
 
 
@@ -299,15 +298,17 @@ def q_euler_polynomial(n: int) -> XPoly:
     """E_n(x) = sum_l C(n,l) E_l x^(n-l); monic of degree n, constant term E_n."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    # C(n,j) times a canonical value is canonical, so no gcd is taken
     e = weighted_recurrence(0, n)
-    return XPoly([e[n - j] * comb(n, j) for j in range(n + 1)])
+    return XPoly([QRatFn._raw(f.num.scale(comb(n, j)), f.den) for j, f in enumerate(e[::-1])])
 
 
 def frobenius_polynomial(u: QRatFn, n: int) -> XPoly:
     """H_n(u, x) = sum_l C(n,l) H_l(u) x^(n-l)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return XPoly([_frobenius_number(u, n - j) * comb(n, j) for j in range(n + 1)])
+    h = [_frobenius_number(u, l) for l in range(n, -1, -1)]
+    return XPoly([QRatFn._raw(f.num.scale(comb(n, j)), f.den) for j, f in enumerate(h)])
 
 
 def classical_euler_numbers(n_max: int) -> list[Fraction]:
@@ -443,6 +444,32 @@ def _moment(n: int, terms: Iterable[tuple[int, int, int]], reflected: bool = Fal
     return _icombination([], ((c, s, moments[l]) for c, s, l in terms))
 
 
+def _bernstein_left(n: int, k: int, scale: int = 1) -> list[int]:
+    """scale * I(y^k (1-y)^(n-k)) = scale * sum_l C(n-k,l) (-1)^l I(y^(k+l)), over (1+q)^n."""
+    return _moment(n, [(scale * comb(n - k, l) * (-1) ** l, 0, k + l) for l in range(n - k + 1)])
+
+
+def _bernstein_right(n: int, k: int, full: bool, scale: int = 1) -> list[int]:
+    """scale * sum_l C(k,l) (-1)^(k+l) ([1+q] + q^2 I'(y^(n-l))), over (1+q)^n; [1+q] if full."""
+    terms = []
+    for l in range(k + 1):
+        c = scale * comb(k, l) * (-1) ** (k + l)
+        terms += [(c, 2, n - l), (c, 0, 0), (c, 1, 0)] if full else [(c, 2, n - l)]
+    return _moment(n, terms, reflected=True)
+
+
+def _bernstein_instance(
+    params: tuple, n: int, k: int, full: bool = False, expected: str = PASS, note: str = ""
+) -> IdentityInstance:
+    """Bernstein row (n, k): ``_bernstein_left`` = ``_bernstein_right``, both over (1+q)^n.
+
+    The right side's 1 + q telescopes away for k >= 1, but not at k = 0:
+    thm7 is row (n, 0), the k=0 remark is that row without it, thm8 every row.
+    """
+    left, right = _bernstein_left(n, k), _bernstein_right(n, k, full)
+    return _judged(params, left, right, Counter({2: n}), expected, note)
+
+
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
 _COR3_M_MAX = 15
 
@@ -498,22 +525,9 @@ def _check_thm6(n_max: int) -> list[IdentityInstance]:
     return out
 
 
-def _thm7_instance(params: tuple, n: int) -> IdentityInstance:
-    """I((1-y)^n) = (1+q) I'(1) + q^2 I'(y^n): thm7, and thm8's full k=0 row."""
-    left = _moment(n, [((-1) ** l * comb(n, l), 0, l) for l in range(n + 1)])
-    right = _moment(n, [(1, 0, 0), (1, 1, 0), (1, 2, n)], reflected=True)
-    return _judged(params, left, right, Counter({2: n}))
-
-
-def _k0_remark_instance(params: tuple, n: int, note: str) -> IdentityInstance:
-    """The k=0 shortcut I((1-y)^n) = q^2 I'(y^n), thm7 without (1+q) I'(1): expected to fail."""
-    left = _moment(n, [((-1) ** l * comb(n, l), 0, l) for l in range(n + 1)])
-    right = _moment(n, [(1, 2, n)], reflected=True)
-    return _judged(params, left, right, Counter({2: n}), FAIL, note)
-
-
 def _check_thm7(n_max: int) -> list[IdentityInstance]:
-    return [_thm7_instance((n,), n) for n in range(1, n_max + 1)]
+    """I((1-y)^n) = (1+q) I'(1) + q^2 I'(y^n): Bernstein row (n, 0) in full."""
+    return [_bernstein_instance((n,), n, 0, full=True) for n in range(1, n_max + 1)]
 
 
 def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
@@ -522,7 +536,8 @@ def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
     So it contradicts thm7 and every instance is expected to fail;
     witnesses carry both canonical sides.
     """
-    return [_k0_remark_instance((n,), n, "contradicts thm7") for n in range(1, n_max + 1)]
+    return [_bernstein_instance((n,), n, 0, expected=FAIL, note="contradicts thm7")
+            for n in range(1, n_max + 1)]
 
 
 def _check_classical(n_max: int) -> list[IdentityInstance]:

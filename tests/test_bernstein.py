@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -98,6 +99,36 @@ def test_moment_rhs_variants():
     for n in range(2, 11):
         for k in range(1, n):
             assert bernstein_moment_rhs(k, n, "full") == bernstein_moment_rhs(k, n, "reduced")
+
+
+def _lhs_reference(k, n):
+    """C(n,k) sum_l C(n-k,l) (-1)^l E_{k+l}, in generic QRatFn arithmetic."""
+    e = q_euler_numbers(n)
+    total = QRatFn.zero()
+    for l in range(n - k + 1):
+        total = total + e[k + l] * (comb(n - k, l) * (-1) ** l)
+    return total * comb(n, k)
+
+
+def _rhs_reference(k, n, variant):
+    """C(n,k) sum_l C(k,l) (-1)^(k+l) ([1 + q] + q^2 E_{n-l,1/q}), in generic QRatFn arithmetic."""
+    e = q_euler_numbers(n)
+    q = QRatFn.q()
+    total = QRatFn.zero()
+    for l in range(k + 1):
+        term = q * q * e[n - l].subst_q_inverse()
+        if variant == "full":
+            term = term + QRatFn.one() + q
+        total = total + term * (comb(k, l) * (-1) ** (k + l))
+    return total * comb(n, k)
+
+
+def test_moments_match_the_generic_reference():
+    for n in range(11):
+        for k in range(n + 1):
+            assert bernstein_moment_lhs(k, n) == _lhs_reference(k, n), (k, n)
+            for variant in ("full", "reduced") if k < n else ():
+                assert bernstein_moment_rhs(k, n, variant) == _rhs_reference(k, n, variant), (k, n)
 
 
 def test_moment_rhs_argument_checks():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeuler
-from qeuler import euler, exactq
+from qeuler import bernstein, euler, exactq
 from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, latex_ratfn, main
 from qeuler.euler import SUITES
 from qeuler.exactq import QPoly, QRatFn, XPoly, poly_str
@@ -420,6 +420,19 @@ def test_table_ignores_qeuler_cache_dir(capsys, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "qeuler.json").read_text()) == planted
 
 
+def _spy_on_generic_gcd(monkeypatch) -> list:
+    """Record every ``exactq.qpoly_gcd`` call, the gcd each generic QRatFn operation takes."""
+    calls = []
+    gcd = exactq.qpoly_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(exactq, "qpoly_gcd", spy)
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     "table frobenius --n-max 30",
     "verify --suite all --n-max 20",
@@ -429,16 +442,21 @@ def test_table_ignores_qeuler_cache_dir(capsys, tmp_path, monkeypatch):
 ])
 def test_cli_commands_make_no_generic_gcd_call(argv, monkeypatch, capsys, fresh_caches):
     # every route the CLI takes reaches canonical form by proof or by cyclotomic
-    # division, so none reaches the generic gcd behind QRatFn arithmetic
-    calls = []
-    gcd = exactq._int_poly_gcd
-
-    def spy(a, b):
-        calls.append((a, b))
-        return gcd(a, b)
-
-    monkeypatch.setattr(exactq, "_int_poly_gcd", spy)
+    # division, so none goes through generic QRatFn arithmetic and its gcd
+    calls = _spy_on_generic_gcd(monkeypatch)
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
+
+
+def test_library_moments_make_no_generic_gcd_call(monkeypatch, fresh_caches):
+    calls = _spy_on_generic_gcd(monkeypatch)
+    for n in range(1, 9):
+        for k in range(n):
+            bernstein.bernstein_moment_lhs(k, n)
+            bernstein.bernstein_moment_rhs(k, n, "full")
+            bernstein.bernstein_moment_rhs(k, n, "reduced")
+        bernstein.bernstein_moment_lhs(n, n)
+    bernstein.padic_moment_crosscheck(3)
+    assert calls == []
 
 
 _OPTIONS = {

@@ -9,7 +9,6 @@ inputs is broken on purpose.
 """
 
 import inspect
-import types
 from math import comb
 
 import pytest
@@ -157,17 +156,17 @@ def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monk
         assert inst.left != inst.right
 
 
-def test_theorem8_sign_mutation_fails_with_real_witnesses():
+def test_theorem8_sign_mutation_fails_with_real_witnesses(monkeypatch):
     # (-1)^(k+l) -> (-1)^l negates the reduced right side of every odd-k row,
     # on the integer route and on the canonical one its witnesses come from
-    source = inspect.getsource(bernstein)
-    assert source.count("(-1) ** (k + l)") == 2
-    mutant = types.ModuleType(bernstein.__name__)
-    mutant.__package__ = "qeuler"
-    exec(compile(source.replace("(-1) ** (k + l)", "(-1) ** l"), bernstein.__file__, "exec"),
-         mutant.__dict__)
+    sign = "(-1) ** (k + l)"
+    assert sum(inspect.getsource(m).count(sign) for m in (euler, bernstein)) == 1
+    namespace = dict(vars(euler))
+    source = inspect.getsource(euler._bernstein_right).replace(sign, "(-1) ** l")
+    exec(compile(source, euler.__file__, "exec"), namespace)
     assert bernstein.verify_theorem8(12).ok
-    report = mutant.verify_theorem8(12)
+    monkeypatch.setattr(euler, "_bernstein_right", namespace["_bernstein_right"])
+    report = bernstein.verify_theorem8(12)
     failed = report.failures()
     assert len(failed) == 36
     assert {i.params for i in failed} == {(n, k) for n in range(2, 13) for k in range(1, n, 2)}
