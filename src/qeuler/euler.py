@@ -57,12 +57,6 @@ MINUS_Q_INV = QRatFn(QPoly((-1,)), QPoly((0, 1)))  # -1/q, the Frobenius paramet
 # sequences
 # ---------------------------------------------------------------------------
 
-def _warm(cache_fn, n_max: int, *args) -> None:
-    # fill the prefix iteratively so no request recurses more than one level
-    for i in range(n_max + 1):
-        cache_fn(*args, i)
-
-
 def q_euler_numbers(n_max: int) -> tuple[QRatFn, ...]:
     """Weight-0 q-Euler numbers via (1+q)*E_n = -q * sum_{k<n} C(n,k) E_k, E_0 = 1.
 
@@ -83,8 +77,6 @@ def _frobenius_number(u: QRatFn, n: int) -> QRatFn:
     w = b/c for c = a - b, and H_n(u) = N/c^n with N = sum_k F(n,k) b^k c^(n-k).
     That is canonical: mod c, N = F(n,n) b^n = n! b^n, and gcd(b, c) = gcd(b, a) = 1.
     """
-    if (u := _coerce(u)) is NotImplemented:
-        raise TypeError("the Frobenius parameter must be an int, Fraction, QPoly or QRatFn")
     r = u.num.content / u.den.content
     a, b = [r.numerator * x for x in u.num.prim], [r.denominator * x for x in u.den.prim]
     c = _icombination(a, [(-1, 0, b)])
@@ -103,9 +95,12 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 
     Each entry is computed on its own by ``_frobenius_number(u, n)``, a
     polynomial in 1/(u-1) whose coefficients are the integers k! S(n,k).
+    u is coerced before it reaches that cache, so an unhashable u gets this TypeError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if (u := _coerce(u)) is NotImplemented:
+        raise TypeError("the Frobenius parameter must be an int, Fraction, QPoly or QRatFn")
     return tuple(_frobenius_number(u, n) for n in range(n_max + 1))
 
 
@@ -113,30 +108,23 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 # weighted sequences: the integer recurrence, and the closed form for a >= 1
 # ---------------------------------------------------------------------------
 #
-# For integer weight a >= 0 the denominators are structurally known:
-# products of (1 + q^(a*k+1)) factors plus, for the closed form, a power of
-# 1 - q^a.  All of those split into cyclotomic polynomials, so a denominator
-# is kept as its Counter of Phi_d exponents.  The canonical form is reached
-# by trial-dividing the numerator by each Phi_d in it, or, for the
-# recurrence, by one division down to ``_canonical_denominator`` -- no large
-# generic gcd is ever needed.  The numerators have integer coefficients
-# throughout, so this entire path runs on the exactq kernel's int lists and
-# becomes a QPoly only at the very end.
+# For integer weight a >= 0 every denominator is a product of (1 + q^(a*k+1))
+# factors plus, for the closed form, a power of 1 - q^a.  All of those split
+# into cyclotomic polynomials, so a denominator is kept as its Counter of Phi_d
+# exponents.  The recurrence's numerator N_n lives over D_n = prod_{k<=n}
+# (1 + q^(a*k+1)); ``_canonical_denominator`` splits D_n once into den_n and
+# D_n / den_n, and ``_weighted_entry`` divides N_n exactly by the second.  The
+# closed form reaches canonical form by trial-dividing its numerator by each
+# Phi_d.  No large generic gcd is ever needed.  The numerators have integer
+# coefficients throughout, so this path runs on the exactq kernel's int lists
+# and becomes a QPoly only at the very end.  Each memo reads its predecessors
+# in ascending n, so a cold request at any n nests at most two calls deep.
 
-def _one_plus_q_powers(ms) -> Counter:
-    """The index d of each Phi_d in prod (1 + q^m) over ms, counted with multiplicity."""
-    factors = Counter()
-    for m in ms:
-        factors.update(one_plus_q_power_factors(m))
-    return factors
-
-
-def _reduce_over_cyclotomics(num: list[int], factors: Counter, den: QPoly | None = None) -> QRatFn:
+def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
     """num / prod Phi_d^factors[d] in canonical form.
 
-    Each Phi_d is divided out of num while it still divides it.  The monic
-    denominator is ``den``, the head start prod Phi_d^factors[d], when none
-    was found; otherwise it is built from the exponents left.
+    Each Phi_d is divided out of num while it still divides it; the monic
+    denominator is built from the exponents left.
     """
     _itrim(num)
     if not num:
@@ -146,9 +134,7 @@ def _reduce_over_cyclotomics(num: list[int], factors: Counter, den: QPoly | None
         while left[d] and (quotient := _cyclotomic_quotient(num, d)) is not None:
             num = quotient
             left[d] -= 1
-    if den is None or left != factors:
-        den = _qpoly(_cyclotomic_scale([1], left))
-    return QRatFn._raw(_qpoly(num), den)
+    return QRatFn._raw(_qpoly(num), _qpoly(_cyclotomic_scale([1], left)))
 
 
 def _check_weight(alpha: int, minimum: int) -> None:
@@ -157,49 +143,56 @@ def _check_weight(alpha: int, minimum: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _weighted_numerators(alpha: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    """Unreduced numerators N_n with N_n / prod_{1<=k<=n} (1+q^(alpha*k+1)) = E^(alpha)_n."""
-    if n_max == 0:
-        return ((1,),)
-    nums = _weighted_numerators(alpha, n_max - 1)
-    n = n_max
+def _weighted_numerator(alpha: int, n: int) -> tuple[int, ...]:
+    """The unreduced numerator N_n with N_n / prod_{1<=k<=n} (1+q^(alpha*k+1)) = E^(alpha)_n."""
+    if n == 0:
+        return (1,)
     # Horner over the sparse factors f_j = 1 + q^(alpha*j+1):
     # S = sum_{k<n} C(n,k) q^(alpha*k) N_k * prod_{j=k+1..n-1} f_j,
     # built ascending so the k-th term picks up exactly the factors j > k.
     s: list[int] = []
     for k in range(n):
-        s = _icombination(_ishift_add(s, alpha * k + 1), [(comb(n, k), alpha * k, nums[k])])
-    return nums + (tuple([0] + [-c for c in s]),)  # N_n = -q * S
+        term = (comb(n, k), alpha * k, _weighted_numerator(alpha, k))  # N_k, k ascending
+        s = _icombination(_ishift_add(s, alpha * k + 1), [term])
+    return tuple([0] + [-c for c in s])  # N_n = -q * S
 
 
 @lru_cache(maxsize=None)
-def _canonical_denominator(alpha: int, n: int) -> tuple[Counter, QPoly]:
-    """den_n = Phi_2^(n*[alpha even]) prod_{d in S_n, d != 2} Phi_d, as exponents and a QPoly.
+def _canonical_denominator(alpha: int, n: int) -> tuple[Counter, Counter, QPoly]:
+    """(exps, rest, den): the Phi_d exponents of den_n and of D_n / den_n, and den_n.
 
-    S_n holds the d with Phi_d | 1 + q^(alpha*k+1), 1 <= k <= n.  E^(alpha)_n's
-    canonical denominator divides den_n: the recurrence puts E_n over D_n =
+    den_n = Phi_2^(n*[alpha even]) prod_{d in S_n, d != 2} Phi_d, where S_n holds
+    the d with Phi_d | 1 + q^(alpha*k+1), 1 <= k <= n.  E^(alpha)_n's canonical
+    denominator divides den_n: the recurrence puts E_n over D_n =
     prod_{1<=k<=n} (1+q^(alpha*k+1)), the closed form over (q^alpha-1)^n
     lcm_{0<=l<=n} (1+q^(alpha*l+1)) / [2]_q.  A d != 2 in S_n does not divide
     alpha (d | alpha and d | 2(alpha*k+1) force d | 2), so the second bound
     holds Phi_d at most once.  For odd alpha its lcm holds Phi_2 once and [2]_q
     cancels it; for even alpha D_n caps Phi_2's exponent at n.  Equality is
-    unproven, so ``_weighted_entry`` still tests what is left for coprimality.
+    unproven, so ``_weighted_entry`` still tests den_n's Phi_d for coprimality.
     """
     if n == 0:
-        return Counter(), QPoly.one()
-    exps, den = _canonical_denominator(alpha, n - 1)
-    new = {d: 1 for d in one_plus_q_power_factors(alpha * n + 1)
-           if (d not in exps if d != 2 else alpha % 2 == 0)}
-    return exps + Counter(new), _qpoly(_cyclotomic_scale(den.prim, new))
+        return Counter(), Counter(), QPoly.one()
+    for k in range(n):  # ascending, like the numerators; the last is den_{n-1}
+        exps, rest, den = _canonical_denominator(alpha, k)
+    factor = Counter(one_plus_q_power_factors(alpha * n + 1))  # the Phi_d of 1 + q^(alpha*n+1)
+    new = Counter(d for d in factor if (d not in exps if d != 2 else alpha % 2 == 0))
+    return exps + new, rest + factor - new, _qpoly(_cyclotomic_scale(den.prim, new))
 
 
 @lru_cache(maxsize=None)
 def _weighted_entry(alpha: int, n: int) -> QRatFn:
-    """E^(alpha)_n: N_n divided exactly by D_n / den_n, then reduced; callers warm N_n first."""
-    exps, den = _canonical_denominator(alpha, n)
-    quotient = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1)) - exps
-    num = _cyclotomic_scale(_weighted_numerators(alpha, n)[n], {d: -k for d, k in quotient.items()})
-    return _reduce_over_cyclotomics(num, exps, den)
+    """E^(alpha)_n: N_n divided exactly by D_n / den_n, then put over den_n.
+
+    When no Phi_d of den_n divides what is left, den_n is the canonical
+    denominator; that this always holds is unproven, so it is tested here and
+    the entry is otherwise reduced by trial division.
+    """
+    exps, rest, den = _canonical_denominator(alpha, n)
+    num = _cyclotomic_scale(_weighted_numerator(alpha, n), {d: -k for d, k in rest.items()})
+    if all(_cyclotomic_quotient(num, d) is None for d in exps):
+        return QRatFn._raw(_qpoly(num), den)
+    return _reduce_over_cyclotomics(num, exps)
 
 
 def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
@@ -207,7 +200,6 @@ def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     _check_weight(alpha, 0)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _warm(_weighted_numerators, n_max, alpha)
     return tuple(_weighted_entry(alpha, n) for n in range(n_max + 1))
 
 
@@ -250,15 +242,14 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
 
 def _closed_form_factors(alpha: int, n: int) -> Counter:
     """The Phi_d exponents of (q^alpha - 1)^n D_n, the denominator both weighted routes share."""
-    factors = _one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
+    factors = Counter(d for k in range(1, n + 1) for d in one_plus_q_power_factors(alpha * k + 1))
     factors.update({d: n for d in range(1, alpha + 1) if alpha % d == 0})  # q^alpha - 1
     return factors
 
 
 def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
     """(q^alpha-1)^n N_n and I((X-1)^n): E^(alpha)_n by each route, over _closed_form_factors."""
-    _warm(_weighted_numerators, n, alpha)
-    scaled = list(_weighted_numerators(alpha, n)[n])
+    scaled = list(_weighted_numerator(alpha, n))
     for _ in range(n):
         scaled = _ishift_add(scaled, alpha, -1)  # times 1 - q^alpha
     return _itrim([-c for c in scaled] if n % 2 else scaled), _alternating_numerator(alpha, n)
@@ -268,7 +259,7 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     """Weight-alpha numbers computed by both independent routes.
 
     The recurrence gives E_n = N_n / D_n with D_n = prod_{1<=k<=n} (1+q^(alpha*k+1))
-    (``_weighted_numerators``), and the closed form gives
+    (``_weighted_numerator``), and the closed form gives
     E_n = T_n / ((1-q^alpha)^n D_n) (``weighted_closed_form``).  Over the
     shared nonzero denominator (q^alpha-1)^n D_n the two values are equal in
     the field exactly when the integer polynomials (q^alpha-1)^n N_n and
@@ -277,8 +268,6 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     returned are the recurrence's, in canonical form.
     """
     _check_weight(alpha, 1)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     rec = weighted_recurrence(alpha, n_max)
     for n in range(n_max + 1):
         left, right = _weighted_sides(alpha, n)
@@ -307,7 +296,7 @@ def frobenius_polynomial(u: QRatFn, n: int) -> XPoly:
     """H_n(u, x) = sum_l C(n,l) H_l(u) x^(n-l)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    h = [_frobenius_number(u, l) for l in range(n, -1, -1)]
+    h = frobenius_numbers(u, n)[::-1]
     return XPoly([QRatFn._raw(f.num.scale(comb(n, j)), f.den) for j, f in enumerate(h)])
 
 
@@ -416,15 +405,14 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
 def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """The numerators over (1+q)^n of E_l and of E_{l,1/q}, for l = 0..n.
 
-    E_l = N_l / (1+q)^l with N_l = ``_weighted_numerators(0, l)[l]``, and
+    E_l = N_l / (1+q)^l with N_l = ``_weighted_numerator(0, l)``, and
     q -> 1/q turns it into q^(l - deg N_l) rev(N_l) / (1+q)^l.  Over (1+q)^n,
     E_l's numerator is D = N_l (1+q)^(n-l), and E_{l,1/q}'s is
     q^(l - deg N_l) rev(D), since (1+q)^(n-l) is palindromic.
     """
-    _warm(_weighted_numerators, n, 0)
     direct, reflected = [], []
-    for l, num in enumerate(_weighted_numerators(0, n)):
-        num = _itrim(list(num))
+    for l in range(n + 1):
+        num = _itrim(list(_weighted_numerator(0, l)))
         shift = l + 1 - len(num)
         if shift < 0:
             raise ArithmeticError(f"deg N_{l} > {l}: E_{l} is not over (1+q)^{l}")

@@ -184,6 +184,13 @@ def test_frobenius_polynomial_first_request_does_not_recurse_per_n():
     assert poly.degree == 80 and poly.coeffs[0] == frobenius_numbers(QRatFn.const(5), 80)[80]
 
 
+@pytest.mark.parametrize("bad", [[1], {1: 2}, {1}])
+def test_frobenius_unhashable_parameter_raises_the_documented_type_error(bad):
+    for entry in (frobenius_numbers, frobenius_polynomial):
+        with pytest.raises(TypeError, match="the Frobenius parameter must be an int"):
+            entry(bad, 2)
+
+
 def test_frobenius_singular_parameter():
     with pytest.raises(ValueError, match="u = 1"):
         frobenius_numbers(ONE, 3)
@@ -262,9 +269,7 @@ def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
     # num = base * prod Phi_d^common[d] over den = prod Phi_d^factors[d], both built densely
     num, den = QPoly(base) * cyclotomic_product(common), cyclotomic_product(factors)
     ints = [int(c) for c in num.coeffs]
-    assert euler._reduce_over_cyclotomics(list(ints), Counter(factors)) == QRatFn(num, den)
-    # with den as the head start, each Phi_d found in num is divided out of it
-    assert euler._reduce_over_cyclotomics(ints, Counter(factors), den) == QRatFn(num, den)
+    assert euler._reduce_over_cyclotomics(ints, Counter(factors)) == QRatFn(num, den)
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,24 +294,68 @@ def test_moment_functionals_match_the_qratfn_route(data):
         (ratfn((1, 1), (1,) + (0,) * (alpha * j) + (1,)) * c for j, c in enumerate(coeffs)),
         QRatFn.zero(),
     )
-    factors = euler._one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
     numerator = euler._weighted_moment(alpha, n, coeffs)
-    assert euler._reduce_over_cyclotomics(numerator, factors) == expected
+    assert euler._reduce_over_cyclotomics(numerator, _d_n_factors(alpha, n)) == expected
+
+
+def _d_n_factors(alpha, n):
+    # the Phi_d exponents of D_n = prod_{1<=k<=n} (1+q^(alpha*k+1))
+    return Counter(
+        d for k in range(1, n + 1) for d in exactq.one_plus_q_power_factors(alpha * k + 1))
 
 
 def test_weighted_entry_matches_the_plain_search():
-    # the head start over the known denominator den_n against trial division of
-    # N_n by every Phi_d of D_n = prod_{k<=n} (1+q^(alpha*k+1)); and den_n's degree
-    # is that of Phi_2^(n*[alpha even]) * prod_{d in S_n, d != 2} Phi_d
+    # the entry over the known denominator den_n against trial division of N_n
+    # by every Phi_d of D_n; den_n and D_n / den_n split D_n's factors, and den_n's
+    # degree is that of Phi_2^(n*[alpha even]) * prod_{d in S_n, d != 2} Phi_d
     for alpha in range(7):
-        euler._warm(euler._weighted_numerators, 24, alpha)
         for n in range(25):
-            factors = euler._one_plus_q_powers(alpha * k + 1 for k in range(1, n + 1))
-            numerator = list(euler._weighted_numerators(alpha, n)[n])
+            factors = _d_n_factors(alpha, n)
+            exps, rest, den = euler._canonical_denominator(alpha, n)
+            assert exps + rest == factors, (alpha, n)
+            assert exactq._cyclotomic_scale([1], exps) == list(den.prim), (alpha, n)
+            numerator = list(euler._weighted_numerator(alpha, n))
             entry = euler._weighted_entry(alpha, n)
             assert entry == euler._reduce_over_cyclotomics(numerator, factors)
             degree = n * (alpha % 2 == 0) + sum(cyclotomic(d).degree for d in factors if d != 2)
             assert entry.den.degree == degree, (alpha, n)
+
+
+@pytest.mark.parametrize("alpha, n", [(0, 4), (1, 3), (2, 4), (3, 5)])
+def test_weighted_entry_reduces_a_numerator_that_shares_a_phi_d(alpha, n, monkeypatch):
+    # were N_n, divided by D_n / den_n, still divisible by a Phi_d of den_n, den_n
+    # would not be canonical: the entry must then fall back to trial division
+    exps, _, den = euler._canonical_denominator(alpha, n)
+    d = max(exps)
+    honest = euler._weighted_numerator
+    numerator = tuple(exactq._cyclotomic_scale(honest(alpha, n), {d: 1}))
+
+    def scaled(a, m):
+        return numerator if (a, m) == (alpha, n) else honest(a, m)
+
+    monkeypatch.setattr(euler, "_weighted_numerator", scaled)
+    euler._weighted_entry.cache_clear()
+    try:
+        entry = euler._weighted_entry(alpha, n)
+    finally:
+        euler._weighted_entry.cache_clear()
+    assert entry == euler._reduce_over_cyclotomics(list(numerator), _d_n_factors(alpha, n))
+    assert entry.den.degree == den.degree - cyclotomic(d).degree
+
+
+def test_weighted_memos_fill_without_deep_recursion():
+    # each memo reads its predecessors in ascending n, so a cold request nests
+    # a bounded number of calls, however large n is
+    for memo in (euler._weighted_numerator, euler._canonical_denominator, euler._weighted_entry):
+        memo.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        euler._weighted_numerator(0, 150)
+        euler._canonical_denominator(0, 400)
+        euler._weighted_entry(2, 60)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _weighted_moment_by_division(alpha, n, coeffs):
@@ -332,14 +381,13 @@ def test_weighted_moment_matches_product_and_divide():
 def test_numerator_above_its_degree_raises(monkeypatch):
     # q -> 1/q reverses N_l in place only while deg N_l <= l; a longer N_l must
     # raise, also under python -O, rather than give a misaligned reflected side
-    honest = euler._weighted_numerators
+    honest = euler._weighted_numerator
 
-    def too_long(alpha, n_max):
-        nums = honest(alpha, n_max)
-        return nums[:3] + ((0,) * 4 + (1,),) if alpha == 0 and n_max == 3 else nums
+    def too_long(alpha, n):
+        return (0,) * 4 + (1,) if alpha == 0 and n == 3 else honest(alpha, n)
 
     euler._numerators_over.cache_clear()
-    monkeypatch.setattr(euler, "_weighted_numerators", too_long)
+    monkeypatch.setattr(euler, "_weighted_numerator", too_long)
     try:
         with pytest.raises(ArithmeticError, match="deg N_3 > 3"):
             verify_identity("thm7", 3)
@@ -486,10 +534,13 @@ def test_verify_identity_rejects_unknown():
 
 
 def test_sequences_safe_under_concurrent_fill():
+    # empty memos, so the threads fill weight 0 and weight 3 together
+    for memo in (euler._weighted_numerator, euler._canonical_denominator, euler._weighted_entry):
+        memo.cache_clear()
     results = []
 
     def worker():
-        results.append(q_euler_numbers(25)[25])
+        results.append((q_euler_numbers(25)[25], weighted_recurrence(3, 12)[12]))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -497,4 +548,4 @@ def test_sequences_safe_under_concurrent_fill():
     for t in threads:
         t.join()
     assert len(set(results)) == 1
-    assert results[0] == q_euler_numbers(25)[25]
+    assert results[0] == (q_euler_numbers(25)[25], weighted_recurrence(3, 12)[12])

@@ -98,17 +98,18 @@ def fresh_caches():
 
 def _perturb_numerator(monkeypatch, n_bad=5, index=2):
     """Add 1 to one coefficient of the weight-0 numerator N_{n_bad}, for every route."""
-    honest = euler._weighted_numerators
+    honest = euler._weighted_numerator
 
-    def perturbed(alpha, n_max):
-        nums = honest(alpha, n_max)  # its recursion comes back here, so N_{n_bad} feeds N_n, n > n_bad
-        if alpha == 0 and n_max == n_bad:
-            bad = list(nums[n_bad])
-            bad[index] += 1
-            nums = nums[:n_bad] + (tuple(bad),)
-        return nums
+    def perturbed(alpha, n):
+        # the Horner loop reads N_k as euler._weighted_numerator, so N_{n_bad} feeds N_n, n > n_bad
+        num = honest(alpha, n)
+        if alpha == 0 and n == n_bad:
+            num = list(num)
+            num[index] += 1
+            num = tuple(num)
+        return num
 
-    monkeypatch.setattr(euler, "_weighted_numerators", perturbed)
+    monkeypatch.setattr(euler, "_weighted_numerator", perturbed)
 
 
 def _assert_matches_canonical(report, sides):
