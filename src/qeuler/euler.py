@@ -12,7 +12,10 @@ check it and are never merged with it:
   numerator over (a-b)^n for u = a/b, canonical by proof; their agreement
   with weight 0 at u = -1/q is a verified identity, not a definition.
 * for alpha >= 1, the alternating closed form, ``_weighted_moment`` at
-  (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two.
+  (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two
+  numerators by their values at q = 2^b, an exact test for a b read from the
+  recurrence's numerator (``_weighted_width``), and build them as coefficient
+  lists only for a failing instance's witness.
 
 Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
 of some f equals some g; thm7, the k=0 remark and thm8 are one family of
@@ -43,6 +46,7 @@ from .exactq import (
     _cyclotomic_scale,
     _icombination,
     _imul,
+    _ipack,
     _ishift_add,
     _itrim,
     _qpoly,
@@ -117,7 +121,8 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 # closed form reaches canonical form by trial-dividing its numerator by each
 # Phi_d.  No large generic gcd is ever needed.  The numerators have integer
 # coefficients throughout, so this path runs on the exactq kernel's int lists
-# and becomes a QPoly only at the very end.  Each memo reads its predecessors
+# and becomes a QPoly only at the very end; the two routes are compared as
+# ints, their numerators' values at q = 2^b.  Each memo reads its predecessors
 # in ascending n, so a cold request at any n nests at most two calls deep.
 
 def _reduce_over_cyclotomics(num: list[int], factors: Counter) -> QRatFn:
@@ -203,25 +208,31 @@ def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     return tuple(_weighted_entry(alpha, n) for n in range(n_max + 1))
 
 
-def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int]) -> list[int]:
+def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int], b: int = 0) -> list[int] | int:
     """I(sum_j c_j X^j), X = q^(alpha*x), j <= n, as its numerator over D_n.
 
     D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)), and a geometric sum gives
     I(X^j) = [2]_q/(1+q^(alpha*j+1)) = prod_{k<=n, k != j} f_k / D_n, f_k = 1+q^(alpha*k+1).
     By Horner, A_j = A_{j-1} f_j + c_j P_{j-1} with P_j = prod_{k<=j} f_k, and A_n is it.
+    With b > 0 the same loop returns A_n at q = 2^b, an int: each f_k is one shift and one add.
     """
-    acc, prod = [], [1]
+    times = (lambda x, m: x + (x << b * m)) if b else _ishift_add  # x * f_k, f_k at 2^b or not
+    plus = (lambda x, c, p: x + c * p) if b else (lambda x, c, p: _icombination(x, [(c, 0, p)]))
+    acc, prod = (0, 1) if b else ([], [1])
     for j in range(n + 1):
         c = coeffs[j] if j < len(coeffs) else 0
-        acc = _icombination(_ishift_add(acc, alpha * j + 1), [(c, 0, prod)])
+        acc = plus(times(acc, alpha * j + 1), c, prod)
         if j + 1 < len(coeffs):  # P_j is read only by a later c_j
-            prod = _ishift_add(prod, alpha * j + 1)
+            prod = times(prod, alpha * j + 1)
     return acc
 
 
-def _alternating_numerator(alpha: int, n: int) -> list[int]:
-    """(-1)^n T_n = I((X-1)^n) over D_n, the closed form's numerator (``weighted_closed_form``)."""
-    return _weighted_moment(alpha, n, [comb(n, j) * (-1) ** (n - j) for j in range(n + 1)])
+def _alternating_numerator(alpha: int, n: int, b: int = 0) -> list[int] | int:
+    """(-1)^n T_n = I((X-1)^n) over D_n, the closed form's numerator (``weighted_closed_form``).
+
+    With b > 0, its value at q = 2^b (see ``_weighted_moment``).
+    """
+    return _weighted_moment(alpha, n, [comb(n, j) * (-1) ** (n - j) for j in range(n + 1)], b)
 
 
 def weighted_closed_form(alpha: int, n: int) -> QRatFn:
@@ -255,6 +266,36 @@ def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
     return _itrim([-c for c in scaled] if n % 2 else scaled), _alternating_numerator(alpha, n)
 
 
+def _weighted_width(numerator: Sequence[int], n: int) -> int:
+    """b such that the two sides of ``_weighted_sides`` are equal iff their values at 2^b are.
+
+    Take M = max(bitlen(max|N_n|) + n, 2n) and b = M + 2, with N_n = ``numerator``.
+    Multiplying by 1 - q^alpha at most doubles a coefficient, so every
+    coefficient of (q^alpha-1)^n N_n is at most 2^n max|N_n| < 2^M.  The other
+    side is sum_j C(n,j) (-1)^(n-j) prod_{k<=n, k != j} f_k (``_weighted_moment``),
+    n factors of 1-norm 2 in each product, so its coefficients are at most
+    sum_j C(n,j) 2^n = 4^n <= 2^M.  Every coefficient of the difference is
+    then below 2^(M+1) = 2^(b-1).  A nonzero integer polynomial P with all
+    |c_i| < 2^b cannot vanish at 2^b: with c_k its lowest nonzero coefficient,
+    P(2^b) / 2^(bk) = c_k mod 2^b, and 0 < |c_k| < 2^b.
+    """
+    return max(max(map(abs, numerator)).bit_length() + n, 2 * n) + 2
+
+
+def _weighted_values(alpha: int, n: int) -> tuple[int, int]:
+    """The two sides of ``_weighted_sides`` at q = 2^b, b = ``_weighted_width``: equal iff they are.
+
+    N_n is packed by shifts (``_ipack``) and scaled by n passes of x - x*2^(b*alpha);
+    the closed form runs ``_weighted_moment``'s loop on ints.  Nothing divides or unpacks.
+    """
+    numerator = _weighted_numerator(alpha, n)
+    b = _weighted_width(numerator, n)
+    left = _ipack(numerator, b)
+    for _ in range(n):
+        left -= left << (b * alpha)  # times 1 - q^alpha
+    return -left if n % 2 else left, _alternating_numerator(alpha, n, b)
+
+
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     """Weight-alpha numbers computed by both independent routes.
 
@@ -263,14 +304,15 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     E_n = T_n / ((1-q^alpha)^n D_n) (``weighted_closed_form``).  Over the
     shared nonzero denominator (q^alpha-1)^n D_n the two values are equal in
     the field exactly when the integer polynomials (q^alpha-1)^n N_n and
-    (-1)^n T_n are equal (``_weighted_sides``).  That identity is checked
-    for every n; a mismatch would mean a kernel bug and raises.  The values
-    returned are the recurrence's, in canonical form.
+    (-1)^n T_n are equal, and those are equal exactly when their values at
+    q = 2^b are (``_weighted_values``; the proof is in ``_weighted_width``).
+    That identity is checked for every n; a mismatch would mean a kernel bug
+    and raises.  The values returned are the recurrence's, in canonical form.
     """
     _check_weight(alpha, 1)
     rec = weighted_recurrence(alpha, n_max)
     for n in range(n_max + 1):
-        left, right = _weighted_sides(alpha, n)
+        left, right = _weighted_values(alpha, n)
         if left != right:
             raise ArithmeticError(
                 f"weighted routes disagree at alpha={alpha}, n={n}: "
@@ -538,7 +580,9 @@ def _check_weighted(n_max: int) -> list[IdentityInstance]:
     out = []
     for alpha in (1, 2, 3):
         for n in range(n_max + 1):
-            left, right = _weighted_sides(alpha, n)
+            left, right = _weighted_values(alpha, n)
+            if left != right:  # only a failing instance builds its lists, for the witness
+                left, right = _weighted_sides(alpha, n)
             out.append(_judged((alpha, n), left, right, _closed_form_factors(alpha, n)))
     return out
 

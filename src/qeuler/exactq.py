@@ -118,6 +118,18 @@ def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
     return out
 
 
+def _ipack(cs: Sequence[int], b: int) -> int:
+    """cs at q = 2^b, by divide-and-conquer shifts and adds (no multiply, no divide)."""
+
+    def pack(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return cs[lo]
+        mid = (lo + hi) // 2
+        return pack(lo, mid) + (pack(mid, hi) << (b * (mid - lo)))
+
+    return pack(0, len(cs)) if cs else 0
+
+
 def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
     """cs / (1 + c*q^m), the inverse of ``_ishift_add``; raises if it is not exact."""
     out = list(cs)

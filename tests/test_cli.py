@@ -317,10 +317,16 @@ def test_verify_text_mismatch_report(capsys, monkeypatch, fresh_caches):
     # the closed form's numerator off by one at n = 3 fails weighted at (alpha, 3)
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n):
-        t = honest(alpha, n)
+    def perturbed(alpha, n, b=0):
+        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
+        # route check and the witnesses read the same perturbed polynomial
+        t = honest(alpha, n, b)
         if n == 3:
-            t[len(t) // 2] += 1
+            k = len(honest(alpha, n)) // 2
+            if b:
+                t += 1 << (b * k)
+            else:
+                t[k] += 1
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
@@ -444,6 +450,19 @@ def test_cli_commands_make_no_generic_gcd_call(argv, monkeypatch, capsys, fresh_
     # every route the CLI takes reaches canonical form by proof or by cyclotomic
     # division, so none goes through generic QRatFn arithmetic and its gcd
     calls = _spy_on_generic_gcd(monkeypatch)
+    assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
+
+
+@pytest.mark.parametrize("argv", [
+    "table weighted --alpha 3 --n-max 12",
+    "verify --suite weighted --n-max 12",
+])
+def test_passing_weighted_runs_build_no_list_sides(argv, monkeypatch, capsys, fresh_caches):
+    # the route check is decided at q = 2^b; only a failing instance builds
+    # (q^alpha-1)^n N_n and the closed form as coefficient lists
+    calls = []
+    sides = euler._weighted_sides
+    monkeypatch.setattr(euler, "_weighted_sides", lambda *a: calls.append(a) or sides(*a))
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 

@@ -398,16 +398,82 @@ def test_numerator_above_its_degree_raises(monkeypatch):
 def test_weighted_routes_disagreeing_raise(monkeypatch):
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n):
-        t = honest(alpha, n)
+    def perturbed(alpha, n, b=0):
+        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
+        # route check and the witnesses read the same perturbed polynomial
+        t = honest(alpha, n, b)
         if n == 3:
-            t[len(t) // 2] += 1
+            k = len(honest(alpha, n)) // 2
+            if b:
+                t += 1 << (b * k)
+            else:
+                t[k] += 1
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
     q_euler_numbers_weighted(2, 2)  # accepted: the perturbed n = 3 is not reached
     with pytest.raises(ArithmeticError, match="alpha=2, n=3"):
         q_euler_numbers_weighted(2, 4)
+
+
+def _width(alpha, n):
+    return euler._weighted_width(euler._weighted_numerator(alpha, n), n)
+
+
+def test_weighted_values_match_the_list_sides():
+    # the route check at q = 2^b against the coefficient lists it stands for
+    for alpha in (1, 2, 3):
+        for n in range(31):
+            left, right = euler._weighted_sides(alpha, n)
+            b = _width(alpha, n)
+            values = euler._weighted_values(alpha, n)
+            assert values == (exactq._ipack(left, b), exactq._ipack(right, b)), (alpha, n)
+            assert (values[0] == values[1]) == (left == right), (alpha, n)
+
+
+def test_weighted_width_bounds_both_sides():
+    # b - 1 exceeds every coefficient of both list sides, so their difference
+    # stays below 2^(b-1) in the widest measured case too
+    for n in range(41):
+        b = _width(3, n)
+        left, right = euler._weighted_sides(3, n)
+        assert b - 1 > max(map(abs, left + right)).bit_length(), n
+
+
+def _with_numerator(monkeypatch, alpha, n, numerator):
+    # N_n replaced at (alpha, n) only; every other request reads the real memo
+    honest = euler._weighted_numerator
+    monkeypatch.setattr(
+        euler, "_weighted_numerator",
+        lambda a, m: tuple(numerator) if (a, m) == (alpha, n) else honest(a, m))
+
+
+@pytest.mark.parametrize("alpha, n", [(1, 1), (1, 9), (2, 6), (3, 12)])
+@pytest.mark.parametrize("where", ("top", "largest", "constant"))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_weighted_values_detect_a_unit_change(alpha, n, where, delta, monkeypatch):
+    numerator = list(euler._weighted_numerator(alpha, n))
+    k = {"top": len(numerator) - 1, "constant": 0,
+         "largest": max(range(len(numerator)), key=lambda i: abs(numerator[i]))}[where]
+    numerator[k] += delta
+    _with_numerator(monkeypatch, alpha, n, numerator)
+    for sides in (euler._weighted_values, euler._weighted_sides):  # the ints, and the lists
+        left, right = sides(alpha, n)
+        assert left != right, sides.__name__
+
+
+@pytest.mark.parametrize("alpha, n", [(1, 4), (2, 10), (3, 20)])
+def test_weighted_values_detect_a_carry(alpha, n, monkeypatch):
+    # +2^b at q^k and -1 at q^(k+1) vanish at the unperturbed width b, so the
+    # check is sound only because b is read from the numerator it packs
+    numerator = list(euler._weighted_numerator(alpha, n))
+    b, k = _width(alpha, n), len(numerator) // 2
+    numerator[k] += 1 << b
+    numerator[k + 1] -= 1
+    assert exactq._ipack(numerator, b) == exactq._ipack(euler._weighted_numerator(alpha, n), b)
+    _with_numerator(monkeypatch, alpha, n, numerator)
+    left, right = euler._weighted_values(alpha, n)
+    assert left != right
 
 
 def test_weighted_alpha0_recurrence_is_weight0():

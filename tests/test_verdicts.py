@@ -141,10 +141,16 @@ def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, m
 def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monkeypatch):
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n):
-        t = honest(alpha, n)
+    def perturbed(alpha, n, b=0):
+        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
+        # route check and the witnesses read the same perturbed polynomial
+        t = honest(alpha, n, b)
         if n == n_bad:
-            t[len(t) // 2] += 1
+            k = len(honest(alpha, n)) // 2
+            if b:
+                t += 1 << (b * k)
+            else:
+                t[k] += 1
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
