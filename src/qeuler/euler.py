@@ -117,9 +117,10 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 # into cyclotomic polynomials, so a denominator is kept as its Counter of Phi_d
 # exponents.  The recurrence's numerator N_n lives over D_n = prod_{k<=n}
 # (1 + q^(a*k+1)); ``_canonical_denominator`` splits D_n once into den_n and
-# D_n / den_n, and ``_weighted_entry`` divides N_n exactly by the second.  The
-# closed form reaches canonical form by trial-dividing its numerator by each
-# Phi_d.  No large generic gcd is ever needed.  The numerators have integer
+# D_n / den_n, and ``_weighted_entry`` divides N_n exactly by the second and,
+# for a >= 1, decides each Phi_d of den_n by a residue sum of the closed form.
+# The closed form reaches canonical form by trial-dividing its numerator by
+# each Phi_d.  No large generic gcd is ever needed.  The numerators have integer
 # coefficients throughout, so this path runs on the exactq kernel's int lists
 # and becomes a QPoly only at the very end; the two routes are compared as
 # ints, their numerators' values at q = 2^b.  Each memo reads its predecessors
@@ -173,8 +174,8 @@ def _canonical_denominator(alpha: int, n: int) -> tuple[Counter, Counter, QPoly]
     lcm_{0<=l<=n} (1+q^(alpha*l+1)) / [2]_q.  A d != 2 in S_n does not divide
     alpha (d | alpha and d | 2(alpha*k+1) force d | 2), so the second bound
     holds Phi_d at most once.  For odd alpha its lcm holds Phi_2 once and [2]_q
-    cancels it; for even alpha D_n caps Phi_2's exponent at n.  Equality is
-    unproven, so ``_weighted_entry`` still tests den_n's Phi_d for coprimality.
+    cancels it; for even alpha D_n caps Phi_2's exponent at n.  Which Phi_d
+    the canonical denominator keeps is decided in ``_weighted_entry``.
     """
     if n == 0:
         return Counter(), Counter(), QPoly.one()
@@ -185,17 +186,48 @@ def _canonical_denominator(alpha: int, n: int) -> tuple[Counter, Counter, QPoly]
     return exps + new, rest + factor - new, _qpoly(_cyclotomic_scale(den.prim, new))
 
 
+def _residue_sum(alpha: int, n: int, d: int) -> Fraction:
+    """R = sum C(n,l) (-1)^l / (alpha*l+1) over the l <= n with alpha*l+1 = d/2 mod d.
+
+    For d != 2 in S_n, alpha >= 1, E^(alpha)_n's residue at a primitive d-th
+    root of unity is a nonzero multiple of R (``_weighted_entry``).
+    """
+    return sum(Fraction((-1) ** l * comb(n, l), alpha * l + 1)
+               for l in range(n + 1) if (alpha * l + 1) % d == d // 2)
+
+
 @lru_cache(maxsize=None)
 def _weighted_entry(alpha: int, n: int) -> QRatFn:
     """E^(alpha)_n: N_n divided exactly by D_n / den_n, then put over den_n.
 
-    When no Phi_d of den_n divides what is left, den_n is the canonical
-    denominator; that this always holds is unproven, so it is tested here and
-    the entry is otherwise reduced by trial division.
+    den_n (``_canonical_denominator``) is canonical when no Phi_d of it divides
+    what is left.  For alpha >= 1 that is decided without reading N_n, from
+    the closed form (``weighted_closed_form``)
+
+        E_n = [2]_q (1-q^alpha)^(-n) sum_{l<=n} C(n,l) (-1)^l / (1+q^(alpha*l+1)).
+
+    * d != 2 in S_n, zeta a primitive d-th root of unity: [2]_zeta != 0, and
+      1 - zeta^alpha != 0 since d does not divide alpha.  Each 1 + q^m is
+      squarefree and vanishes at zeta iff m = d/2 mod d, with derivative
+      m zeta^(m-1) = -m/zeta there.  So E_n has at most a simple pole at zeta,
+      with residue -zeta [2]_zeta (1-zeta^alpha)^(-n) R, R = ``_residue_sum``,
+      and Phi_d stays in the canonical denominator iff R != 0.
+    * d = 2 at even alpha needs no test: for odd m, [2]_q / (1+q^m) is
+      1 / (1 - q + ... + q^(m-1)), which is 1/m at q = -1, and 1 - q^alpha has
+      a simple zero there.  So E_n has a pole of order n at -1 whose leading
+      coefficient is a nonzero multiple of sum_l C(n,l) (-1)^l / (alpha*l+1)
+      = int_0^1 (1-x^alpha)^n dx > 0, and Phi_2^n stays.
+
+    The proof rests on E_n being the closed form, the paper's theorem, which
+    ``q_euler_numbers_weighted`` checks at q = 2^b for every n it returns.
+    That R is never zero is unproven: a zero R sends the entry to trial
+    division by den_n's Phi_d.  The closed form needs alpha >= 1, so alpha = 0
+    tests its one Phi_2 by a fold of the numerator (``_cyclotomic_quotient``).
     """
     exps, rest, den = _canonical_denominator(alpha, n)
     num = _cyclotomic_scale(_weighted_numerator(alpha, n), {d: -k for d, k in rest.items()})
-    if all(_cyclotomic_quotient(num, d) is None for d in exps):
+    if all(d == 2 or _residue_sum(alpha, n, d) if alpha else _cyclotomic_quotient(num, d) is None
+           for d in exps):
         return QRatFn._raw(_qpoly(num), den)
     return _reduce_over_cyclotomics(num, exps)
 

@@ -27,6 +27,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 BigRat = Fraction
@@ -111,10 +113,9 @@ def _icombination(out: list[int], terms: Iterable[tuple[int, int, Sequence[int]]
 
 
 def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
-    """cs * (1 + c*q^m) on ascending int coefficients."""
+    """cs * (1 + c*q^m), c = 1 or -1, on ascending int coefficients: one ``map`` over slices."""
     out = cs + [0] * m
-    for i, a in enumerate(cs):
-        out[i + m] += c * a
+    out[m:] = map(add if c == 1 else sub, out[m:], cs)
     return out
 
 
@@ -131,13 +132,20 @@ def _ipack(cs: Sequence[int], b: int) -> int:
 
 
 def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
-    """cs / (1 + c*q^m), the inverse of ``_ishift_add``; raises if it is not exact."""
+    """cs / (1 + c*q^m), c = 1 or -1, the inverse of ``_ishift_add``; raises if it is not exact.
+
+    Dividing by 1 - q^m, each residue class mod m of the quotient is the
+    running sum of the same class of cs (``accumulate``); the top m sums are
+    the remainder.  1 + q^m is (1 - q^(2m)) / (1 - q^m).
+    """
+    if c == 1:
+        return _ishift_div(_ishift_add(cs, m, -1), 2 * m, -1)
     out = list(cs)
-    for i in range(m, len(out)):
-        out[i] -= c * out[i - m]
+    for r in range(min(m, len(out))):
+        out[r::m] = accumulate(cs[r::m])
     top = max(len(out) - m, 0)
     if any(out[top:]):
-        raise ArithmeticError(f"1 + {c}*q^{m} does not divide the polynomial")
+        raise ArithmeticError(f"1 - q^{m} does not divide the polynomial")
     return out[:top]
 
 

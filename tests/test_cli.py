@@ -466,6 +466,17 @@ def test_passing_weighted_runs_build_no_list_sides(argv, monkeypatch, capsys, fr
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
+@pytest.mark.parametrize("alpha", ["2", "3"])
+def test_passing_weighted_tables_fold_no_numerator(alpha, monkeypatch, capsys, fresh_caches):
+    # den_n's Phi_d are decided by residue sums (Phi_2^n at even alpha by proof),
+    # so no entry tests its numerator against a Phi_d
+    calls = []
+    quotient = euler._cyclotomic_quotient
+    monkeypatch.setattr(euler, "_cyclotomic_quotient", lambda *a: calls.append(a) or quotient(*a))
+    argv = ["table", "weighted", "--alpha", alpha, "--n-max", "12"]
+    assert (run_cli(capsys, *argv)[0], calls) == (0, [])
+
+
 def test_library_moments_make_no_generic_gcd_call(monkeypatch, fresh_caches):
     calls = _spy_on_generic_gcd(monkeypatch)
     for n in range(1, 9):

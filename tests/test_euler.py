@@ -321,10 +321,33 @@ def test_weighted_entry_matches_the_plain_search():
             assert entry.den.degree == degree, (alpha, n)
 
 
+def test_residue_sums_decide_what_the_folds_decide():
+    # Phi_d of den_n stays in the canonical denominator iff the residue sum R
+    # is nonzero (d != 2), and always at d = 2 (even alpha): each verdict
+    # against the fold of the reduced numerator mod q^d - 1
+    cells = [(alpha, n) for alpha in range(1, 7) for n in range(25)]
+    cells += [(alpha, n) for alpha in (9, 10, 15) for n in range(15)]
+    multi_term = 0
+    for alpha, n in cells:
+        exps, rest, _ = euler._canonical_denominator(alpha, n)
+        num = exactq._cyclotomic_scale(euler._weighted_numerator(alpha, n),
+                                       {d: -k for d, k in rest.items()})
+        for d in exps:
+            stays = _cyclotomic_quotient(num, d) is None
+            if d == 2:
+                assert alpha % 2 == 0 and stays, (alpha, n)
+                continue
+            assert (euler._residue_sum(alpha, n, d) != 0) == stays, (alpha, n, d)
+            multi_term += sum((alpha * l + 1) % d == d // 2 for l in range(n + 1)) > 1
+    assert multi_term > 100
+
+
 @pytest.mark.parametrize("alpha, n", [(0, 4), (1, 3), (2, 4), (3, 5)])
 def test_weighted_entry_reduces_a_numerator_that_shares_a_phi_d(alpha, n, monkeypatch):
     # were N_n, divided by D_n / den_n, still divisible by a Phi_d of den_n, den_n
-    # would not be canonical: the entry must then fall back to trial division
+    # would not be canonical: the entry must then fall back to trial division.
+    # For alpha >= 1 the entry reads that from the residue sum R of the closed
+    # form, which a doctored N_n is not, so R is made to report zero as well
     exps, _, den = euler._canonical_denominator(alpha, n)
     d = max(exps)
     honest = euler._weighted_numerator
@@ -334,6 +357,8 @@ def test_weighted_entry_reduces_a_numerator_that_shares_a_phi_d(alpha, n, monkey
         return numerator if (a, m) == (alpha, n) else honest(a, m)
 
     monkeypatch.setattr(euler, "_weighted_numerator", scaled)
+    residue = euler._residue_sum
+    monkeypatch.setattr(euler, "_residue_sum", lambda a, m, e: 0 if e == d else residue(a, m, e))
     euler._weighted_entry.cache_clear()
     try:
         entry = euler._weighted_entry(alpha, n)

@@ -123,18 +123,41 @@ def test_cyclotomic_product_over_divisors():
 
 
 ints = st.lists(st.integers(-50, 50), max_size=12)
+wide_ints = st.lists(st.integers(-(2**200), 2**200), max_size=12)
 
 
-@settings(max_examples=100, deadline=None)
-@given(ints, st.integers(1, 6), st.sampled_from([1, -1]), ints)
+def _shift_add_loop(cs, m, c):
+    """Reference: cs * (1 + c*q^m), one coefficient at a time."""
+    out = cs + [0] * m
+    for i, a in enumerate(cs):
+        out[i + m] += c * a
+    return out
+
+
+def _shift_div_loop(cs, m, c):
+    """Reference: cs / (1 + c*q^m), one coefficient at a time; None when it is not exact."""
+    out = list(cs)
+    for i in range(m, len(out)):
+        out[i] -= c * out[i - m]
+    top = max(len(out) - m, 0)
+    return None if any(out[top:]) else out[:top]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(ints, wide_ints), st.integers(1, 16), st.sampled_from([1, -1]), ints)
+@example([], 3, -1, [1])
+@example([2**200 - 1, -(2**199)], 5, 1, [0, 0, 0, 0, 7])
 def test_ishift_div_inverts_ishift_add(a, m, c, low):
-    assert _ishift_div(_ishift_add(a, m, c), m, c) == a
+    # the slice kernels against the coefficient loops, m >= len(a) included
+    b = _ishift_add(a, m, c)
+    assert b == _shift_add_loop(a, m, c)
+    assert _ishift_div(b, m, c) == _shift_div_loop(b, m, c) == a
     # adding a nonzero remainder of degree < m leaves a non-multiple of 1 + c*q^m
     low = low[:m]
     if any(low):
-        b = _ishift_add(a, m, c)
         for i, r in enumerate(low):
             b[i] += r
+        assert _shift_div_loop(b, m, c) is None
         with pytest.raises(ArithmeticError):
             _ishift_div(b, m, c)
 
