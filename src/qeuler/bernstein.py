@@ -29,6 +29,7 @@ from .euler import (
     _bernstein_instance,
     _bernstein_left,
     _bernstein_right,
+    _moment,
     _reduce_over_cyclotomics,
     weighted_recurrence,
 )
@@ -64,7 +65,8 @@ def bernstein_moment_lhs(k: int, n: int) -> QRatFn:
     """Moment of B_{k,n} via the alternating sum over raw moments E_{k+l}."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _reduce_over_cyclotomics(_bernstein_left(n, k, comb(n, k)), Counter({2: n}))
+    left = _bernstein_left(n, k, comb(n, k))
+    return _reduce_over_cyclotomics(_moment(n, *left), Counter({2: n}))
 
 
 def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
@@ -79,7 +81,7 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
     right = _bernstein_right(n, k, variant == "full", comb(n, k))
-    return _reduce_over_cyclotomics(right, Counter({2: n}))
+    return _reduce_over_cyclotomics(_moment(n, *right), Counter({2: n}))
 
 
 def moment_via_basis_expansion(k: int, n: int) -> QRatFn:

@@ -1,7 +1,8 @@
 """Command-line front end: tables, identity verification, convergence runs.
 
 Exit codes are a stable contract: 0 = success / all verdicts as expected,
-1 = verification mismatch, 2 = usage or output error, 130 = interrupted.
+1 = verification mismatch, 2 = usage or output error, or a request too large
+to compute (out of memory, recursion too deep), 130 = interrupted.
 All data output goes to stdout (UTF-8); diagnostics go to stderr.
 
 Every table format is rendered from the canonical values the library
@@ -355,6 +356,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         _discard_stdout()
         print(f"qeuler: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        # a request too large to compute is a usage error, not a failed identity
+        reason = "out of memory" if isinstance(exc, MemoryError) else "recursion too deep"
+        print(f"qeuler: {reason}; the request is too large to compute", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("qeuler: interrupted", file=sys.stderr)

@@ -8,7 +8,11 @@ Three layers, all immutable and safe to share between threads:
   (Knuth, TAOCP vol. 2, 4.6.1), so every per-coefficient loop runs on ints.
   One integer pseudo-division, ``_pdivmod``, serves division and the gcd
   (primitive Euclid); one accumulator, ``_icombination``, every sum of
-  shifted multiples, dense products (``_imul``) included.  Multiplying or
+  shifted multiples of lists, dense products (``_imul``) included.  Work on
+  many wide coefficients runs instead on a polynomial's value at q = 2^b, one
+  int (Kronecker substitution): ``_ipack`` evaluates, ``_iunpack`` and
+  ``_iwiden`` read the digits back through bytes, and no packed int is ever
+  divided.  Multiplying or
   dividing by a product of cyclotomic polynomials is sparse
   (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after one
   evaluation at q = 2^32 (``_cyclotomic_quotient``).
@@ -131,6 +135,43 @@ def _ipack(cs: Sequence[int], b: int) -> int:
     return pack(0, len(cs)) if cs else 0
 
 
+def _digit_bytes(value: int, b: int) -> bytes:
+    """value + sum_i 2^(b-1) 2^(b*i) in little-endian bytes, b//8 bytes per digit.
+
+    With value = sum c_i 2^(b*i), |c_i| < 2^(b-1) and b a multiple of 8, every
+    digit c_i + 2^(b-1) lies in [1, 2^b), so each fills its own b//8 bytes.
+    There are at most bitlen(value) // b + 1 digits: a top digit c_L at q^L
+    keeps |value| > 2^(b*L-1).
+    """
+    w, length = b // 8, abs(value).bit_length() // b + 1
+    repunit = int.from_bytes((bytes(w - 1) + b"\x80") * length, "little")  # the 2^(b-1) digits
+    return (value + repunit).to_bytes(w * length, "little")
+
+
+def _iunpack(value: int, b: int) -> list[int]:
+    """The inverse of ``_ipack`` for every |coefficient| < 2^(b-1), b a multiple of 8.
+
+    One ``to_bytes``, and one ``from_bytes`` per coefficient (``_digit_bytes``); nothing divides.
+    """
+    data, w, half = _digit_bytes(value, b), b // 8, 1 << (b - 1)
+    return _itrim([int.from_bytes(data[i:i + w], "little") - half for i in range(0, len(data), w)])
+
+
+def _iwiden(value: int, b: int, wider: int) -> int:
+    """``_ipack(_iunpack(value, b), wider)``, b <= wider both multiples of 8, by strided copies.
+
+    Byte j of every digit moves at once; the digits' 2^(b-1) offsets are
+    taken back out at the wider width.
+    """
+    data, w, v = _digit_bytes(value, b), b // 8, wider // 8
+    length = len(data) // w
+    out = bytearray(v * length)
+    for j in range(w):
+        out[j::v] = data[j::w]
+    offsets = (bytes(w - 1) + b"\x80" + bytes(v - w)) * length
+    return int.from_bytes(out, "little") - int.from_bytes(offsets, "little")
+
+
 def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
     """cs / (1 + c*q^m), c = 1 or -1, the inverse of ``_ishift_add``; raises if it is not exact.
 
@@ -149,6 +190,12 @@ def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
     return out[:top]
 
 
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 @lru_cache(maxsize=None)
 def _binomial_exponents(d: int) -> tuple[tuple[int, int], ...]:
     """The pairs (e, m_e) with Phi_d = prod (q^e - 1)^m_e over the divisors e of d.
@@ -156,10 +203,9 @@ def _binomial_exponents(d: int) -> tuple[tuple[int, int], ...]:
     Moebius inversion of q^n - 1 = prod_{d | n} Phi_d, so m_e = mu(d/e).
     """
     exps = Counter({d: 1})
-    for e in range(1, d // 2 + 1):
-        if d % e == 0:
-            for f, m in _binomial_exponents(e):
-                exps[f] -= m
+    for e in _divisors(d)[:-1]:
+        for f, m in _binomial_exponents(e):
+            exps[f] -= m
     return tuple((e, m) for e, m in exps.items() if m)
 
 
@@ -392,7 +438,10 @@ def _power(base, n: int, one):
 def _display_coeffs(p: QPoly) -> Sequence[RatLike]:
     """``p.coeffs``, as ints when the content is integral: they print and compare the same."""
     c = p.content
-    return [c.numerator * a for a in p.prim] if c.denominator == 1 else p.coeffs
+    if c.denominator != 1:
+        return p.coeffs
+    k = c.numerator  # a Fraction property: read once per polynomial
+    return [k * a for a in p.prim]
 
 
 def _wrap(content: Fraction, prim: tuple[int, ...]) -> QPoly:
@@ -474,7 +523,7 @@ def one_plus_q_power_factors(m: int) -> tuple[int, ...]:
     """Cyclotomic indices d with Phi_d | (1 + q^m): divisors of 2m not dividing m."""
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    return tuple(d for d in range(1, 2 * m + 1) if (2 * m) % d == 0 and m % d != 0)
+    return tuple(d for d in _divisors(2 * m) if m % d)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -466,6 +471,36 @@ def test_passing_weighted_runs_build_no_list_sides(argv, monkeypatch, capsys, fr
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
+def test_passing_verify_builds_moment_lists_only_for_expected_failures(
+        monkeypatch, capsys, fresh_caches):
+    # every moment identity is decided at q = 2^b; the lists are built only for
+    # the witnesses of the instances that fail by design: the k=0 remark, on
+    # its own and as thm8's (n, 0, "k0-remark") rows, and thm5 at n = 0
+    calls = []
+    moment = euler._moment
+    monkeypatch.setattr(
+        euler, "_moment", lambda n, terms, reflected=False: calls.append((n, reflected))
+        or moment(n, terms, reflected))
+    assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "12")[0] == 0
+    expected = [(0, False)] * 2 + [(n, r) for n in range(1, 13) for r in (False, True)] * 2
+    assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --suite weighted --n-max 12",
+    "table weighted --alpha 3 --n-max 12",
+])
+def test_weighted_runs_pack_no_numerator_list(argv, monkeypatch, capsys, fresh_caches):
+    # the recurrence makes N_n at q = 2^b, so neither the route check nor the
+    # table packs a coefficient list; a wider b is reached by ``_iwiden``
+    calls = []
+    for module in (euler, exactq):
+        pack = module._ipack
+        monkeypatch.setattr(module, "_ipack", lambda cs, b, pack=pack: calls.append(b)
+                            or pack(cs, b))
+    assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
+
+
 @pytest.mark.parametrize("alpha", ["2", "3"])
 def test_passing_weighted_tables_fold_no_numerator(alpha, monkeypatch, capsys, fresh_caches):
     # den_n's Phi_d are decided by residue sums (Phi_2^n at even alpha by proof),
@@ -542,6 +577,17 @@ def test_cli_exit_code_contract(argv, full_stdout):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("error, reason", [
+    (MemoryError, "out of memory"), (RecursionError, "recursion too deep")])
+def test_cli_resource_errors_exit_2_with_one_line(error, reason, monkeypatch, capsys):
+    def exhausted(n_max):
+        raise error
+
+    monkeypatch.setitem(euler._CHECK_BY_ID, "thm1", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1", "--n-max", "2")
+    assert (code, out, err) == (2, "", f"qeuler: {reason}; the request is too large to compute\n")
 
 
 def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
@@ -624,6 +670,20 @@ def test_cli_closed_stdout_exits_2_with_one_line(argv):
     # descriptor 1 closed, so sys.stdout is None in the child: unwritable, not a crash
     proc = _cli_into(None, argv, preexec_fn=lambda: os.close(1))
     assert (proc.returncode, proc.stderr) == (2, "qeuler: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_cli_out_of_memory_exits_2_with_one_line():
+    # under a 400 MB address-space cap, set in this child only, the Phi_d split
+    # of 1 + q^(alpha+1) needs a list of 2*10^8 coefficients and cannot get it
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    argv = ["table", "weighted", "--alpha", "100000000", "--n-max", "1"]
+    proc = _cli_into(subprocess.PIPE, argv, preexec_fn=cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "qeuler: out of memory; the request is too large to compute\n"
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_closed_stdout_and_stderr_exits_2():

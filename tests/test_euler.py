@@ -5,6 +5,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from random import Random
 
@@ -27,6 +28,7 @@ from qeuler.euler import (
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
 from test_exactq import cyclotomic_exps, cyclotomic_product  # dense references
+from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
 
 ONE = QRatFn.one()
 
@@ -368,15 +370,14 @@ def test_weighted_entry_reduces_a_numerator_that_shares_a_phi_d(alpha, n, monkey
     assert entry.den.degree == den.degree - cyclotomic(d).degree
 
 
-def test_weighted_memos_fill_without_deep_recursion():
+def test_weighted_memos_fill_without_deep_recursion(fresh_caches):
     # each memo reads its predecessors in ascending n, so a cold request nests
     # a bounded number of calls, however large n is
-    for memo in (euler._weighted_numerator, euler._canonical_denominator, euler._weighted_entry):
-        memo.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
         euler._weighted_numerator(0, 150)
+        euler._numerator_bound(400)
         euler._canonical_denominator(0, 400)
         euler._weighted_entry(2, 60)
     finally:
@@ -403,7 +404,7 @@ def test_weighted_moment_matches_product_and_divide():
                 assert euler._weighted_moment(alpha, n, coeffs) == expected, (alpha, n, coeffs)
 
 
-def test_numerator_above_its_degree_raises(monkeypatch):
+def test_numerator_above_its_degree_raises(monkeypatch, fresh_caches):
     # q -> 1/q reverses N_l in place only while deg N_l <= l; a longer N_l must
     # raise, also under python -O, rather than give a misaligned reflected side
     honest = euler._weighted_numerator
@@ -411,13 +412,9 @@ def test_numerator_above_its_degree_raises(monkeypatch):
     def too_long(alpha, n):
         return (0,) * 4 + (1,) if alpha == 0 and n == 3 else honest(alpha, n)
 
-    euler._numerators_over.cache_clear()
     monkeypatch.setattr(euler, "_weighted_numerator", too_long)
-    try:
-        with pytest.raises(ArithmeticError, match="deg N_3 > 3"):
-            verify_identity("thm7", 3)
-    finally:
-        euler._numerators_over.cache_clear()
+    with pytest.raises(ArithmeticError, match="deg N_3 > 3"):
+        verify_identity("thm7", 3)
 
 
 def test_weighted_routes_disagreeing_raise(monkeypatch):
@@ -441,8 +438,45 @@ def test_weighted_routes_disagreeing_raise(monkeypatch):
         q_euler_numbers_weighted(2, 4)
 
 
-def _width(alpha, n):
-    return euler._weighted_width(euler._weighted_numerator(alpha, n), n)
+@lru_cache(maxsize=None)
+def _oracle_numerator(alpha, n):
+    # the recurrence's Horner loop on coefficient lists, the route it had before
+    # it ran on packed ints: S = sum_{k<n} C(n,k) q^(alpha*k) N_k prod_{k<j<n} f_j,
+    # f_j = 1 + q^(alpha*j+1), and N_n = -q S
+    s = []
+    for k in range(n):
+        term = (comb(n, k), alpha * k, _oracle_numerator(alpha, k))
+        s = exactq._icombination(exactq._ishift_add(s, alpha * k + 1), [term])
+    return tuple([0] + [-c for c in s]) if n else (1,)
+
+
+def test_packed_recurrence_matches_the_list_loop(fresh_caches):
+    for alpha in range(7):
+        for n in range(31):
+            assert tuple(euler._weighted_numerator(alpha, n)) == _oracle_numerator(alpha, n), n
+    # the memo widened its b as n rose, and holds one b per weight
+    assert euler._packed_numerator(3, 30)[0] == -(-euler._weighted_width(30) // 64) * 64
+
+
+def test_numerator_bound_covers_every_numerator():
+    # B_n >= ||N_n||_1 >= max|N_n| for every weight; at n = 60 it is 324 bits
+    for n in range(61):
+        for alpha in (0, 1, 2) if n > 40 else (0, 1, 2, 3):
+            l1_norm = sum(map(abs, _oracle_numerator(alpha, n)))
+            assert euler._numerator_bound(n) >= l1_norm, (alpha, n)
+    assert euler._numerator_bound(60).bit_length() == 324
+
+
+def test_packed_step_refuses_a_width_below_the_proof():
+    packed = [euler._packed_numerator(1, k)[1] for k in range(8)]
+    b, value = euler._packed_numerator(1, 8)
+    least = euler._weighted_width(8)
+    assert euler._packed_step(1, 8, packed, b) == value
+    assert euler._packed_step(1, 8, [exactq._iwiden(p, b, least + 64) for p in packed],
+                              least + 64) == exactq._iwiden(value, b, least + 64)
+    for narrow in (least - 8, least + 4):  # below the bound, or not a whole number of bytes
+        with pytest.raises(ValueError, match="proven width"):
+            euler._packed_step(1, 8, packed, narrow)
 
 
 def test_weighted_values_match_the_list_sides():
@@ -450,8 +484,9 @@ def test_weighted_values_match_the_list_sides():
     for alpha in (1, 2, 3):
         for n in range(31):
             left, right = euler._weighted_sides(alpha, n)
-            b = _width(alpha, n)
             values = euler._weighted_values(alpha, n)
+            b = euler._packed_numerator(alpha, n)[0]
+            assert b >= euler._weighted_width(n)
             assert values == (exactq._ipack(left, b), exactq._ipack(right, b)), (alpha, n)
             assert (values[0] == values[1]) == (left == right), (alpha, n)
 
@@ -460,42 +495,50 @@ def test_weighted_width_bounds_both_sides():
     # b - 1 exceeds every coefficient of both list sides, so their difference
     # stays below 2^(b-1) in the widest measured case too
     for n in range(41):
-        b = _width(3, n)
+        b = euler._weighted_width(n)
         left, right = euler._weighted_sides(3, n)
         assert b - 1 > max(map(abs, left + right)).bit_length(), n
 
 
 def _with_numerator(monkeypatch, alpha, n, numerator):
-    # N_n replaced at (alpha, n) only; every other request reads the real memo
-    honest = euler._weighted_numerator
+    # N_n replaced at (alpha, n) where the recurrence makes it, at the memo's b;
+    # every other value is the recurrence's own
+    honest = euler._packed_step
     monkeypatch.setattr(
-        euler, "_weighted_numerator",
-        lambda a, m: tuple(numerator) if (a, m) == (alpha, n) else honest(a, m))
+        euler, "_packed_step",
+        lambda a, m, packed, b: exactq._ipack(numerator, b) if (a, m) == (alpha, n)
+        else honest(a, m, packed, b))
 
 
 @pytest.mark.parametrize("alpha, n", [(1, 1), (1, 9), (2, 6), (3, 12)])
 @pytest.mark.parametrize("where", ("top", "largest", "constant"))
 @pytest.mark.parametrize("delta", (1, -1))
-def test_weighted_values_detect_a_unit_change(alpha, n, where, delta, monkeypatch):
+def test_weighted_values_detect_a_unit_change(alpha, n, where, delta, monkeypatch, fresh_caches):
     numerator = list(euler._weighted_numerator(alpha, n))
     k = {"top": len(numerator) - 1, "constant": 0,
          "largest": max(range(len(numerator)), key=lambda i: abs(numerator[i]))}[where]
     numerator[k] += delta
+    euler._packed_numerator.cache_clear()
     _with_numerator(monkeypatch, alpha, n, numerator)
+    assert euler._weighted_numerator(alpha, n) == exactq._itrim(list(numerator))
     for sides in (euler._weighted_values, euler._weighted_sides):  # the ints, and the lists
         left, right = sides(alpha, n)
         assert left != right, sides.__name__
 
 
 @pytest.mark.parametrize("alpha, n", [(1, 4), (2, 10), (3, 20)])
-def test_weighted_values_detect_a_carry(alpha, n, monkeypatch):
-    # +2^b at q^k and -1 at q^(k+1) vanish at the unperturbed width b, so the
-    # check is sound only because b is read from the numerator it packs
+def test_weighted_values_detect_a_carry(alpha, n, monkeypatch, fresh_caches):
+    # +2^c at q^k and -1 at q^(k+1) vanish at the width c = max(bitlen(max|N_n|)
+    # + n, 2n) + 2 read from the numerator.  The memo's b comes from the proven
+    # bound B_n instead, a multiple of 64 above c, so the carry is seen
     numerator = list(euler._weighted_numerator(alpha, n))
-    b, k = _width(alpha, n), len(numerator) // 2
-    numerator[k] += 1 << b
+    c = max(max(map(abs, numerator)).bit_length() + n, 2 * n) + 2
+    b, k = euler._packed_numerator(alpha, n)[0], len(numerator) // 2
+    assert c < b
+    numerator[k] += 1 << c
     numerator[k + 1] -= 1
-    assert exactq._ipack(numerator, b) == exactq._ipack(euler._weighted_numerator(alpha, n), b)
+    assert exactq._ipack(numerator, c) == exactq._ipack(euler._weighted_numerator(alpha, n), c)
+    euler._packed_numerator.cache_clear()
     _with_numerator(monkeypatch, alpha, n, numerator)
     left, right = euler._weighted_values(alpha, n)
     assert left != right
@@ -624,10 +667,8 @@ def test_verify_identity_rejects_unknown():
         verify_identity("thm99", 3)
 
 
-def test_sequences_safe_under_concurrent_fill():
+def test_sequences_safe_under_concurrent_fill(fresh_caches):
     # empty memos, so the threads fill weight 0 and weight 3 together
-    for memo in (euler._weighted_numerator, euler._canonical_denominator, euler._weighted_entry):
-        memo.cache_clear()
     results = []
 
     def worker():

@@ -12,9 +12,14 @@ from qeuler.exactq import (
     QRatFn,
     XPoly,
     _cyclotomic_scale,
+    _divisors,
     _int_poly_gcd,
+    _ipack,
     _ishift_add,
     _ishift_div,
+    _itrim,
+    _iunpack,
+    _iwiden,
     cyclotomic,
     one_plus_q_power_factors,
     poly_str,
@@ -160,6 +165,30 @@ def test_ishift_div_inverts_ishift_add(a, m, c, low):
         assert _shift_div_loop(b, m, c) is None
         with pytest.raises(ArithmeticError):
             _ishift_div(b, m, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**200) + 1, 2**200 - 1), max_size=12), st.integers(0, 3),
+       st.integers(0, 3))
+@example([2**200 - 1, -(2**200) + 1, 0, 5, 0], 0, 1)
+@example([], 0, 1)
+def test_iunpack_and_iwiden_invert_ipack(cs, extra, wider):
+    # 200-bit coefficients at b = 208, the least multiple of 8 with 2^(b-1) > 2^200, and above
+    b = 208 + 8 * extra
+    value = _ipack(cs, b)
+    assert _iunpack(value, b) == _itrim(list(cs))
+    assert _iwiden(value, b, b + 8 * wider) == _ipack(cs, b + 8 * wider)
+
+
+def test_iunpack_needs_every_coefficient_below_half_the_radix():
+    # 2^(b-1) at q^0 is the digit -2^(b-1) plus a carry into q^1: the same int
+    assert _iunpack(_ipack([1 << 15], 16), 16) == [-(1 << 15), 1]
+
+
+def test_divisors_match_the_scan():
+    for n in range(1, 500):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert one_plus_q_power_factors(100000001) == (2, 34, 11764706, 200000002)
 
 
 def cyclotomic_product(exps):

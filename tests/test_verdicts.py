@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from qeuler import bernstein, euler
+from qeuler import bernstein, euler, exactq
 from qeuler.euler import (
     FAIL,
     PASS,
@@ -88,7 +88,8 @@ CONVERTED = ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "t
 @pytest.fixture
 def fresh_caches():
     """Empty every euler cache before and after, so a monkeypatched input reaches every route."""
-    cached = [f for f in vars(euler).values() if hasattr(f, "cache_clear")]
+    cached = [f for f in vars(euler).values()
+              if hasattr(f, "cache_clear") and not isinstance(f, type)]
     for f in cached:
         f.cache_clear()
     yield
@@ -97,19 +98,16 @@ def fresh_caches():
 
 
 def _perturb_numerator(monkeypatch, n_bad=5, index=2):
-    """Add 1 to one coefficient of the weight-0 numerator N_{n_bad}, for every route."""
-    honest = euler._weighted_numerator
+    """Add 1 to one coefficient of the weight-0 N_{n_bad}, where the recurrence makes it."""
+    honest = euler._packed_step
 
-    def perturbed(alpha, n):
-        # the Horner loop reads N_k as euler._weighted_numerator, so N_{n_bad} feeds N_n, n > n_bad
-        num = honest(alpha, n)
-        if alpha == 0 and n == n_bad:
-            num = list(num)
-            num[index] += 1
-            num = tuple(num)
-        return num
+    def perturbed(alpha, n, packed, b):
+        # the recurrence reads N_k from its memo of packed values, so N_{n_bad}
+        # feeds N_n, n > n_bad, and every list unpacked from them
+        value = honest(alpha, n, packed, b)
+        return value + (1 << b * index) if (alpha, n) == (0, n_bad) else value
 
-    monkeypatch.setattr(euler, "_weighted_numerator", perturbed)
+    monkeypatch.setattr(euler, "_packed_step", perturbed)
 
 
 def _assert_matches_canonical(report, sides):
@@ -135,6 +133,94 @@ def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, m
         assert not report.ok
         index = 1 if identity == "cor3" else 0  # cor3's params are (n, m)
         assert all(i.params[index] >= 5 for i in report.failures())
+
+
+def test_perturbed_numerator_reaches_the_lists(fresh_caches, monkeypatch):
+    _perturb_numerator(monkeypatch)
+    honest = [0, -1, 26, -66, 26, -1]  # N_5 = -q(1 - 26q + 66q^2 - 26q^3 + q^4)
+    assert euler._weighted_numerator(0, 5) == [c + (i == 2) for i, c in enumerate(honest)]
+    assert euler._numerators_over(5)[0][5] == tuple(euler._weighted_numerator(0, 5))
+
+
+def _list_route(monkeypatch):
+    """Decide every moment and weighted instance on coefficient lists, as before q = 2^b."""
+    monkeypatch.setattr(euler, "_moment_values",
+                        lambda n, sides, b=0: [euler._moment(n, *side) for side in sides])
+    monkeypatch.setattr(euler, "_weighted_values", euler._weighted_sides)
+
+
+@pytest.mark.parametrize("identity", [run.identity for run in SUITES["all"]])
+def test_verdicts_equal_the_list_route(identity, monkeypatch):
+    packed = [verify_identity(identity, n) for n in (1, 12, 30)]
+    _list_route(monkeypatch)
+    assert packed == [verify_identity(identity, n) for n in (1, 12, 30)]
+
+
+def _moment_rows(n):
+    """Every Bernstein row (n, k) thm8 checks, with and without the 1 + q constant at k = 0."""
+    rows = [(euler._bernstein_left(n, 0), euler._bernstein_right(n, 0, True))]
+    return rows + [(euler._bernstein_left(n, k), euler._bernstein_right(n, k, False))
+                   for k in range(n)]
+
+
+def _with_moment(monkeypatch, n, l, change):
+    """M_l over (1+q)^n, direct, with ``change`` applied to its coefficient list."""
+    numerators_over = euler._numerators_over
+    direct, reflected = numerators_over(n)
+    direct = direct[:l] + (tuple(change(list(direct[l]))),) + direct[l + 1:]
+    monkeypatch.setattr(euler, "_numerators_over",
+                        lambda m: (direct, reflected) if m == n else numerators_over(m))
+    euler._moment_bits.cache_clear()  # the memos read from the moments
+    euler._packed_moments.cache_clear()
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("where", ("constant", "middle", "top"))
+def test_moment_judge_detects_a_unit_change(delta, where, monkeypatch, fresh_caches):
+    # M_5 over (1+q)^8 off by one in one coefficient: every row whose left side
+    # reads M_5 (k <= 5) fails on the packed route as on the lists
+    n, l = 8, 5
+
+    def change(cs):
+        cs[{"constant": 0, "middle": len(cs) // 2, "top": len(cs) - 1}[where]] += delta
+        return cs
+
+    _with_moment(monkeypatch, n, l, change)
+    for left, right in _moment_rows(n):
+        verdict = euler._moment_instance((), n, left, right).verdict
+        assert verdict == (PASS if euler._moment(n, *left) == euler._moment(n, *right) else FAIL)
+    verdicts = [euler._moment_instance((), n, *row).verdict for row in _moment_rows(n)]
+    assert verdicts == [FAIL] * 7 + [PASS] * 2  # thm7, the k=0 remark, k = 1..5; k = 6, 7
+
+
+def test_moment_judge_detects_a_carry(monkeypatch, fresh_caches):
+    # +2^b at q^k and -1 at q^(k+1) vanish at the width b the judge takes for
+    # the honest moments; it reads beta_n from the changed ones, so it widens
+    n, l = 8, 5
+    left, right = _moment_rows(n)[3]  # row (8, 2), whose left side reads M_5
+    b = -(-euler._moment_width(n, [left, right]) // 64) * 64
+    k = len(euler._numerators_over(n)[0][l]) // 2
+
+    def carry(cs):
+        cs[k] += 1 << b
+        cs[k + 1] -= 1
+        return cs
+
+    assert exactq._ipack(carry(list(euler._numerators_over(n)[0][l])), b) == \
+        euler._packed_moments(n, False, b)[l]
+    _with_moment(monkeypatch, n, l, carry)
+    assert euler._moment_width(n, [left, right]) > b
+    inst = euler._moment_instance((), n, left, right)
+    assert inst.verdict == FAIL and inst.left != inst.right
+
+
+def test_moment_values_refuse_a_width_below_the_proof():
+    left, right = _moment_rows(10)[4]
+    width = euler._moment_width(10, [left, right])
+    values = euler._moment_values(10, [left, right], width)
+    assert values[0] == values[1]
+    with pytest.raises(ValueError, match="proven width"):
+        euler._moment_values(10, [left, right], width - 1)
 
 
 @pytest.mark.parametrize("n_bad", (2, 3))  # both signs of (-1)^n in the closed form
