@@ -29,8 +29,9 @@ from .euler import (
     _bernstein_instance,
     _bernstein_left,
     _bernstein_right,
-    _moment,
-    _reduce_over_cyclotomics,
+    _moment_values,
+    _Side,
+    _unpacked_over,
     weighted_recurrence,
 )
 from .exactq import BigRat, QRatFn, XPoly
@@ -61,12 +62,17 @@ def bernstein_operator(samples: "list[BigRat]", n: int, x: BigRat) -> Fraction:
     return total
 
 
+def _canonical_moment(n: int, side: _Side) -> QRatFn:
+    """One side of a Bernstein row, over (1+q)^n, unpacked from its value at q = 2^b."""
+    b, (value,) = _moment_values(n, [side])
+    return _unpacked_over(value, b, Counter({2: n}))
+
+
 def bernstein_moment_lhs(k: int, n: int) -> QRatFn:
     """Moment of B_{k,n} via the alternating sum over raw moments E_{k+l}."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    left = _bernstein_left(n, k, comb(n, k))
-    return _reduce_over_cyclotomics(_moment(n, *left), Counter({2: n}))
+    return _canonical_moment(n, _bernstein_left(n, k, comb(n, k)))
 
 
 def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
@@ -80,8 +86,7 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    right = _bernstein_right(n, k, variant == "full", comb(n, k))
-    return _reduce_over_cyclotomics(_moment(n, *right), Counter({2: n}))
+    return _canonical_moment(n, _bernstein_right(n, k, variant == "full", comb(n, k)))
 
 
 def moment_via_basis_expansion(k: int, n: int) -> QRatFn:

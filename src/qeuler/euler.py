@@ -23,26 +23,26 @@ Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
 of some f equals some g; thm7, the k=0 remark and thm8 are one family of
 Bernstein rows (``_bernstein_instance``).  A side is a list of (c, s, l)
 terms, each c*q^s*I(y^l), with I(y^l) = E_l, or I'(y^l) = E_{l,1/q}: an integer
-numerator over (1+q)^n (``_moment``).  The weighted closed form maps its terms
-through I(X^j) = [2]_q/(1+q^(alpha*j+1)), X = q^(alpha*x) (``_weighted_moment``).
+numerator over (1+q)^n (``_moment_values``).  The weighted closed form maps its
+terms through I(X^j) = [2]_q/(1+q^(alpha*j+1)), X = q^(alpha*x) (``_weighted_moment``).
 The verdict is the equality of the two numerators: field equality, since the
 denominator is nonzero.  Every such verdict compares the numerators' values at
-q = 2^b, two ints, at a b for which that is exact equality, by the argument in
-``_weighted_width``: ``_moment_instance`` reads b from the sides' terms
-(``_moment_width``).  Only a failing instance builds both numerators as
-coefficient lists, and keeps them, reduced to canonical form, as its witness.
+q = 2^b, one int per side, at a b for which that is exact equality, by the
+argument in ``_weighted_width``: ``_moment_values`` reads b from the sides'
+terms (``_moment_width``).  The same b holds every coefficient of each side
+below 2^(b-1), so a failing instance unpacks both values (``_unpacked_over``)
+and keeps them, reduced to canonical form, as its witness.
 thm1, thm2 and classical compare canonical values: the recurrence against
 the Frobenius closed form or the classical Euler numbers.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .exactq import (
     QPoly,
@@ -57,7 +57,6 @@ from .exactq import (
     _ishift_add,
     _itrim,
     _iunpack,
-    _iwiden,
     _qpoly,
     one_plus_q_power_factors,
 )
@@ -126,8 +125,8 @@ def frobenius_numbers(u: QRatFn, n_max: int) -> tuple[QRatFn, ...]:
 # into cyclotomic polynomials, so a denominator is kept as its Counter of Phi_d
 # exponents.  The recurrence's numerator N_n lives over D_n = prod_{k<=n}
 # (1 + q^(a*k+1)); ``_canonical_denominator`` splits D_n once into den_n and
-# D_n / den_n, and ``_weighted_entry`` divides N_n exactly by the second and,
-# for a >= 1, decides each Phi_d of den_n by a residue sum of the closed form.
+# D_n / den_n, and ``_weighted_entry`` divides N_n exactly by the second and
+# decides each Phi_d of den_n by proof or by a residue sum of the closed form.
 # The closed form reaches canonical form by trial-dividing its numerator by
 # each Phi_d.  No large generic gcd is ever needed.  The numerators have integer
 # coefficients throughout: N_n is made and kept as its value at q = 2^b, an
@@ -181,11 +180,11 @@ def _weighted_width(n: int) -> int:
     coefficient, so every coefficient of the first is at most 2^n max|N_n|
     < 2^M, M = max(bitlen(B_n) + n, 2n).  Each product in the second has n
     factors of 1-norm 2, so its coefficients are at most sum_j C(n,j) 2^n =
-    4^n <= 2^M.  Every coefficient of the difference is then below 2^(M+1)
-    <= 2^(b-1).  A nonzero integer polynomial P with all |c_i| < 2^b cannot
-    vanish at 2^b: with c_k its lowest nonzero coefficient,
-    P(2^b) / 2^(bk) = c_k mod 2^b, and 0 < |c_k| < 2^b.  Every larger
-    multiple of 8 serves as well.
+    4^n <= 2^M.  So each side unpacks from its value at 2^b, and every
+    coefficient of the difference is below 2^(M+1) <= 2^(b-1).  A nonzero
+    integer polynomial P with all |c_i| < 2^b cannot vanish at 2^b: with c_k
+    its lowest nonzero coefficient, P(2^b) / 2^(bk) = c_k mod 2^b, and
+    0 < |c_k| < 2^b.  Every larger multiple of 8 serves as well.
     """
     return -(-(max(_numerator_bound(n).bit_length() + n, 2 * n) + 2) // 8) * 8
 
@@ -208,39 +207,22 @@ def _packed_step(alpha: int, n: int, packed: Sequence[int], b: int) -> int:
     return -(s << b) if n else 1
 
 
-class _PackedNumerators:
-    """The memo of N_0(2^b), ..., N_m(2^b) per weight, at one b that serves them all.
+@lru_cache(maxsize=None)
+def _packed_chain(alpha: int, b: int, n: int) -> tuple[int, ...]:
+    """N_0(2^b), ..., N_n(2^b), each made by ``_packed_step`` from the ones before it."""
+    chain: tuple[int, ...] = ()
+    for m in range(n):  # ascending, so a cold request nests one call deep
+        chain = _packed_chain(alpha, b, m)
+    return chain + (_packed_step(alpha, n, chain, b),)
 
-    It fills itself in ascending n.  A request above m whose ``_weighted_width``
-    exceeds b first widens every value it holds to that width, rounded up to a
-    multiple of 64 so that one b serves many n (``_iwiden``), since
-    ``_packed_step`` reads all of N_0..N_{n-1} at one b.  Only packed
-    values are kept; ``_weighted_numerator`` unpacks one when a list is needed.
-    ``cache_clear`` empties it, as it does an ``lru_cache``.
+
+def _packed_numerator(alpha: int, n: int) -> tuple[int, int]:
+    """(b, N_n(2^b)), b = ``_weighted_width(n)`` rounded up to a multiple of 64.
+
+    So one b serves many n; at each 64-bit step the chain starts again at the new b.
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._memo: dict[int, tuple[int, list[int]]] = {}
-
-    def __call__(self, alpha: int, n: int) -> tuple[int, int]:
-        """(b, N_n(2^b)), with b >= ``_weighted_width(n)``."""
-        with self._lock:
-            b, packed = self._memo.get(alpha, (0, []))
-            if n >= len(packed):
-                if (width := -(-_weighted_width(n) // 64) * 64) > b:
-                    b, packed = width, [_iwiden(p, b, width) for p in packed]
-                for m in range(len(packed), n + 1):
-                    packed.append(_packed_step(alpha, m, packed, b))
-                self._memo[alpha] = b, packed
-            return b, packed[n]
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._memo.clear()
-
-
-_packed_numerator = _PackedNumerators()
+    b = -(-_weighted_width(n) // 64) * 64
+    return b, _packed_chain(alpha, b, n)[n]
 
 
 def _weighted_numerator(alpha: int, n: int) -> list[int]:
@@ -290,8 +272,8 @@ def _weighted_entry(alpha: int, n: int) -> QRatFn:
     """E^(alpha)_n: N_n divided exactly by D_n / den_n, then put over den_n.
 
     den_n (``_canonical_denominator``) is canonical when no Phi_d of it divides
-    what is left.  For alpha >= 1 that is decided without reading N_n, from
-    the closed form (``weighted_closed_form``)
+    what is left.  That is decided without reading N_n.  For alpha >= 1 it is
+    read from the closed form (``weighted_closed_form``)
 
         E_n = [2]_q (1-q^alpha)^(-n) sum_{l<=n} C(n,l) (-1)^l / (1+q^(alpha*l+1)).
 
@@ -310,13 +292,18 @@ def _weighted_entry(alpha: int, n: int) -> QRatFn:
     The proof rests on E_n being the closed form, the paper's theorem, which
     ``q_euler_numbers_weighted`` checks at q = 2^b for every n it returns.
     That R is never zero is unproven: a zero R sends the entry to trial
-    division by den_n's Phi_d.  The closed form needs alpha >= 1, so alpha = 0
-    tests its one Phi_2 by a fold of the numerator (``_cyclotomic_quotient``).
+    division by den_n's Phi_d.
+
+    At alpha = 0, den_n = D_n = Phi_2^n and rest is empty.  The recurrence's
+    generating function is (1+q)/(q e^t + 1) = (1-u)/(e^t - u) at u = -1/q, so
+    E_n = H_n(-1/q), and (u-1)/(u - e^((u-1)t)) = sum_n A_n(u) t^n/n!
+    (Concrete Mathematics, 7.56) gives H_n(u) = A_n(u)/(u-1)^n, with A_n the
+    Eulerian polynomial, palindromic of degree n-1 for n >= 1.  So for
+    n >= 1, N_n = -q A_n(-q), N_n(-1) = A_n(1) = n! != 0, and Phi_2^n stays.
     """
     exps, rest, den = _canonical_denominator(alpha, n)
     num = _cyclotomic_scale(_weighted_numerator(alpha, n), {d: -k for d, k in rest.items()})
-    if all(d == 2 or _residue_sum(alpha, n, d) if alpha else _cyclotomic_quotient(num, d) is None
-           for d in exps):
+    if all(d == 2 or _residue_sum(alpha, n, d) for d in exps):
         return QRatFn._raw(_qpoly(num), den)
     return _reduce_over_cyclotomics(num, exps)
 
@@ -329,31 +316,34 @@ def weighted_recurrence(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     return tuple(_weighted_entry(alpha, n) for n in range(n_max + 1))
 
 
-def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int], b: int = 0) -> list[int] | int:
-    """I(sum_j c_j X^j), X = q^(alpha*x), j <= n, as its numerator over D_n.
+def _weighted_moment(alpha: int, n: int, coeffs: Sequence[int], b: int) -> int:
+    """I(sum_j c_j X^j), X = q^(alpha*x), j <= n, as its numerator over D_n, at q = 2^b.
 
     D_n = prod_{1<=k<=n} (1+q^(alpha*k+1)), and a geometric sum gives
     I(X^j) = [2]_q/(1+q^(alpha*j+1)) = prod_{k<=n, k != j} f_k / D_n, f_k = 1+q^(alpha*k+1).
     By Horner, A_j = A_{j-1} f_j + c_j P_{j-1} with P_j = prod_{k<=j} f_k, and A_n is it.
-    With b > 0 the same loop returns A_n at q = 2^b, an int: each f_k is one shift and one add.
+    At q = 2^b each f_k is one shift and one add.
     """
-    times = (lambda x, m: x + (x << b * m)) if b else _ishift_add  # x * f_k, f_k at 2^b or not
-    plus = (lambda x, c, p: x + c * p) if b else (lambda x, c, p: _icombination(x, [(c, 0, p)]))
-    acc, prod = (0, 1) if b else ([], [1])
+    acc, prod = 0, 1
     for j in range(n + 1):
         c = coeffs[j] if j < len(coeffs) else 0
-        acc = plus(times(acc, alpha * j + 1), c, prod)
+        acc += (acc << b * (alpha * j + 1)) + c * prod
         if j + 1 < len(coeffs):  # P_j is read only by a later c_j
-            prod = times(prod, alpha * j + 1)
+            prod += prod << b * (alpha * j + 1)
     return acc
 
 
-def _alternating_numerator(alpha: int, n: int, b: int = 0) -> list[int] | int:
-    """(-1)^n T_n = I((X-1)^n) over D_n, the closed form's numerator (``weighted_closed_form``).
-
-    With b > 0, its value at q = 2^b (see ``_weighted_moment``).
-    """
+def _alternating_numerator(alpha: int, n: int, b: int) -> int:
+    """(-1)^n T_n = I((X-1)^n) over D_n, the numerator of ``weighted_closed_form``, at q = 2^b."""
     return _weighted_moment(alpha, n, [comb(n, j) * (-1) ** (n - j) for j in range(n + 1)], b)
+
+
+def _unpacked_over(value: int, b: int, factors: Counter) -> QRatFn:
+    """P / prod Phi_d^factors[d] in canonical form, from value = P(2^b).
+
+    Every |coefficient| of P must be below 2^(b-1), b a multiple of 8 (``_iunpack``).
+    """
+    return _reduce_over_cyclotomics(_iunpack(value, b), factors)
 
 
 def weighted_closed_form(alpha: int, n: int) -> QRatFn:
@@ -363,13 +353,14 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
 
     which is T_n / ((1-q^alpha)^n D_n) = (-1)^n T_n / ((q^alpha-1)^n D_n), with
     (-1)^n T_n from ``_alternating_numerator`` and D_n = prod_{1<=k<=n}
-    (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.
+    (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.  (-1)^n T_n is unpacked from
+    its value at q = 2^b, b = ``_weighted_width(n)``, which holds its coefficients.
     """
     _check_weight(alpha, 1)
     if n < 0:
         raise ValueError("n must be >= 0")
-    factors = _closed_form_factors(alpha, n)
-    return _reduce_over_cyclotomics(_alternating_numerator(alpha, n), factors)
+    b = _weighted_width(n)
+    return _unpacked_over(_alternating_numerator(alpha, n, b), b, _closed_form_factors(alpha, n))
 
 
 def _closed_form_factors(alpha: int, n: int) -> Counter:
@@ -379,26 +370,20 @@ def _closed_form_factors(alpha: int, n: int) -> Counter:
     return factors
 
 
-def _weighted_sides(alpha: int, n: int) -> tuple[list[int], list[int]]:
-    """(q^alpha-1)^n N_n and I((X-1)^n): E^(alpha)_n by each route, over _closed_form_factors."""
-    scaled = list(_weighted_numerator(alpha, n))
-    for _ in range(n):
-        scaled = _ishift_add(scaled, alpha, -1)  # times 1 - q^alpha
-    return _itrim([-c for c in scaled] if n % 2 else scaled), _alternating_numerator(alpha, n)
+def _weighted_values(alpha: int, n: int) -> tuple[int, int, int]:
+    """(b, left, right): (q^alpha-1)^n N_n and I((X-1)^n) at q = 2^b.
 
-
-def _weighted_values(alpha: int, n: int) -> tuple[int, int]:
-    """The two sides of ``_weighted_sides`` at q = 2^b: equal exactly when the sides are.
-
-    N_n(2^b) comes from the memo of the recurrence (``_packed_numerator``), at
-    its b >= ``_weighted_width(n)``, and is scaled by n passes of
-    x - x*2^(b*alpha); the closed form runs ``_weighted_moment``'s loop on
-    ints.  Nothing divides or unpacks.
+    Both are E^(alpha)_n over ``_closed_form_factors``, by each route, and they
+    are equal exactly when the polynomials are; every coefficient of each is
+    below 2^(b-1), so each unpacks at b (``_weighted_width``).  N_n(2^b) comes
+    from the memo of the recurrence (``_packed_numerator``), at its
+    b >= ``_weighted_width(n)``, and is scaled by n passes of x - x*2^(b*alpha);
+    the closed form runs ``_weighted_moment`` at the same b.
     """
     b, left = _packed_numerator(alpha, n)
     for _ in range(n):
         left -= left << (b * alpha)  # times 1 - q^alpha
-    return -left if n % 2 else left, _alternating_numerator(alpha, n, b)
+    return b, -left if n % 2 else left, _alternating_numerator(alpha, n, b)
 
 
 def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
@@ -417,7 +402,7 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     _check_weight(alpha, 1)
     rec = weighted_recurrence(alpha, n_max)
     for n in range(n_max + 1):
-        left, right = _weighted_values(alpha, n)
+        _, left, right = _weighted_values(alpha, n)
         if left != right:
             raise ArithmeticError(
                 f"weighted routes disagree at alpha={alpha}, n={n}: "
@@ -471,7 +456,8 @@ class IdentityInstance(NamedTuple):
 
     The verdict is an exact comparison: for cor3, thm4-thm8, the k=0 remark
     and weighted, of the integer numerators of I(f) and g over a known
-    denominator (see ``_moment``), of canonical values for the rest.
+    denominator, by their values at q = 2^b (see ``_moment_values``), of
+    canonical values for the rest.
     ``left``/``right`` hold the two sides compared, reduced to canonical
     form (QRatFn or XPoly) only when the verdict is ``fail``, as a witness.
     An instance is in order when its verdict matches its expectation (some
@@ -514,23 +500,25 @@ def _judged(
     left: object,
     right: object,
     over: Optional[Counter] = None,
+    b: int = 0,
     expected: str = PASS,
     note: str = "",
 ) -> IdentityInstance:
     """One instance, judged by the exact comparison ``left == right``.
 
-    With ``over``, a Counter of Phi_d exponents, each side is an integer
-    numerator over it from ``_moment`` or ``_weighted_moment``, or a list of
-    them, one per power of x; a failing instance keeps both sides, reduced
-    to a canonical QRatFn or XPoly, as its witness.  Else they are canonical.
+    With ``over``, a Counter of Phi_d exponents, each side is the value at
+    q = 2^b of an integer numerator over it (``_moment_values`` or
+    ``_weighted_values``), or a list of them, one per power of x; a failing
+    instance unpacks both sides and keeps them, reduced to a canonical QRatFn
+    or XPoly, as its witness (``_unpacked_over``).  Else they are canonical.
     """
     if left == right:
         return IdentityInstance(params, PASS, expected, note)
     if over is not None:
         left, right = (
-            XPoly(_reduce_over_cyclotomics(list(c), over) for c in side)
-            if side and isinstance(side[0], list)
-            else _reduce_over_cyclotomics(list(side), over)
+            XPoly(_unpacked_over(v, b, over) for v in side)
+            if isinstance(side, list)
+            else _unpacked_over(side, b, over)
             for side in (left, right)
         )
     return IdentityInstance(params, FAIL, expected, note, left, right)
@@ -592,48 +580,41 @@ def _packed_moments(n: int, reflected: bool, b: int) -> tuple[int, ...]:
 _Side = tuple[list[tuple[int, int, int]], bool]
 
 
-def _moment(n: int, terms: Iterable[tuple[int, int, int]], reflected: bool = False) -> list[int]:
-    """sum c*q^s*I(y^l) over the (c, s, l) terms, l <= n, as its numerator over (1+q)^n.
-
-    I is the fermionic functional I(y^l) = E_l, or I'(y^l) = E_{l,1/q} when
-    ``reflected``; a constant is c*I(1), since E_0 = 1.
-    """
-    moments = _numerators_over(n)[reflected]
-    return _icombination([], ((c, s, moments[l]) for c, s, l in terms))
-
-
 def _moment_width(n: int, sides: Sequence[_Side]) -> int:
     """The least b at which any two of the sides compare exactly by their values at 2^b.
 
-    Each coefficient of a side's numerator (``_moment``) is a sum of c times
-    a coefficient of some M_l in ``_numerators_over(n)``, each below 2^beta_n
-    (``_moment_bits``).  With W the sum of |c| over the terms of all the
-    sides, every coefficient of a difference of two sides is below
-    W 2^beta_n < 2^(b-1) for b = bitlen(W) + beta_n + 1.  A nonzero integer
-    polynomial with every |coefficient| < 2^b does not vanish at 2^b: its
-    lowest nonzero coefficient survives mod 2^b (``_weighted_width``).
+    A side sum c*q^s*I(y^l) has the numerator sum c*q^s*M_l over (1+q)^n, M_l
+    from ``_numerators_over(n)``, so each of its coefficients is a sum of c
+    times a coefficient of some M_l, each below 2^beta_n (``_moment_bits``).
+    With W the sum of |c| over the terms of all the sides, every coefficient
+    of a side, and of a difference of two sides, is below W 2^beta_n < 2^(b-1)
+    for b = bitlen(W) + beta_n + 1.  So each side unpacks from its value at
+    2^b (``_iunpack``), and a nonzero integer polynomial with every
+    |coefficient| < 2^b does not vanish at 2^b: its lowest nonzero coefficient
+    survives mod 2^b (``_weighted_width``).
     """
     w = sum(abs(c) for terms, _ in sides for c, _, _ in terms)
     return w.bit_length() + _moment_bits(n) + 1
 
 
-def _moment_values(n: int, sides: Sequence[_Side], b: int = 0) -> list[int]:
-    """Each side's numerator over (1+q)^n at q = 2^b: sum c * (P_l << b*s), P_l = M_l(2^b).
+def _moment_values(n: int, sides: Sequence[_Side], b: int = 0) -> tuple[int, list[int]]:
+    """(b, values): each side's numerator over (1+q)^n at q = 2^b, sum c * (P_l << b*s).
 
-    b defaults to ``_moment_width`` rounded up to a multiple of 64, so that the
-    sides at one n share their packed moments (``_packed_moments``); a b below
-    ``_moment_width`` is refused.
+    P_l = M_l(2^b).  b defaults to ``_moment_width`` rounded up to a multiple
+    of 64, so that the sides at one n share their packed moments
+    (``_packed_moments``).  A b below ``_moment_width``, or not a multiple of 8,
+    is refused: the values are compared and unpacked at b.
     """
     width = _moment_width(n, sides)
     if not b:
         b = -(-width // 64) * 64
-    elif b < width:
-        raise ValueError(f"width {b} is below the proven width {width} of these moments")
+    elif b < width or b % 8:
+        raise ValueError(f"width {b} is not a multiple of 8 at or above the proven width {width}")
     values = []
     for terms, reflected in sides:
         packed = _packed_moments(n, reflected, b)
         values.append(sum(c * packed[l] << b * s for c, s, l in terms))
-    return values
+    return b, values
 
 
 def _moment_instance(
@@ -647,19 +628,15 @@ def _moment_instance(
     """One instance of I(f) = g, each side a sum of c*q^s*I(y^l) over (1+q)^n.
 
     ``left`` and ``right`` are sides, or lists of sides, one per power of x,
-    all valued at one b (``_moment_values``).  Only a failing instance builds
-    its numerators as lists (``_moment``), for its witness.
+    all valued at one b (``_moment_values``), which ``_judged`` compares.
     """
     scalar = not isinstance(left, list)
     lefts, rights = ([left], [right]) if scalar else (left, right)
-    sides = lefts + rights
-    values = _moment_values(n, sides)
-    if values[:len(lefts)] == values[len(lefts):]:
-        return IdentityInstance(params, PASS, expected, note)
-    left, right = ([_moment(n, *side) for side in group] for group in (lefts, rights))
+    b, values = _moment_values(n, lefts + rights)
+    left, right = values[:len(lefts)], values[len(lefts):]
     if scalar:
         left, right = left[0], right[0]
-    return _judged(params, left, right, Counter({2: n}), expected, note)
+    return _judged(params, left, right, Counter({2: n}), b, expected, note)
 
 
 def _bernstein_left(n: int, k: int, scale: int = 1) -> _Side:
@@ -767,10 +744,8 @@ def _check_weighted(n_max: int) -> list[IdentityInstance]:
     out = []
     for alpha in (1, 2, 3):
         for n in range(n_max + 1):
-            left, right = _weighted_values(alpha, n)
-            if left != right:  # only a failing instance builds its lists, for the witness
-                left, right = _weighted_sides(alpha, n)
-            out.append(_judged((alpha, n), left, right, _closed_form_factors(alpha, n)))
+            b, left, right = _weighted_values(alpha, n)
+            out.append(_judged((alpha, n), left, right, _closed_form_factors(alpha, n), b))
     return out
 
 

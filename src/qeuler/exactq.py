@@ -10,10 +10,9 @@ Three layers, all immutable and safe to share between threads:
   (primitive Euclid); one accumulator, ``_icombination``, every sum of
   shifted multiples of lists, dense products (``_imul``) included.  Work on
   many wide coefficients runs instead on a polynomial's value at q = 2^b, one
-  int (Kronecker substitution): ``_ipack`` evaluates, ``_iunpack`` and
-  ``_iwiden`` read the digits back through bytes, and no packed int is ever
-  divided.  Multiplying or
-  dividing by a product of cyclotomic polynomials is sparse
+  int (Kronecker substitution): ``_ipack`` evaluates, ``_iunpack`` reads the
+  digits back through bytes, and no packed int is ever divided.  Multiplying
+  or dividing by a product of cyclotomic polynomials is sparse
   (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after one
   evaluation at q = 2^32 (``_cyclotomic_quotient``).
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
@@ -135,41 +134,19 @@ def _ipack(cs: Sequence[int], b: int) -> int:
     return pack(0, len(cs)) if cs else 0
 
 
-def _digit_bytes(value: int, b: int) -> bytes:
-    """value + sum_i 2^(b-1) 2^(b*i) in little-endian bytes, b//8 bytes per digit.
-
-    With value = sum c_i 2^(b*i), |c_i| < 2^(b-1) and b a multiple of 8, every
-    digit c_i + 2^(b-1) lies in [1, 2^b), so each fills its own b//8 bytes.
-    There are at most bitlen(value) // b + 1 digits: a top digit c_L at q^L
-    keeps |value| > 2^(b*L-1).
-    """
-    w, length = b // 8, abs(value).bit_length() // b + 1
-    repunit = int.from_bytes((bytes(w - 1) + b"\x80") * length, "little")  # the 2^(b-1) digits
-    return (value + repunit).to_bytes(w * length, "little")
-
-
 def _iunpack(value: int, b: int) -> list[int]:
     """The inverse of ``_ipack`` for every |coefficient| < 2^(b-1), b a multiple of 8.
 
-    One ``to_bytes``, and one ``from_bytes`` per coefficient (``_digit_bytes``); nothing divides.
+    With value = sum c_i 2^(b*i), adding 2^(b-1) to every digit puts each
+    c_i + 2^(b-1) in [1, 2^b), its own b//8 bytes.  There are at most
+    bitlen(value) // b + 1 digits: a top digit c_L at q^L keeps
+    |value| > 2^(b*L-1).  One ``to_bytes``, and one ``from_bytes`` per
+    coefficient; nothing divides.
     """
-    data, w, half = _digit_bytes(value, b), b // 8, 1 << (b - 1)
+    w, length, half = b // 8, abs(value).bit_length() // b + 1, 1 << (b - 1)
+    repunit = int.from_bytes((bytes(w - 1) + b"\x80") * length, "little")  # the 2^(b-1) digits
+    data = (value + repunit).to_bytes(w * length, "little")
     return _itrim([int.from_bytes(data[i:i + w], "little") - half for i in range(0, len(data), w)])
-
-
-def _iwiden(value: int, b: int, wider: int) -> int:
-    """``_ipack(_iunpack(value, b), wider)``, b <= wider both multiples of 8, by strided copies.
-
-    Byte j of every digit moves at once; the digits' 2^(b-1) offsets are
-    taken back out at the wider width.
-    """
-    data, w, v = _digit_bytes(value, b), b // 8, wider // 8
-    length = len(data) // w
-    out = bytearray(v * length)
-    for j in range(w):
-        out[j::v] = data[j::w]
-    offsets = (bytes(w - 1) + b"\x80" + bytes(v - w)) * length
-    return int.from_bytes(out, "little") - int.from_bytes(offsets, "little")
 
 
 def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:

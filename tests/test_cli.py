@@ -322,16 +322,12 @@ def test_verify_text_mismatch_report(capsys, monkeypatch, fresh_caches):
     # the closed form's numerator off by one at n = 3 fails weighted at (alpha, 3)
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n, b=0):
-        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
-        # route check and the witnesses read the same perturbed polynomial
+    def perturbed(alpha, n, b):
+        # one q-coefficient up by 1 at q = 2^b: the route check, the witnesses
+        # and the closed form all unpack the same perturbed polynomial
         t = honest(alpha, n, b)
         if n == 3:
-            k = len(honest(alpha, n)) // 2
-            if b:
-                t += 1 << (b * k)
-            else:
-                t[k] += 1
+            t += 1 << (b * (len(exactq._iunpack(t, b)) // 2))
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
@@ -458,32 +454,36 @@ def test_cli_commands_make_no_generic_gcd_call(argv, monkeypatch, capsys, fresh_
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
+def _spy_on_unpacked_sides(monkeypatch) -> list:
+    """Record the Phi_d exponents of every side unpacked from its value at q = 2^b."""
+    calls = []
+    unpacked_over = euler._unpacked_over
+    monkeypatch.setattr(euler, "_unpacked_over", lambda value, b, factors: calls.append(
+        dict(factors)) or unpacked_over(value, b, factors))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [
     "table weighted --alpha 3 --n-max 12",
     "verify --suite weighted --n-max 12",
 ])
 def test_passing_weighted_runs_build_no_list_sides(argv, monkeypatch, capsys, fresh_caches):
-    # the route check is decided at q = 2^b; only a failing instance builds
-    # (q^alpha-1)^n N_n and the closed form as coefficient lists
-    calls = []
-    sides = euler._weighted_sides
-    monkeypatch.setattr(euler, "_weighted_sides", lambda *a: calls.append(a) or sides(*a))
+    # the route check is decided at q = 2^b; only a failing instance unpacks
+    # (q^alpha-1)^n N_n and the closed form into coefficient lists
+    calls = _spy_on_unpacked_sides(monkeypatch)
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
 def test_passing_verify_builds_moment_lists_only_for_expected_failures(
         monkeypatch, capsys, fresh_caches):
-    # every moment identity is decided at q = 2^b; the lists are built only for
-    # the witnesses of the instances that fail by design: the k=0 remark, on
-    # its own and as thm8's (n, 0, "k0-remark") rows, and thm5 at n = 0
-    calls = []
-    moment = euler._moment
-    monkeypatch.setattr(
-        euler, "_moment", lambda n, terms, reflected=False: calls.append((n, reflected))
-        or moment(n, terms, reflected))
+    # every moment identity is decided at q = 2^b; the lists are unpacked only
+    # for the witnesses of the instances that fail by design: the k=0 remark,
+    # on its own and as thm8's (n, 0, "k0-remark") rows, and thm5 at n = 0
+    calls = _spy_on_unpacked_sides(monkeypatch)
     assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "12")[0] == 0
-    expected = [(0, False)] * 2 + [(n, r) for n in range(1, 13) for r in (False, True)] * 2
-    assert sorted(calls) == sorted(expected)
+    expected = [0] * 2 + list(range(1, 13)) * 4  # both sides of each failing instance
+    assert sorted(c[2] for c in calls) == sorted(expected)
+    assert all(list(c) == [2] for c in calls)  # each over (1+q)^n
 
 
 @pytest.mark.parametrize("argv", [
@@ -492,7 +492,7 @@ def test_passing_verify_builds_moment_lists_only_for_expected_failures(
 ])
 def test_weighted_runs_pack_no_numerator_list(argv, monkeypatch, capsys, fresh_caches):
     # the recurrence makes N_n at q = 2^b, so neither the route check nor the
-    # table packs a coefficient list; a wider b is reached by ``_iwiden``
+    # table packs a coefficient list; at a wider b the recurrence runs again
     calls = []
     for module in (euler, exactq):
         pack = module._ipack
@@ -501,15 +501,19 @@ def test_weighted_runs_pack_no_numerator_list(argv, monkeypatch, capsys, fresh_c
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
-@pytest.mark.parametrize("alpha", ["2", "3"])
-def test_passing_weighted_tables_fold_no_numerator(alpha, monkeypatch, capsys, fresh_caches):
-    # den_n's Phi_d are decided by residue sums (Phi_2^n at even alpha by proof),
-    # so no entry tests its numerator against a Phi_d
+@pytest.mark.parametrize("argv", [
+    "table weighted --alpha 2 --n-max 12",
+    "table weighted --alpha 3 --n-max 12",
+    "table qeuler --n-max 40",
+    "table qeuler-poly --n-max 12",
+], ids=["2", "3", "qeuler", "qeuler-poly"])
+def test_passing_weighted_tables_fold_no_numerator(argv, monkeypatch, capsys, fresh_caches):
+    # den_n's Phi_d are decided by residue sums, and Phi_2^n at even alpha by
+    # proof (weight 0 included), so no entry tests its numerator against a Phi_d
     calls = []
     quotient = euler._cyclotomic_quotient
     monkeypatch.setattr(euler, "_cyclotomic_quotient", lambda *a: calls.append(a) or quotient(*a))
-    argv = ["table", "weighted", "--alpha", alpha, "--n-max", "12"]
-    assert (run_cli(capsys, *argv)[0], calls) == (0, [])
+    assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
 def test_library_moments_make_no_generic_gcd_call(monkeypatch, fresh_caches):

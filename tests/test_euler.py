@@ -29,6 +29,7 @@ from qeuler.euler import (
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
 from test_exactq import cyclotomic_exps, cyclotomic_product  # dense references
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
+from test_verdicts import _list_moment, _list_weighted_sides, _weighted_moment_by_division
 
 ONE = QRatFn.one()
 
@@ -55,11 +56,14 @@ def test_weight0_denominator_is_the_full_power_of_1_plus_q():
     # E_n = N_n / (1+q)^n is already in lowest terms: at q = -1 only the
     # k = n-1 term of the recurrence survives, so N_n(-1) = n N_{n-1}(-1) = n!
     # and Phi_2 = 1 + q never divides N_n.  So (1+q)^n, the denominator that
-    # _moment puts each weight-0 side over, is E_n's own.
+    # _moment_values puts each weight-0 side over, is E_n's own.  The entry
+    # takes that by proof (N_n = -q A_n(-q), A_n Eulerian), so N_n(-1) = n! is
+    # checked on the list loop too
     seq = q_euler_numbers(60)
     for n, e in enumerate(seq):
         assert e.den == QPoly([comb(n, i) for i in range(n + 1)])
         assert e.num.eval(-1) == factorial(n)
+        assert sum(c * (-1) ** i for i, c in enumerate(_oracle_numerator(0, n))) == factorial(n)
 
 
 def test_weight0_recurrence_invariant():
@@ -277,7 +281,8 @@ def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_moment_functionals_match_the_qratfn_route(data):
-    # _moment: sum c q^s I(y^l) over (1+q)^n, with I(y^l) = E_l, or E_{l,1/q} reflected
+    # _moment_values: sum c q^s I(y^l) over (1+q)^n at q = 2^b, with I(y^l) = E_l,
+    # or E_{l,1/q} reflected, against the QRatFn sum and the list oracle
     n = data.draw(st.integers(0, 10))
     term = st.tuples(st.integers(-9, 9), st.integers(0, 5), st.integers(0, n))
     terms = data.draw(st.lists(term, max_size=6))
@@ -286,18 +291,19 @@ def test_moment_functionals_match_the_qratfn_route(data):
     if reflected:
         e = [v.subst_q_inverse() for v in e]
     expected = sum((e[l] * QRatFn.q() ** s * c for c, s, l in terms), QRatFn.zero())
-    numerator = euler._moment(n, terms, reflected)
-    assert euler._reduce_over_cyclotomics(numerator, Counter({2: n})) == expected
-    # _weighted_moment: sum c_j I(X^j) over prod_{k<=n} (1+q^(alpha*k+1)),
-    # with I(X^j) = [2]_q / (1+q^(alpha*j+1))
+    b, (value,) = euler._moment_values(n, [(terms, reflected)])
+    assert exactq._iunpack(value, b) == _list_moment(n, terms, reflected)
+    assert euler._unpacked_over(value, b, Counter({2: n})) == expected
+    # _weighted_moment: sum c_j I(X^j) over prod_{k<=n} (1+q^(alpha*k+1)) at
+    # q = 2^64, with I(X^j) = [2]_q / (1+q^(alpha*j+1))
     alpha, n = data.draw(st.sampled_from((1, 2, 3))), data.draw(st.integers(0, 6))
     coeffs = data.draw(st.lists(st.integers(-9, 9), max_size=n + 1))
     expected = sum(
         (ratfn((1, 1), (1,) + (0,) * (alpha * j) + (1,)) * c for j, c in enumerate(coeffs)),
         QRatFn.zero(),
     )
-    numerator = euler._weighted_moment(alpha, n, coeffs)
-    assert euler._reduce_over_cyclotomics(numerator, _d_n_factors(alpha, n)) == expected
+    value = euler._weighted_moment(alpha, n, coeffs, 64)
+    assert euler._unpacked_over(value, 64, _d_n_factors(alpha, n)) == expected
 
 
 def _d_n_factors(alpha, n):
@@ -344,12 +350,14 @@ def test_residue_sums_decide_what_the_folds_decide():
     assert multi_term > 100
 
 
-@pytest.mark.parametrize("alpha, n", [(0, 4), (1, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("alpha, n", [(1, 3), (2, 4), (3, 5)])
 def test_weighted_entry_reduces_a_numerator_that_shares_a_phi_d(alpha, n, monkeypatch):
     # were N_n, divided by D_n / den_n, still divisible by a Phi_d of den_n, den_n
     # would not be canonical: the entry must then fall back to trial division.
-    # For alpha >= 1 the entry reads that from the residue sum R of the closed
-    # form, which a doctored N_n is not, so R is made to report zero as well
+    # The entry reads that from the residue sum R of the closed form, which a
+    # doctored N_n is not, so R is made to report zero as well.  At alpha = 0
+    # the one Phi_d is Phi_2, which stays by proof (N_n(-1) = n!), so no
+    # fallback is left to reach there
     exps, _, den = euler._canonical_denominator(alpha, n)
     d = max(exps)
     honest = euler._weighted_numerator
@@ -384,24 +392,16 @@ def test_weighted_memos_fill_without_deep_recursion(fresh_caches):
         sys.setrecursionlimit(limit)
 
 
-def _weighted_moment_by_division(alpha, n, coeffs):
-    # reference: sum_j c_j prod_{0<=k<=n} f_k / f_j, f_k = 1+q^(alpha*k+1), with
-    # the full product built once and divided by each f_j
-    full = [1]
-    for k in range(n + 1):
-        full = exactq._ishift_add(full, alpha * k + 1)
-    terms = ((c, 0, exactq._ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
-    return exactq._icombination([], terms)
-
-
 def test_weighted_moment_matches_product_and_divide():
+    # at q = 2^64, where every coefficient here unpacks, against the list oracle
     rng = Random(18)
     for alpha in range(4):
         for n in range(13):
             for length in range(n + 2):  # every coefficient list up to n+1 long
                 coeffs = [rng.randint(-50, 50) for _ in range(length)]
                 expected = _weighted_moment_by_division(alpha, n, coeffs)
-                assert euler._weighted_moment(alpha, n, coeffs) == expected, (alpha, n, coeffs)
+                value = euler._weighted_moment(alpha, n, coeffs, 64)
+                assert exactq._iunpack(value, 64) == expected, (alpha, n, coeffs)
 
 
 def test_numerator_above_its_degree_raises(monkeypatch, fresh_caches):
@@ -420,16 +420,11 @@ def test_numerator_above_its_degree_raises(monkeypatch, fresh_caches):
 def test_weighted_routes_disagreeing_raise(monkeypatch):
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n, b=0):
-        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
-        # route check and the witnesses read the same perturbed polynomial
+    def perturbed(alpha, n, b):
+        # one q-coefficient up by 1 at q = 2^b, where the route check reads it
         t = honest(alpha, n, b)
         if n == 3:
-            k = len(honest(alpha, n)) // 2
-            if b:
-                t += 1 << (b * k)
-            else:
-                t[k] += 1
+            t += 1 << (b * (len(exactq._iunpack(t, b)) // 2))
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
@@ -454,8 +449,14 @@ def test_packed_recurrence_matches_the_list_loop(fresh_caches):
     for alpha in range(7):
         for n in range(31):
             assert tuple(euler._weighted_numerator(alpha, n)) == _oracle_numerator(alpha, n), n
-    # the memo widened its b as n rose, and holds one b per weight
-    assert euler._packed_numerator(3, 30)[0] == -(-euler._weighted_width(30) // 64) * 64
+    # the memo's b is the proven width rounded up to a multiple of 64, and
+    # the chain at that b holds every N_k, k <= n
+    b, value = euler._packed_numerator(3, 30)
+    assert b == -(-euler._weighted_width(30) // 64) * 64
+    chain = euler._packed_chain(3, b, 30)
+    assert [exactq._iunpack(v, b) for v in chain] == [list(_oracle_numerator(3, k))
+                                                      for k in range(31)]
+    assert chain[30] == value
 
 
 def test_numerator_bound_covers_every_numerator():
@@ -472,8 +473,8 @@ def test_packed_step_refuses_a_width_below_the_proof():
     b, value = euler._packed_numerator(1, 8)
     least = euler._weighted_width(8)
     assert euler._packed_step(1, 8, packed, b) == value
-    assert euler._packed_step(1, 8, [exactq._iwiden(p, b, least + 64) for p in packed],
-                              least + 64) == exactq._iwiden(value, b, least + 64)
+    assert euler._packed_chain(1, least + 64, 8)[8] == exactq._ipack(
+        exactq._iunpack(value, b), least + 64)
     for narrow in (least - 8, least + 4):  # below the bound, or not a whole number of bytes
         with pytest.raises(ValueError, match="proven width"):
             euler._packed_step(1, 8, packed, narrow)
@@ -483,11 +484,10 @@ def test_weighted_values_match_the_list_sides():
     # the route check at q = 2^b against the coefficient lists it stands for
     for alpha in (1, 2, 3):
         for n in range(31):
-            left, right = euler._weighted_sides(alpha, n)
-            values = euler._weighted_values(alpha, n)
-            b = euler._packed_numerator(alpha, n)[0]
-            assert b >= euler._weighted_width(n)
-            assert values == (exactq._ipack(left, b), exactq._ipack(right, b)), (alpha, n)
+            left, right = _list_weighted_sides(alpha, n)
+            b, *values = euler._weighted_values(alpha, n)
+            assert b == euler._packed_numerator(alpha, n)[0] >= euler._weighted_width(n)
+            assert values == [exactq._ipack(left, b), exactq._ipack(right, b)], (alpha, n)
             assert (values[0] == values[1]) == (left == right), (alpha, n)
 
 
@@ -496,7 +496,7 @@ def test_weighted_width_bounds_both_sides():
     # stays below 2^(b-1) in the widest measured case too
     for n in range(41):
         b = euler._weighted_width(n)
-        left, right = euler._weighted_sides(3, n)
+        left, right = _list_weighted_sides(3, n)
         assert b - 1 > max(map(abs, left + right)).bit_length(), n
 
 
@@ -518,12 +518,13 @@ def test_weighted_values_detect_a_unit_change(alpha, n, where, delta, monkeypatc
     k = {"top": len(numerator) - 1, "constant": 0,
          "largest": max(range(len(numerator)), key=lambda i: abs(numerator[i]))}[where]
     numerator[k] += delta
-    euler._packed_numerator.cache_clear()
+    euler._packed_chain.cache_clear()
     _with_numerator(monkeypatch, alpha, n, numerator)
     assert euler._weighted_numerator(alpha, n) == exactq._itrim(list(numerator))
-    for sides in (euler._weighted_values, euler._weighted_sides):  # the ints, and the lists
-        left, right = sides(alpha, n)
-        assert left != right, sides.__name__
+    _, left, right = euler._weighted_values(alpha, n)
+    assert left != right  # the ints
+    left, right = _list_weighted_sides(alpha, n)
+    assert left != right  # and the lists
 
 
 @pytest.mark.parametrize("alpha, n", [(1, 4), (2, 10), (3, 20)])
@@ -538,9 +539,9 @@ def test_weighted_values_detect_a_carry(alpha, n, monkeypatch, fresh_caches):
     numerator[k] += 1 << c
     numerator[k + 1] -= 1
     assert exactq._ipack(numerator, c) == exactq._ipack(euler._weighted_numerator(alpha, n), c)
-    euler._packed_numerator.cache_clear()
+    euler._packed_chain.cache_clear()
     _with_numerator(monkeypatch, alpha, n, numerator)
-    left, right = euler._weighted_values(alpha, n)
+    _, left, right = euler._weighted_values(alpha, n)
     assert left != right
 
 

@@ -88,8 +88,7 @@ CONVERTED = ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "t
 @pytest.fixture
 def fresh_caches():
     """Empty every euler cache before and after, so a monkeypatched input reaches every route."""
-    cached = [f for f in vars(euler).values()
-              if hasattr(f, "cache_clear") and not isinstance(f, type)]
+    cached = [f for f in vars(euler).values() if hasattr(f, "cache_clear")]
     for f in cached:
         f.cache_clear()
     yield
@@ -142,11 +141,54 @@ def test_perturbed_numerator_reaches_the_lists(fresh_caches, monkeypatch):
     assert euler._numerators_over(5)[0][5] == tuple(euler._weighted_numerator(0, 5))
 
 
+def _list_moment(n, terms, reflected=False):
+    """sum c*q^s*I(y^l) over the (c, s, l) terms as its numerator over (1+q)^n, a list.
+
+    I(y^l) = E_l, or E_{l,1/q} when ``reflected``: the list route that the
+    moment judge's values at q = 2^b are checked against.
+    """
+    moments = euler._numerators_over(n)[reflected]
+    return exactq._icombination([], ((c, s, moments[l]) for c, s, l in terms))
+
+
+def _weighted_moment_by_division(alpha, n, coeffs):
+    # reference: sum_j c_j prod_{0<=k<=n} f_k / f_j, f_k = 1+q^(alpha*k+1), with
+    # the full product built once and divided by each f_j
+    full = [1]
+    for k in range(n + 1):
+        full = exactq._ishift_add(full, alpha * k + 1)
+    terms = ((c, 0, exactq._ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+    return exactq._icombination([], terms)
+
+
+def _list_weighted_sides(alpha, n):
+    """(q^alpha-1)^n N_n and I((X-1)^n) as lists, the closed form by product and divide."""
+    scaled = list(euler._weighted_numerator(alpha, n))
+    for _ in range(n):
+        scaled = exactq._ishift_add(scaled, alpha, -1)  # times 1 - q^alpha
+    closed = _weighted_moment_by_division(alpha, n, [comb(n, j) * (-1) ** (n - j)
+                                                     for j in range(n + 1)])
+    return exactq._itrim([-c for c in scaled] if n % 2 else scaled), closed
+
+
 def _list_route(monkeypatch):
-    """Decide every moment and weighted instance on coefficient lists, as before q = 2^b."""
-    monkeypatch.setattr(euler, "_moment_values",
-                        lambda n, sides, b=0: [euler._moment(n, *side) for side in sides])
-    monkeypatch.setattr(euler, "_weighted_values", euler._weighted_sides)
+    """Make every moment and weighted side on coefficient lists, by the oracles above.
+
+    Each list is packed at the b the judge takes for the sides, where equal
+    values are equal lists and every list unpacks again (the width proofs).
+    """
+    moment_values, weighted_values = euler._moment_values, euler._weighted_values
+
+    def moments(n, sides, b=0):
+        b = moment_values(n, sides, b)[0]
+        return b, [exactq._ipack(_list_moment(n, *side), b) for side in sides]
+
+    def weighted(alpha, n):
+        b = weighted_values(alpha, n)[0]
+        return (b, *(exactq._ipack(side, b) for side in _list_weighted_sides(alpha, n)))
+
+    monkeypatch.setattr(euler, "_moment_values", moments)
+    monkeypatch.setattr(euler, "_weighted_values", weighted)
 
 
 @pytest.mark.parametrize("identity", [run.identity for run in SUITES["all"]])
@@ -188,7 +230,7 @@ def test_moment_judge_detects_a_unit_change(delta, where, monkeypatch, fresh_cac
     _with_moment(monkeypatch, n, l, change)
     for left, right in _moment_rows(n):
         verdict = euler._moment_instance((), n, left, right).verdict
-        assert verdict == (PASS if euler._moment(n, *left) == euler._moment(n, *right) else FAIL)
+        assert verdict == (PASS if _list_moment(n, *left) == _list_moment(n, *right) else FAIL)
     verdicts = [euler._moment_instance((), n, *row).verdict for row in _moment_rows(n)]
     assert verdicts == [FAIL] * 7 + [PASS] * 2  # thm7, the k=0 remark, k = 1..5; k = 6, 7
 
@@ -217,26 +259,24 @@ def test_moment_judge_detects_a_carry(monkeypatch, fresh_caches):
 def test_moment_values_refuse_a_width_below_the_proof():
     left, right = _moment_rows(10)[4]
     width = euler._moment_width(10, [left, right])
-    values = euler._moment_values(10, [left, right], width)
-    assert values[0] == values[1]
-    with pytest.raises(ValueError, match="proven width"):
-        euler._moment_values(10, [left, right], width - 1)
+    least = -(-width // 8) * 8  # the values are unpacked by bytes
+    b, values = euler._moment_values(10, [left, right], least)
+    assert b == least and values[0] == values[1]
+    for bad in (width - 1, least + 4):  # below the bound, or not a whole number of bytes
+        with pytest.raises(ValueError, match="proven width"):
+            euler._moment_values(10, [left, right], bad)
 
 
 @pytest.mark.parametrize("n_bad", (2, 3))  # both signs of (-1)^n in the closed form
 def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monkeypatch):
     honest = euler._alternating_numerator
 
-    def perturbed(alpha, n, b=0):
-        # one q-coefficient up by 1, as a list or at q = 2^b, so that both the
-        # route check and the witnesses read the same perturbed polynomial
+    def perturbed(alpha, n, b):
+        # one q-coefficient up by 1 at q = 2^b: the route check, the witnesses
+        # and the closed form all unpack the same perturbed polynomial
         t = honest(alpha, n, b)
         if n == n_bad:
-            k = len(honest(alpha, n)) // 2
-            if b:
-                t += 1 << (b * k)
-            else:
-                t[k] += 1
+            t += 1 << (b * (len(exactq._iunpack(t, b)) // 2))
         return t
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
