@@ -23,15 +23,15 @@ Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
 of some f equals some g; thm7, the k=0 remark and thm8 are one family of
 Bernstein rows (``_bernstein_instance``).  A side is a list of (c, s, l)
 terms, each c*q^s*I(y^l), with I(y^l) = E_l, or I'(y^l) = E_{l,1/q}: an integer
-numerator over (1+q)^n (``_moment_values``).  The weighted closed form maps its
+numerator over (1+q)^n, read from the weight-0 recurrence at q = 2^b, reversed
+by digits for E_{l,1/q} (``_packed_moments``).  The weighted closed form maps its
 terms through I(X^j) = [2]_q/(1+q^(alpha*j+1)), X = q^(alpha*x) (``_weighted_moment``).
-The verdict is the equality of the two numerators: field equality, since the
-denominator is nonzero.  Every such verdict compares the numerators' values at
-q = 2^b, one int per side, at a b for which that is exact equality, by the
-argument in ``_weighted_width``: ``_moment_values`` reads b from the sides'
-terms (``_moment_width``).  The same b holds every coefficient of each side
-below 2^(b-1), so a failing instance unpacks both values (``_unpacked_over``)
-and keeps them, reduced to canonical form, as its witness.
+The verdict is the equality of the two numerators (field equality: the
+denominator is nonzero), decided by their values at q = 2^b, one int per side,
+at a b for which that is exact equality by the argument in ``_weighted_width``
+(``_moment_width`` for the moment sides).  That b holds every coefficient of
+each side below 2^(b-1), so a failing instance unpacks both values
+(``_unpacked_over``) and keeps them, in canonical form, as its witness.
 thm1, thm2 and classical compare canonical values: the recurrence against
 the Frobenius closed form or the classical Euler numbers.
 """
@@ -53,8 +53,7 @@ from .exactq import (
     _cyclotomic_scale,
     _icombination,
     _imul,
-    _ipack,
-    _ishift_add,
+    _ireverse,
     _itrim,
     _iunpack,
     _qpoly,
@@ -537,42 +536,19 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
 
 
 @lru_cache(maxsize=None)
-def _numerators_over(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The numerators over (1+q)^n of E_l and of E_{l,1/q}, for l = 0..n.
-
-    E_l = N_l / (1+q)^l with N_l = ``_weighted_numerator(0, l)``, and
-    q -> 1/q turns it into q^(l - deg N_l) rev(N_l) / (1+q)^l.  Over (1+q)^n,
-    E_l's numerator is D = N_l (1+q)^(n-l), and E_{l,1/q}'s is
-    q^(l - deg N_l) rev(D), since (1+q)^(n-l) is palindromic.  So each
-    numerator over (1+q)^n is the one over (1+q)^(n-1) times 1 + q, and only
-    l = n is new.
-    """
-    previous: tuple = ((), ())
-    for k in range(n):  # ascending, so a cold request nests one call deep
-        previous = _numerators_over(k)
-    direct, reflected = ([tuple(_ishift_add(list(m), 1)) for m in side] for side in previous)
-    num = _itrim(list(_weighted_numerator(0, n)))
-    shift = n + 1 - len(num)
-    if shift < 0:
-        raise ArithmeticError(f"deg N_{n} > {n}: E_{n} is not over (1+q)^{n}")
-    direct.append(tuple(num))
-    reflected.append(tuple(_itrim([0] * shift + num[::-1])))
-    return tuple(direct), tuple(reflected)
-
-
-@lru_cache(maxsize=None)
-def _moment_bits(n: int) -> int:
-    """beta_n: every coefficient of every numerator in ``_numerators_over(n)`` is below 2^beta_n.
-
-    The reflected numerators hold the same coefficients, reversed.
-    """
-    return max(abs(c) for m in _numerators_over(n)[0] for c in m).bit_length()
-
-
-@lru_cache(maxsize=None)
 def _packed_moments(n: int, reflected: bool, b: int) -> tuple[int, ...]:
-    """The numerators of ``_numerators_over(n)``, direct or reflected, at q = 2^b."""
-    return tuple(_ipack(m, b) for m in _numerators_over(n)[reflected])
+    """M_0..M_n at q = 2^b: E_l's numerators over (1+q)^n, or E_{l,1/q}'s if reflected.
+
+    M_l = N_l (1+q)^(n-l), N_l from ``_packed_chain(0, b, n)``.  E_{l,1/q}'s
+    numerator is q^n M_l(1/q), M_l's n+1 digits reversed (``_ireverse``),
+    which raises if deg N_l > l.  ``_moment_width`` proves that b holds them.
+    """
+    moments = []
+    for l, value in enumerate(_packed_chain(0, b, n)):
+        for _ in range(n - l):
+            value += value << b  # times 1 + q
+        moments.append(_ireverse(value, b, n + 1) if reflected else value)
+    return tuple(moments)
 
 
 # A side of a moment identity: its (c, s, l) terms, each c*q^s*I(y^l), and
@@ -583,33 +559,27 @@ _Side = tuple[list[tuple[int, int, int]], bool]
 def _moment_width(n: int, sides: Sequence[_Side]) -> int:
     """The least b at which any two of the sides compare exactly by their values at 2^b.
 
-    A side sum c*q^s*I(y^l) has the numerator sum c*q^s*M_l over (1+q)^n, M_l
-    from ``_numerators_over(n)``, so each of its coefficients is a sum of c
-    times a coefficient of some M_l, each below 2^beta_n (``_moment_bits``).
-    With W the sum of |c| over the terms of all the sides, every coefficient
-    of a side, and of a difference of two sides, is below W 2^beta_n < 2^(b-1)
-    for b = bitlen(W) + beta_n + 1.  So each side unpacks from its value at
-    2^b (``_iunpack``), and a nonzero integer polynomial with every
-    |coefficient| < 2^b does not vanish at 2^b: its lowest nonzero coefficient
-    survives mod 2^b (``_weighted_width``).
+    b = bitlen(W) + ww, W the sum of |c| over all the sides' terms, ww =
+    ``_weighted_width(n)``.  A side's numerator is sum c*q^s*M_l
+    (``_packed_moments``), and a coefficient of M_l or of its reversal is at
+    most B_l 2^(n-l) <= B_n 2^n < 2^(ww-2), since C(n-l, k) <= 2^(n-l) and B
+    (``_numerator_bound``) is nondecreasing.  So every coefficient of a side,
+    or of a difference of two, is below 2^(b-2): each side unpacks and each
+    M_l reverses at b, and the comparison is exact (``_weighted_width``).
+    Each multiple of 8 at or above b is one at which the recurrence runs.
     """
     w = sum(abs(c) for terms, _ in sides for c, _, _ in terms)
-    return w.bit_length() + _moment_bits(n) + 1
+    return w.bit_length() + _weighted_width(n)
 
 
-def _moment_values(n: int, sides: Sequence[_Side], b: int = 0) -> tuple[int, list[int]]:
+def _moment_values(n: int, sides: Sequence[_Side]) -> tuple[int, list[int]]:
     """(b, values): each side's numerator over (1+q)^n at q = 2^b, sum c * (P_l << b*s).
 
-    P_l = M_l(2^b).  b defaults to ``_moment_width`` rounded up to a multiple
-    of 64, so that the sides at one n share their packed moments
-    (``_packed_moments``).  A b below ``_moment_width``, or not a multiple of 8,
-    is refused: the values are compared and unpacked at b.
+    P_l = M_l(2^b) (``_packed_moments``), and b is ``_moment_width`` rounded
+    up to a multiple of 64, so that the sides at one n share their packed
+    moments.  The values are compared and unpacked at b.
     """
-    width = _moment_width(n, sides)
-    if not b:
-        b = -(-width // 64) * 64
-    elif b < width or b % 8:
-        raise ValueError(f"width {b} is not a multiple of 8 at or above the proven width {width}")
+    b = -(-_moment_width(n, sides) // 64) * 64
     values = []
     for terms, reflected in sides:
         packed = _packed_moments(n, reflected, b)

@@ -10,11 +10,11 @@ Three layers, all immutable and safe to share between threads:
   (primitive Euclid); one accumulator, ``_icombination``, every sum of
   shifted multiples of lists, dense products (``_imul``) included.  Work on
   many wide coefficients runs instead on a polynomial's value at q = 2^b, one
-  int (Kronecker substitution): ``_ipack`` evaluates, ``_iunpack`` reads the
-  digits back through bytes, and no packed int is ever divided.  Multiplying
-  or dividing by a product of cyclotomic polynomials is sparse
-  (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after one
-  evaluation at q = 2^32 (``_cyclotomic_quotient``).
+  int (Kronecker substitution): ``_iunpack`` reads the digits back through
+  bytes, ``_ireverse`` reverses their order, and no packed int is ever
+  divided.  Multiplying or dividing by a product of cyclotomic polynomials is
+  sparse (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after
+  one evaluation at q = 2^32 (``_cyclotomic_quotient``).
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -122,20 +122,8 @@ def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
     return out
 
 
-def _ipack(cs: Sequence[int], b: int) -> int:
-    """cs at q = 2^b, by divide-and-conquer shifts and adds (no multiply, no divide)."""
-
-    def pack(lo: int, hi: int) -> int:
-        if hi - lo == 1:
-            return cs[lo]
-        mid = (lo + hi) // 2
-        return pack(lo, mid) + (pack(mid, hi) << (b * (mid - lo)))
-
-    return pack(0, len(cs)) if cs else 0
-
-
 def _iunpack(value: int, b: int) -> list[int]:
-    """The inverse of ``_ipack`` for every |coefficient| < 2^(b-1), b a multiple of 8.
+    """The coefficients of P from value = P(2^b), every |coefficient| < 2^(b-1), b a multiple of 8.
 
     With value = sum c_i 2^(b*i), adding 2^(b-1) to every digit puts each
     c_i + 2^(b-1) in [1, 2^b), its own b//8 bytes.  There are at most
@@ -144,9 +132,31 @@ def _iunpack(value: int, b: int) -> list[int]:
     coefficient; nothing divides.
     """
     w, length, half = b // 8, abs(value).bit_length() // b + 1, 1 << (b - 1)
-    repunit = int.from_bytes((bytes(w - 1) + b"\x80") * length, "little")  # the 2^(b-1) digits
-    data = (value + repunit).to_bytes(w * length, "little")
+    data = (value + _repunit(w, length)).to_bytes(w * length, "little")
     return _itrim([int.from_bytes(data[i:i + w], "little") - half for i in range(0, len(data), w)])
+
+
+def _repunit(w: int, length: int) -> int:
+    """sum_{i<length} 2^(b-1) 2^(b*i), b = 8w: the digit 2^(b-1) in each of length places."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * length, "little")
+
+
+def _ireverse(value: int, b: int, digits: int) -> int:
+    """q^(d-1) P(1/q) at q = 2^b from value = P(2^b), d = digits: P's d digits reversed.
+
+    As for ``_iunpack``, every |coefficient| < 2^(b-1) and 8 | b, so with the
+    repunit added each digit is its own b//8 bytes of one fixed-length
+    ``to_bytes``.  A P with more than d coefficients does not fit, whatever
+    the sign of its top one, and raises ArithmeticError.  Nothing divides.
+    """
+    w = b // 8
+    repunit = _repunit(w, digits)
+    try:
+        data = (value + repunit).to_bytes(w * digits, "little")
+    except OverflowError:
+        raise ArithmeticError(f"the polynomial has more than {digits} coefficients") from None
+    return int.from_bytes(b"".join([data[i:i + w] for i in range(w * (digits - 1), -1, -w)]),
+                          "little") - repunit
 
 
 def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:

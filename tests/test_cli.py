@@ -487,21 +487,6 @@ def test_passing_verify_builds_moment_lists_only_for_expected_failures(
 
 
 @pytest.mark.parametrize("argv", [
-    "verify --suite weighted --n-max 12",
-    "table weighted --alpha 3 --n-max 12",
-])
-def test_weighted_runs_pack_no_numerator_list(argv, monkeypatch, capsys, fresh_caches):
-    # the recurrence makes N_n at q = 2^b, so neither the route check nor the
-    # table packs a coefficient list; at a wider b the recurrence runs again
-    calls = []
-    for module in (euler, exactq):
-        pack = module._ipack
-        monkeypatch.setattr(module, "_ipack", lambda cs, b, pack=pack: calls.append(b)
-                            or pack(cs, b))
-    assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
-
-
-@pytest.mark.parametrize("argv", [
     "table weighted --alpha 2 --n-max 12",
     "table weighted --alpha 3 --n-max 12",
     "table qeuler --n-max 40",

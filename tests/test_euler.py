@@ -27,7 +27,7 @@ from qeuler.euler import (
     weighted_recurrence,
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
-from test_exactq import cyclotomic_exps, cyclotomic_product  # dense references
+from test_exactq import _ipack, cyclotomic_exps, cyclotomic_product  # dense references
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
 from test_verdicts import _list_moment, _list_weighted_sides, _weighted_moment_by_division
 
@@ -405,16 +405,19 @@ def test_weighted_moment_matches_product_and_divide():
 
 
 def test_numerator_above_its_degree_raises(monkeypatch, fresh_caches):
-    # q -> 1/q reverses N_l in place only while deg N_l <= l; a longer N_l must
-    # raise, also under python -O, rather than give a misaligned reflected side
-    honest = euler._weighted_numerator
-
-    def too_long(alpha, n):
-        return (0,) * 4 + (1,) if alpha == 0 and n == 3 else honest(alpha, n)
-
-    monkeypatch.setattr(euler, "_weighted_numerator", too_long)
-    with pytest.raises(ArithmeticError, match="deg N_3 > 3"):
-        verify_identity("thm7", 3)
+    # q -> 1/q reverses M_l's n + 1 digits in place only while deg N_l <= l; an
+    # N_3 one digit too long, whatever the sign of its top one, must raise,
+    # also under python -O, rather than give a misaligned reflected side
+    honest = euler._packed_step
+    for top in (1, -1):
+        monkeypatch.setattr(
+            euler, "_packed_step",
+            lambda alpha, n, packed, b, top=top: honest(alpha, n, packed, b)
+            + (top << b * 4 if (alpha, n) == (0, 3) else 0))
+        euler._packed_chain.cache_clear()  # and the moments read from it
+        euler._packed_moments.cache_clear()
+        with pytest.raises(ArithmeticError, match="more than 4 coefficients"):
+            verify_identity("thm7", 3)
 
 
 def test_weighted_routes_disagreeing_raise(monkeypatch):
@@ -473,7 +476,7 @@ def test_packed_step_refuses_a_width_below_the_proof():
     b, value = euler._packed_numerator(1, 8)
     least = euler._weighted_width(8)
     assert euler._packed_step(1, 8, packed, b) == value
-    assert euler._packed_chain(1, least + 64, 8)[8] == exactq._ipack(
+    assert euler._packed_chain(1, least + 64, 8)[8] == _ipack(
         exactq._iunpack(value, b), least + 64)
     for narrow in (least - 8, least + 4):  # below the bound, or not a whole number of bytes
         with pytest.raises(ValueError, match="proven width"):
@@ -487,7 +490,7 @@ def test_weighted_values_match_the_list_sides():
             left, right = _list_weighted_sides(alpha, n)
             b, *values = euler._weighted_values(alpha, n)
             assert b == euler._packed_numerator(alpha, n)[0] >= euler._weighted_width(n)
-            assert values == [exactq._ipack(left, b), exactq._ipack(right, b)], (alpha, n)
+            assert values == [_ipack(left, b), _ipack(right, b)], (alpha, n)
             assert (values[0] == values[1]) == (left == right), (alpha, n)
 
 
@@ -506,7 +509,7 @@ def _with_numerator(monkeypatch, alpha, n, numerator):
     honest = euler._packed_step
     monkeypatch.setattr(
         euler, "_packed_step",
-        lambda a, m, packed, b: exactq._ipack(numerator, b) if (a, m) == (alpha, n)
+        lambda a, m, packed, b: _ipack(numerator, b) if (a, m) == (alpha, n)
         else honest(a, m, packed, b))
 
 
@@ -538,7 +541,7 @@ def test_weighted_values_detect_a_carry(alpha, n, monkeypatch, fresh_caches):
     assert c < b
     numerator[k] += 1 << c
     numerator[k + 1] -= 1
-    assert exactq._ipack(numerator, c) == exactq._ipack(euler._weighted_numerator(alpha, n), c)
+    assert _ipack(numerator, c) == _ipack(euler._weighted_numerator(alpha, n), c)
     euler._packed_chain.cache_clear()
     _with_numerator(monkeypatch, alpha, n, numerator)
     _, left, right = euler._weighted_values(alpha, n)

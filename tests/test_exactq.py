@@ -14,7 +14,7 @@ from qeuler.exactq import (
     _cyclotomic_scale,
     _divisors,
     _int_poly_gcd,
-    _ipack,
+    _ireverse,
     _ishift_add,
     _ishift_div,
     _itrim,
@@ -166,14 +166,48 @@ def test_ishift_div_inverts_ishift_add(a, m, c, low):
             _ishift_div(b, m, c)
 
 
+def _ipack(cs, b):
+    """The packing oracle: cs at q = 2^b, by divide-and-conquer shifts and adds."""
+
+    def pack(lo, hi):
+        if hi - lo == 1:
+            return cs[lo]
+        mid = (lo + hi) // 2
+        return pack(lo, mid) + (pack(mid, hi) << (b * (mid - lo)))
+
+    return pack(0, len(cs)) if cs else 0
+
+
+coefficients_200 = st.lists(st.integers(-(2**200) + 1, 2**200 - 1), max_size=12)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-(2**200) + 1, 2**200 - 1), max_size=12), st.integers(0, 3))
+@given(coefficients_200, st.integers(0, 3))
 @example([2**200 - 1, -(2**200) + 1, 0, 5, 0], 0)
 @example([], 0)
 def test_iunpack_inverts_ipack(cs, extra):
     # 200-bit coefficients at b = 208, the least multiple of 8 with 2^(b-1) > 2^200, and above
     b = 208 + 8 * extra
     assert _iunpack(_ipack(cs, b), b) == _itrim(list(cs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients_200, st.integers(0, 3), st.integers(0, 3), st.integers(1, 2**200 - 1),
+       st.booleans())
+@example([2**200 - 1, -(2**200) + 1, 0, 5, 0], 0, 0, 1, False)
+@example([2**200 - 1, -(2**200) + 1, 0, 5, 0], 0, 0, 1, True)
+@example([-(2**200) + 1] * 3, 0, 1, 2**200 - 1, True)
+@example([], 0, 0, 1, True)
+def test_ireverse_reverses_the_digits(cs, extra, spare, top, negative):
+    # cs's digits at b >= 208 reversed into d >= len(cs) places, zeros first
+    b, d = 208 + 8 * extra, len(cs) + spare
+    value = _ipack(cs, b)
+    assert _ireverse(value, b, d) == _ipack((cs + [0] * (d - len(cs)))[::-1], b)
+    assert _ireverse(_ireverse(value, b, d), b, d) == value
+    # a nonzero coefficient above the d places, of either sign, does not fit
+    longer = cs + [0] * spare + [-top if negative else top]
+    with pytest.raises(ArithmeticError, match=f"more than {d} coefficients"):
+        _ireverse(_ipack(longer, b), b, d)
 
 
 def test_iunpack_needs_every_coefficient_below_half_the_radix():

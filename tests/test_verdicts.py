@@ -9,6 +9,7 @@ inputs is broken on purpose.
 """
 
 import inspect
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from qeuler.euler import (
     weighted_recurrence,
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly
+from test_exactq import _ipack  # the packing oracle
 
 ONE, Q = QRatFn.one(), QRatFn.q()
 N_MAX = 10
@@ -96,15 +98,16 @@ def fresh_caches():
         f.cache_clear()
 
 
-def _perturb_numerator(monkeypatch, n_bad=5, index=2):
-    """Add 1 to one coefficient of the weight-0 N_{n_bad}, where the recurrence makes it."""
+def _perturb_numerator(monkeypatch, n_bad=5, change=lambda b: 1 << b * 2):
+    """Add change(b) to the weight-0 N_{n_bad}(2^b), where the recurrence makes it; 1 at q^2."""
     honest = euler._packed_step
 
     def perturbed(alpha, n, packed, b):
         # the recurrence reads N_k from its memo of packed values, so N_{n_bad}
-        # feeds N_n, n > n_bad, and every list unpacked from them
+        # feeds N_n, n > n_bad, every moment read from them and every list
+        # unpacked from them
         value = honest(alpha, n, packed, b)
-        return value + (1 << b * index) if (alpha, n) == (0, n_bad) else value
+        return value + change(b) if (alpha, n) == (0, n_bad) else value
 
     monkeypatch.setattr(euler, "_packed_step", perturbed)
 
@@ -137,17 +140,45 @@ def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, m
 def test_perturbed_numerator_reaches_the_lists(fresh_caches, monkeypatch):
     _perturb_numerator(monkeypatch)
     honest = [0, -1, 26, -66, 26, -1]  # N_5 = -q(1 - 26q + 66q^2 - 26q^3 + q^4)
-    assert euler._weighted_numerator(0, 5) == [c + (i == 2) for i, c in enumerate(honest)]
-    assert euler._numerators_over(5)[0][5] == tuple(euler._weighted_numerator(0, 5))
+    numerator = euler._weighted_numerator(0, 5)
+    assert numerator == [c + (i == 2) for i, c in enumerate(honest)]
+    # the judge's moments at its own b: M_5 = N_5 over (1+q)^5, and its six
+    # digits reversed, which puts N_5's zero constant term on top
+    b = euler._moment_values(5, list(_moment_rows(5)[0]))[0]
+    assert exactq._iunpack(euler._packed_moments(5, False, b)[5], b) == numerator
+    assert exactq._iunpack(euler._packed_moments(5, True, b)[5], b) == numerator[::-1][:5]
+
+
+@lru_cache(maxsize=None)
+def _moments_over(numerators):
+    """The numerators over (1+q)^n of E_l and of E_{l,1/q}, l = 0..n, from N_0..N_n: lists.
+
+    E_l = N_l / (1+q)^l, and q -> 1/q turns it into q^(l - deg N_l) rev(N_l)
+    / (1+q)^l.  Over (1+q)^n, E_l's numerator is D = N_l (1+q)^(n-l), and
+    E_{l,1/q}'s is q^(l - deg N_l) rev(D), since (1+q)^(n-l) is palindromic.
+    """
+    n = len(numerators) - 1
+    direct, reflected = [], []
+    for l, num in enumerate(numerators):
+        shift = l + 1 - len(num)
+        assert shift >= 0, f"deg N_{l} > {l}"
+        d = list(num)
+        for _ in range(n - l):
+            d = exactq._ishift_add(d, 1)
+        direct.append(tuple(d))
+        reflected.append(tuple(exactq._itrim([0] * shift + d[::-1])))
+    return tuple(direct), tuple(reflected)
 
 
 def _list_moment(n, terms, reflected=False):
     """sum c*q^s*I(y^l) over the (c, s, l) terms as its numerator over (1+q)^n, a list.
 
     I(y^l) = E_l, or E_{l,1/q} when ``reflected``: the list route that the
-    moment judge's values at q = 2^b are checked against.
+    moment judge's values at q = 2^b are checked against, from the unpacked
+    weight-0 numerators N_0..N_n.
     """
-    moments = euler._numerators_over(n)[reflected]
+    numerators = tuple(tuple(euler._weighted_numerator(0, l)) for l in range(n + 1))
+    moments = _moments_over(numerators)[reflected]
     return exactq._icombination([], ((c, s, moments[l]) for c, s, l in terms))
 
 
@@ -179,13 +210,13 @@ def _list_route(monkeypatch):
     """
     moment_values, weighted_values = euler._moment_values, euler._weighted_values
 
-    def moments(n, sides, b=0):
-        b = moment_values(n, sides, b)[0]
-        return b, [exactq._ipack(_list_moment(n, *side), b) for side in sides]
+    def moments(n, sides):
+        b = moment_values(n, sides)[0]
+        return b, [_ipack(_list_moment(n, *side), b) for side in sides]
 
     def weighted(alpha, n):
         b = weighted_values(alpha, n)[0]
-        return (b, *(exactq._ipack(side, b) for side in _list_weighted_sides(alpha, n)))
+        return (b, *(_ipack(side, b) for side in _list_weighted_sides(alpha, n)))
 
     monkeypatch.setattr(euler, "_moment_values", moments)
     monkeypatch.setattr(euler, "_weighted_values", weighted)
@@ -205,66 +236,45 @@ def _moment_rows(n):
                    for k in range(n)]
 
 
-def _with_moment(monkeypatch, n, l, change):
-    """M_l over (1+q)^n, direct, with ``change`` applied to its coefficient list."""
-    numerators_over = euler._numerators_over
-    direct, reflected = numerators_over(n)
-    direct = direct[:l] + (tuple(change(list(direct[l]))),) + direct[l + 1:]
-    monkeypatch.setattr(euler, "_numerators_over",
-                        lambda m: (direct, reflected) if m == n else numerators_over(m))
-    euler._moment_bits.cache_clear()  # the memos read from the moments
-    euler._packed_moments.cache_clear()
-
-
 @pytest.mark.parametrize("delta", (1, -1))
 @pytest.mark.parametrize("where", ("constant", "middle", "top"))
 def test_moment_judge_detects_a_unit_change(delta, where, monkeypatch, fresh_caches):
-    # M_5 over (1+q)^8 off by one in one coefficient: every row whose left side
-    # reads M_5 (k <= 5) fails on the packed route as on the lists
-    n, l = 8, 5
-
-    def change(cs):
-        cs[{"constant": 0, "middle": len(cs) // 2, "top": len(cs) - 1}[where]] += delta
-        return cs
-
-    _with_moment(monkeypatch, n, l, change)
+    # N_5 off by one in one coefficient where the recurrence makes it: every
+    # row of n = 8 fails on the packed route exactly when it does on the lists
+    n, k = 8, {"constant": 0, "middle": 3, "top": 5}[where]
+    _perturb_numerator(monkeypatch, change=lambda b: delta << b * k)
     for left, right in _moment_rows(n):
         verdict = euler._moment_instance((), n, left, right).verdict
         assert verdict == (PASS if _list_moment(n, *left) == _list_moment(n, *right) else FAIL)
-    verdicts = [euler._moment_instance((), n, *row).verdict for row in _moment_rows(n)]
-    assert verdicts == [FAIL] * 7 + [PASS] * 2  # thm7, the k=0 remark, k = 1..5; k = 6, 7
+    # each left side of n = 8 reads E_8, which N_5 feeds; no row of n = 4
+    # reads N_5, and there only the k=0 remark fails, by design
+    verdicts = [euler._moment_instance((), m, *row).verdict
+                for m in (4, 8) for row in _moment_rows(m)]
+    assert verdicts == [PASS, FAIL] + [PASS] * 3 + [FAIL] * 9
 
 
 def test_moment_judge_detects_a_carry(monkeypatch, fresh_caches):
-    # +2^b at q^k and -1 at q^(k+1) vanish at the width b the judge takes for
-    # the honest moments; it reads beta_n from the changed ones, so it widens
-    n, l = 8, 5
+    # +2^c at q^k and -1 at q^(k+1) of N_5 vanish at the width c read from the
+    # honest moments, bitlen(W) + beta + 1 with beta the bit length of their
+    # largest coefficient.  The judge's b comes from the proven bound B_8
+    # instead, a multiple of 64 above c, so the carry is seen
+    n, k = 8, 3
     left, right = _moment_rows(n)[3]  # row (8, 2), whose left side reads M_5
-    b = -(-euler._moment_width(n, [left, right]) // 64) * 64
-    k = len(euler._numerators_over(n)[0][l]) // 2
-
-    def carry(cs):
-        cs[k] += 1 << b
-        cs[k + 1] -= 1
-        return cs
-
-    assert exactq._ipack(carry(list(euler._numerators_over(n)[0][l])), b) == \
-        euler._packed_moments(n, False, b)[l]
-    _with_moment(monkeypatch, n, l, carry)
-    assert euler._moment_width(n, [left, right]) > b
+    w = sum(abs(c) for terms, _ in (left, right) for c, _, _ in terms)
+    numerators = tuple(tuple(euler._weighted_numerator(0, l)) for l in range(n + 1))
+    beta = max(abs(c) for m in _moments_over(numerators)[0] for c in m).bit_length()
+    c = w.bit_length() + beta + 1
+    assert c < euler._moment_values(n, [left, right])[0]
+    carried = list(numerators[5])
+    carried[k] += 1 << c
+    carried[k + 1] -= 1
+    assert _ipack(carried, c) == _ipack(numerators[5], c)
+    euler._packed_chain.cache_clear()  # and the moments read from it
+    euler._packed_moments.cache_clear()
+    _perturb_numerator(monkeypatch, change=lambda b: (1 << c + b * k) - (1 << b * (k + 1)))
+    assert euler._weighted_numerator(0, 5) == carried
     inst = euler._moment_instance((), n, left, right)
     assert inst.verdict == FAIL and inst.left != inst.right
-
-
-def test_moment_values_refuse_a_width_below_the_proof():
-    left, right = _moment_rows(10)[4]
-    width = euler._moment_width(10, [left, right])
-    least = -(-width // 8) * 8  # the values are unpacked by bytes
-    b, values = euler._moment_values(10, [left, right], least)
-    assert b == least and values[0] == values[1]
-    for bad in (width - 1, least + 4):  # below the bound, or not a whole number of bytes
-        with pytest.raises(ValueError, match="proven width"):
-            euler._moment_values(10, [left, right], bad)
 
 
 @pytest.mark.parametrize("n_bad", (2, 3))  # both signs of (-1)^n in the closed form
