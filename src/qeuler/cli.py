@@ -367,5 +367,27 @@ def main(argv=None) -> int:
         return 130
 
 
+def run() -> None:
+    """The process entry of ``python -m qeuler.cli`` and of the ``qeuler`` script.
+
+    It runs main, flushes both streams and ends in ``os._exit``, which skips
+    the interpreter's teardown (a last garbage collection, every memo freed):
+    the output is complete by then.  A failing flush leaves main's code, as
+    main has already reported its output errors.  ``main(argv)`` returns its
+    code, so library callers and tests keep the normal shutdown.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors carry an int
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # stdout, when descriptor 1 was closed before start-up
+                stream.flush()
+        except (OSError, ValueError):
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qeuler
-from qeuler import bernstein, euler, exactq
+from qeuler import bernstein, cli, euler, exactq
 from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, latex_ratfn, main
 from qeuler.euler import SUITES
 from qeuler.exactq import QPoly, QRatFn, XPoly, poly_str
@@ -591,19 +591,97 @@ def test_cli_interrupt_exits_130_without_traceback(monkeypatch, capsys):
 _TABLE_ARGV = ["table", "qeuler", "--n-max", "1"]
 
 
-def _python(args, stdout, **popen) -> subprocess.CompletedProcess:
+def _python(args, stdout, text=True, **popen) -> subprocess.CompletedProcess:
     """A fresh interpreter on this qeuler; stdout left buffered, so a failing write is a flush."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(qeuler.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60, **popen,
+        stdout=stdout, stderr=subprocess.PIPE, text=text, env=env, timeout=60, **popen,
     )
 
 
 def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
     return _python(["-m", "qeuler.cli", *argv], stdout, **popen)
+
+
+_PROCESS_ARGV = {
+    "weighted-json": ["table", "weighted", "--alpha", "3", "--n-max", "30", "--format", "json"],
+    "verify-json": ["verify", "--suite", "all", "--n-max", "3", "--json"],
+    "padic-exit-1": ["padic", "--n", "3", "--p", "3", "--N-max", "6"],
+    "help": ["--help"],
+    "usage-error": ["table", "qeuler", "--n-max", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", _PROCESS_ARGV.values(), ids=_PROCESS_ARGV)
+def test_cli_process_matches_main_in_process(argv, capsysbinary, monkeypatch):
+    # the process ends without the interpreter's teardown: every byte must be flushed first
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help at the terminal's width
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    proc = _cli_into(subprocess.PIPE, argv, text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+class _Exited(Exception):
+    pass
+
+
+def _exit_raises(monkeypatch) -> None:
+    def exit_now(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", exit_now)
+
+
+def test_main_returns_its_code_without_exiting_the_process(monkeypatch, capsys):
+    # tests, the perfbench replay and library callers keep the interpreter's normal shutdown
+    _exit_raises(monkeypatch)
+    assert run_cli(capsys, *_TABLE_ARGV)[0] == 0
+    assert run_cli(capsys, "padic", "--n", "3", "--p", "3", "--N-max", "6")[0] == 1
+    with pytest.raises(SystemExit):
+        main(["--help"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_TABLE_ARGV, 0), (["padic", "--n", "3", "--p", "3", "--N-max", "6"], 1),
+    (["--help"], 0), (["table", "qeuler", "--n-max", "-1"], 2)])
+def test_run_exits_with_the_code_of_main(argv, code, monkeypatch, capsys):
+    _exit_raises(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["qeuler", *argv])
+    with pytest.raises(_Exited) as exited:
+        cli.run()
+    assert exited.value.args == (code,)
+
+
+def test_run_flushes_stderr_before_it_exits(monkeypatch):
+    _exit_raises(monkeypatch)
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # not line-buffered: holds main's lines
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(sys, "argv", ["qeuler", "table", "qeuler", "--n-max", "-1"])
+    with pytest.raises(_Exited):
+        cli.run()
+    assert err.buffer.getvalue().startswith(b"usage: qeuler")
+
+
+@pytest.mark.parametrize("error", [OSError(errno.EIO, os.strerror(errno.EIO)), ValueError()])
+def test_run_keeps_the_code_of_main_when_a_flush_fails(error, monkeypatch, capsys):
+    # main has already reported its output errors; a last failing flush changes nothing
+    class _FailingFlush(io.StringIO):
+        def flush(self):
+            raise error
+
+    _exit_raises(monkeypatch)
+    monkeypatch.setattr(sys, "stderr", _FailingFlush())
+    monkeypatch.setattr(sys, "argv", ["qeuler", *_TABLE_ARGV])
+    with pytest.raises(_Exited) as exited:
+        cli.run()
+    assert exited.value.args == (0,)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

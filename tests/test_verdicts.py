@@ -149,6 +149,31 @@ def test_perturbed_numerator_reaches_the_lists(fresh_caches, monkeypatch):
     assert exactq._iunpack(euler._packed_moments(5, True, b)[5], b) == numerator[::-1][:5]
 
 
+def test_reflected_moments_reverse_the_direct_memo(fresh_caches, monkeypatch):
+    # E_{l,1/q}'s numerators are M_l's n+1 digits reversed, read from the
+    # direct memo: no second walk of the weight-0 chain and its 1+q passes
+    n, b = 12, 128
+    direct = euler._packed_moments(n, False, b)
+
+    def walked(alpha, b, n):
+        raise AssertionError("the chain was walked again")
+
+    monkeypatch.setattr(euler, "_packed_chain", walked)
+    digits = [exactq._iunpack(m, b) for m in direct]
+    assert euler._packed_moments(n, True, b) == tuple(
+        _ipack((d + [0] * (n + 1 - len(d)))[::-1], b) for d in digits)
+
+
+def test_passing_weighted_instances_build_no_factors(fresh_caches, monkeypatch):
+    # only a failing instance's witnesses read the shared denominator's Phi_d exponents
+    built = []
+    honest = euler._closed_form_factors
+    monkeypatch.setattr(euler, "_closed_form_factors",
+                        lambda alpha, n: built.append((alpha, n)) or honest(alpha, n))
+    assert verify_identity("weighted", 20).ok
+    assert built == []
+
+
 @lru_cache(maxsize=None)
 def _moments_over(numerators):
     """The numerators over (1+q)^n of E_l and of E_{l,1/q}, l = 0..n, from N_0..N_n: lists.
