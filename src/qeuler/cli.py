@@ -8,7 +8,8 @@ All data output goes to stdout (UTF-8); diagnostics go to stderr.
 Every table format is rendered from the canonical values the library
 returns (``QRatFn``, or ``XPoly`` for qeuler-poly): text through their
 ``str``, LaTeX through ``latex_ratfn``, JSON through ``_ratfn_payload``.
-JSON output is one ``OutputRecord`` object per invocation; coefficients
+JSON output is one ``OutputRecord`` object per invocation, streamed to
+stdout one payload item at a time by ``OutputRecord.write``; coefficients
 serialize as exact decimal-free rational strings in ascending-power
 arrays, so records round-trip losslessly.
 """
@@ -16,10 +17,11 @@ arrays, so records round-trip losslessly.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import euler
 from .exactq import QRatFn, XPoly, _display_coeffs, signed_terms
@@ -35,12 +37,34 @@ class OutputRecord(NamedTuple):
 
     kind: str  # number | polynomial | report | convergence
     metadata: dict
-    payload: list
+    payload: Iterable  # a list once parsed; the commands pass a generator, written once
 
-    def serialize(self) -> str:
+    def write(self, out: TextIO) -> None:
+        """Write ``json.dumps(self._asdict(), sort_keys=True, indent=2)`` and a newline.
+
+        The envelope keys go out in sorted order and each payload item as it
+        is produced, so no list of rows and no whole document is ever held.
+        Each value is dumped on its own and re-indented at every newline: all
+        of them are structural, as ``json.dumps`` escapes those in strings.
+        """
         import json  # loaded here, so text output does not pay for it
 
-        return json.dumps(self._asdict(), sort_keys=True, indent=2)
+        def dump(value, indent: str) -> str:
+            return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+        out.write(f'{{\n  "kind": {dump(self.kind, "  ")},\n'
+                  f'  "metadata": {dump(self.metadata, "  ")},\n  "payload": [')
+        sep = "\n    "  # until the first item; an empty payload is "[]", as json.dumps writes it
+        for item in self.payload:
+            out.write(sep + dump(item, "    "))
+            sep = ",\n    "
+        out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+    def serialize(self) -> str:
+        """The text ``write`` writes, without its last newline."""
+        buf = io.StringIO()
+        self.write(buf)
+        return buf.getvalue()[:-1]
 
     @classmethod
     def parse(cls, text: str) -> "OutputRecord":
@@ -168,8 +192,8 @@ def cmd_table(args, parser) -> int:
         if alpha is not None:
             meta["alpha"] = alpha
         record_kind = "polynomial" if isinstance(values[0], XPoly) else "number"
-        rows = [_json_row(n, value) for n, value in enumerate(values)]
-        print(OutputRecord(record_kind, meta, rows).serialize())
+        rows = (_json_row(n, value) for n, value in enumerate(values))
+        OutputRecord(record_kind, meta, rows).write(sys.stdout)
     elif args.format == "latex":
         for n, value in enumerate(values):
             print(_latex_row(args.kind, n, value, alpha))
@@ -241,8 +265,8 @@ def cmd_verify(args, parser) -> int:
     all_ok = all(r.ok for r in reports)
     if args.json:
         meta = {"suite": args.suite, "n_max": args.n_max, "ok": all_ok}
-        payload = [_report_payload(r) for r in reports]
-        print(OutputRecord("report", meta, payload).serialize())
+        payload = (_report_payload(r) for r in reports)
+        OutputRecord("report", meta, payload).write(sys.stdout)
     else:
         for report in reports:
             _print_report_text(report)
@@ -277,10 +301,10 @@ def cmd_padic(args, parser) -> int:
             "N_max": args.N_max,
             "ok": report.ok,
         }
-        payload = [
+        payload = (
             {"N": r.N, "valuation": r.valuation, "exact": r.exact} for r in report.rows
-        ]
-        print(OutputRecord("convergence", meta, payload).serialize())
+        )
+        OutputRecord("convergence", meta, payload).write(sys.stdout)
     else:
         print(f"moment n={args.n}, p={args.p}, q={q}, precision K={args.K}")
         for r in report.rows:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -35,6 +36,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def whole_document(record: OutputRecord) -> str:
+    """The oracle for ``OutputRecord.write``: the record dumped whole, then a newline."""
+    return json.dumps(record._asdict(), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +74,13 @@ def test_table_json_roundtrip(capsys):
     record = OutputRecord.parse(out)
     assert record.kind == "number"
     assert record.payload[1] == {"n": 1, "num": ["0", "-1"], "den": ["1", "1"]}
+    assert out == whole_document(record)
     assert OutputRecord.parse(record.serialize()) == record
-    assert repr(OutputRecord("number", {"n_max": 0}, [])) == (
-        "OutputRecord(kind='number', metadata={'n_max': 0}, payload=[])"
-    )
+    empty = OutputRecord("number", {"n_max": 0}, [])
+    assert repr(empty) == "OutputRecord(kind='number', metadata={'n_max': 0}, payload=[])"
+    written = io.StringIO()
+    empty.write(written)
+    assert written.getvalue() == empty.serialize() + "\n" == whole_document(empty)
     with pytest.raises(AttributeError):
         record.kind = "polynomial"
 
@@ -82,7 +91,24 @@ def test_table_poly_json_roundtrip(capsys):
     record = OutputRecord.parse(out)
     assert record.kind == "polynomial"
     assert record.payload[1]["x_coeffs"][1] == {"num": ["1"], "den": ["1"]}
+    assert out == whole_document(record)
     assert OutputRecord.parse(record.serialize()) == record
+
+
+def test_json_table_is_written_item_by_item(monkeypatch):
+    # rows stream to stdout, so neither a list of them nor the 750 KB document is
+    # ever held: the render peaks near 0.5 MB, against 5 MB for one json.dumps
+    argv = ["table", "weighted", "--alpha", "3", "--n-max", "30", "--format", "json"]
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        monkeypatch.setattr(sys, "stdout", null)
+        assert main(argv) == 0  # warms every memo, so only the rendering is traced
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("text", [
@@ -315,6 +341,7 @@ def test_verify_json_roundtrip(capsys):
     witness = record.payload[0]["instances"][0]
     assert witness["left"] == "(1 + 2*q)/(1 + q)"
     assert witness["right"] == "(-q^2)/(1 + q)"
+    assert out == whole_document(record)
     assert OutputRecord.parse(record.serialize()) == record
 
 
@@ -388,6 +415,7 @@ def test_padic_json_roundtrip(capsys):
     assert record.kind == "convergence"
     assert record.metadata["ok"] is True
     assert [row["N"] for row in record.payload] == [1, 2, 3, 4]
+    assert out == whole_document(record)
     assert OutputRecord.parse(record.serialize()) == record
 
 
@@ -705,19 +733,24 @@ def test_cli_import_does_not_load_json():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
-@pytest.mark.parametrize("argv", [_TABLE_ARGV, ["--help"]], ids=["table", "help"])
+@pytest.mark.parametrize("argv", [_TABLE_ARGV, ["--help"], _PROCESS_ARGV["weighted-json"]],
+                         ids=["table", "help", "weighted-json"])
 def test_cli_full_device_exits_2_with_one_line(argv):
+    # weighted-json: the device fills partway through the record
     with open("/dev/full", "w") as full:
         proc = _cli_into(full, argv)
     assert (proc.returncode, proc.stderr) == (
         2, f"qeuler: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
-def test_cli_closed_pipe_exits_0_silently():
+@pytest.mark.parametrize("argv", [_TABLE_ARGV, _PROCESS_ARGV["weighted-json"]],
+                         ids=["table", "weighted-json"])
+def test_cli_closed_pipe_exits_0_silently(argv):
+    # weighted-json: the first write fails partway through the record
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone before the first write
     try:
-        proc = _cli_into(write_end)
+        proc = _cli_into(write_end, argv)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
