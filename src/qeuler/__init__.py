@@ -7,15 +7,6 @@ q-integral), ``bernstein`` (basis polynomials and their moments), and
 ``cli`` (tables, verification runs, convergence experiments).
 """
 
-from .bernstein import (
-    bernstein_moment_lhs,
-    bernstein_moment_rhs,
-    bernstein_operator,
-    bernstein_poly,
-    moment_via_basis_expansion,
-    padic_moment_crosscheck,
-    verify_theorem8,
-)
 from .euler import (
     IdentityInstance,
     IdentityReport,
@@ -30,16 +21,43 @@ from .euler import (
     weighted_recurrence,
 )
 from .exactq import BigRat, QPoly, QRatFn, XPoly, q_integer, qpoly_gcd
-from .padic import (
-    ConvergenceReport,
-    ConvergenceRow,
-    PAdicNum,
-    QChoice,
-    ShiftDefect,
-    check_shift_identity_finite,
-    convergence_report,
-    fermionic_integral_partial,
-)
+
+# The names of the two layers a table run does not use, loaded on first use
+# (``__getattr__``), so ``python -m qeuler.cli table`` imports neither.
+_LAZY = {
+    "bernstein": (
+        "bernstein_moment_lhs",
+        "bernstein_moment_rhs",
+        "bernstein_operator",
+        "bernstein_poly",
+        "moment_via_basis_expansion",
+        "padic_moment_crosscheck",
+        "verify_theorem8",
+    ),
+    "padic": (
+        "ConvergenceReport",
+        "ConvergenceRow",
+        "PAdicNum",
+        "QChoice",
+        "ShiftDefect",
+        "check_shift_identity_finite",
+        "convergence_report",
+        "fermionic_integral_partial",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """A name of ``bernstein`` or ``padic``, importing its module on first use (PEP 562)."""
+    from importlib import import_module
+
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value  # later lookups skip this hook
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -7,9 +7,11 @@ expansions, the second through its reflection I'(y^l) = E_{l,1/q}:
     lhs:  C(n,k) * sum_{l=0..n-k} C(n-k,l) (-1)^l     E_{k+l, q}
     rhs:  C(n,k) * sum_{l=0..k}   C(k,l) (-1)^(k+l) * (1 + q + q^2 E_{n-l, 1/q})
 
-They are the two sides of ``euler``'s Bernstein row (n, k), whose k = 0 row
-is thm7.  The rhs's 1+q telescopes away only for k >= 1, so the "reduced"
-variant that drops it is wrong at k = 0: the erratum this suite detects.
+Over C(n,k) they are the two sides of ``euler``'s Bernstein row (n, k),
+whose k = 0 row is thm7; every row of one n is read from the forward-difference
+tables of ``euler._bernstein_table``.  The rhs's 1+q telescopes away only for
+k >= 1, so the "reduced" variant that drops it is wrong at k = 0: the erratum
+this suite detects.
 ``moment_via_basis_expansion`` is the one generic ``QRatFn`` route, the
 independent check on them.
 """
@@ -20,17 +22,14 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from . import padic
 from .euler import (
     FAIL,
     ZERO,
     IdentityInstance,
     IdentityReport,
     _bernstein_instance,
-    _bernstein_left,
-    _bernstein_right,
-    _moment_values,
-    _Side,
+    _bernstein_table,
+    _scaled,
     _unpacked_over,
     weighted_recurrence,
 )
@@ -62,17 +61,17 @@ def bernstein_operator(samples: "list[BigRat]", n: int, x: BigRat) -> Fraction:
     return total
 
 
-def _canonical_moment(n: int, side: _Side) -> QRatFn:
-    """One side of a Bernstein row, over (1+q)^n, unpacked from its value at q = 2^b."""
-    b, (value,) = _moment_values(n, [side])
-    return _unpacked_over(value, b, Counter({2: n}))
+def _canonical_moment(n: int, k: int, b: int, value: int) -> QRatFn:
+    """C(n,k) times one side of Bernstein row (n, k) over (1+q)^n, from its value at q = 2^b."""
+    return _scaled(_unpacked_over(value, b, Counter({2: n})), comb(n, k))
 
 
 def bernstein_moment_lhs(k: int, n: int) -> QRatFn:
     """Moment of B_{k,n} via the alternating sum over raw moments E_{k+l}."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _canonical_moment(n, _bernstein_left(n, k, comb(n, k)))
+    b, lefts, _, _ = _bernstein_table(n)
+    return _canonical_moment(n, k, b, lefts[k])
 
 
 def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
@@ -80,13 +79,14 @@ def bernstein_moment_rhs(k: int, n: int, variant: str = "reduced") -> QRatFn:
 
     variant="full" keeps the 1 + q + q^2 E_{n-l, 1/q} summand (valid for
     every k < n); variant="reduced" drops the 1+q constant, which is only
-    justified for k >= 1.
+    justified for k >= 1, where the two agree.
     """
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    return _canonical_moment(n, _bernstein_right(n, k, variant == "full", comb(n, k)))
+    b, _, rights, full = _bernstein_table(n)
+    return _canonical_moment(n, k, b, full if variant == "full" and k == 0 else rights[k])
 
 
 def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
@@ -106,7 +106,9 @@ def verify_theorem8(n_max: int) -> IdentityReport:
     (-1)^(k+l) y^(n-l)), judged by ``euler._bernstein_instance``.  The
     k = 0 row is checked twice: against the claimed k=0 shortcut (expected
     to fail -- the dropped 1+q) and against the full form (expected to
-    pass); both outcomes are part of the contract.
+    pass); both outcomes are part of the contract.  Each row is judged once
+    per process (``euler._bernstein_row``), so the rows thm7 and the k=0
+    remark judged are read back here, witnesses included.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -123,15 +125,21 @@ def padic_moment_crosscheck(
     n_max: int = 4,
     p: int = 3,
     q: "Fraction | int" = Fraction(4),
-    prec: int = padic.DEFAULT_PRECISION,
+    prec: "int | None" = None,
     N_list: tuple[int, ...] = (1, 2, 3, 4, 5),
 ) -> list[tuple[int, int, tuple[padic.ConvergenceRow, ...]]]:
     """Numeric cross-check: partial integrals of B_{k,n} vs the exact moment.
 
     Each level costs O(n^2 + log p^N) modular operations per cell (the
     partial sum is in closed form); returns, per (n, k), the defect's
-    valuation floor across the requested levels (at least one).
+    valuation floor across the requested levels (at least one).  ``prec``
+    defaults to ``padic.DEFAULT_PRECISION``; ``padic`` is imported here, so
+    the identity suite does not load it.
     """
+    from . import padic
+
+    if prec is None:
+        prec = padic.DEFAULT_PRECISION
     levels = padic._levels(N_list)
     qc = padic.QChoice(p, Fraction(q))
     return [

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import euler
 from .exactq import QRatFn, XPoly, _display_coeffs, signed_terms
-from .padic import DEFAULT_PRECISION, QChoice, convergence_report
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +43,43 @@ class OutputRecord(NamedTuple):
 
         The envelope keys go out in sorted order and each payload item as it
         is produced, so no list of rows and no whole document is ever held.
-        Each value is dumped on its own and re-indented at every newline: all
-        of them are structural, as ``json.dumps`` escapes those in strings.
+        Each value is written by ``text``, which gives the text ``json.dumps``
+        gives with those arguments for str-keyed dicts, lists, tuples, str,
+        int, float, bool and None, without the stdlib's pure-Python encoder,
+        which ``indent`` selects: strings are quoted by the stdlib's own
+        ``encode_basestring_ascii``.
         """
-        import json  # loaded here, so text output does not pay for it
+        from json.encoder import encode_basestring_ascii as quote  # here, so text output skips json
 
-        def dump(value, indent: str) -> str:
-            return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+        def text(value, indent: str) -> str:
+            """``value`` written at a nesting whose lines start with ``indent``."""
+            if isinstance(value, str):
+                return quote(value)
+            if value is None or value is True or value is False:
+                return "null" if value is None else "true" if value else "false"
+            if isinstance(value, int):
+                return int.__repr__(value)
+            if isinstance(value, float):  # json's names for what repr spells nan, inf and -inf
+                r = float.__repr__(value)
+                return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(r, r)
+            inner = indent + "  "
+            if isinstance(value, dict):
+                ends = "{}"
+                items = [quote(k) + ": " + text(v, inner) for k, v in sorted(value.items())]
+            elif isinstance(value, (list, tuple)):
+                ends = "[]"
+                items = [quote(v) if type(v) is str else text(v, inner) for v in value]
+            else:
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            if not items:
+                return ends
+            return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
 
-        out.write(f'{{\n  "kind": {dump(self.kind, "  ")},\n'
-                  f'  "metadata": {dump(self.metadata, "  ")},\n  "payload": [')
+        out.write(f'{{\n  "kind": {text(self.kind, "  ")},\n'
+                  f'  "metadata": {text(self.metadata, "  ")},\n  "payload": [')
         sep = "\n    "  # until the first item; an empty payload is "[]", as json.dumps writes it
         for item in self.payload:
-            out.write(sep + dump(item, "    "))
+            out.write(sep + text(item, "    "))
             sep = ",\n    "
         out.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
@@ -101,18 +124,7 @@ def _json_row(n: int, value: "QRatFn | XPoly") -> dict:
 
 def latex_poly(coeffs: "tuple[Fraction, ...] | list[int]", var: str = "q") -> str:
     """Single-line LaTeX for a polynomial, ascending powers, balanced braces."""
-
-    def term(mag: "Fraction | int", k: int) -> str:
-        if mag.denominator == 1:
-            mag_s = str(mag.numerator)
-        else:
-            mag_s = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if k == 0:
-            return mag_s
-        power = var if k == 1 else f"{var}^{{{k}}}"
-        return power if mag == 1 else f"{mag_s} {power}"
-
-    return signed_terms(coeffs, term)
+    return signed_terms(coeffs, var, latex=True)
 
 
 def latex_ratfn(f: QRatFn) -> str:
@@ -279,25 +291,28 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_padic(args, parser) -> int:
+    from .padic import DEFAULT_PRECISION, QChoice, convergence_report  # only this command needs it
+
+    K = DEFAULT_PRECISION if args.K is None else args.K
     if args.n < 0:
         parser.error("--n must be >= 0")
     if args.N_max < 1:
         parser.error("--N-max must be >= 1")
-    if args.K < 1:
+    if K < 1:
         parser.error("--K must be >= 1")
     q = Fraction(1 + args.q_offset * args.p)
     try:
         qc = QChoice(args.p, q)
     except ValueError as exc:
         parser.error(str(exc))
-    report = convergence_report(args.n, qc, args.K, range(1, args.N_max + 1))
+    report = convergence_report(args.n, qc, K, range(1, args.N_max + 1))
     if args.json:
         meta = {
             "n": args.n,
             "p": args.p,
             "q": str(q),
             "q_offset": args.q_offset,
-            "K": args.K,
+            "K": K,
             "N_max": args.N_max,
             "ok": report.ok,
         }
@@ -306,7 +321,7 @@ def cmd_padic(args, parser) -> int:
         )
         OutputRecord("convergence", meta, payload).write(sys.stdout)
     else:
-        print(f"moment n={args.n}, p={args.p}, q={q}, precision K={args.K}")
+        print(f"moment n={args.n}, p={args.p}, q={q}, precision K={K}")
         for r in report.rows:
             tag = " (exact at this precision)" if r.exact else ""
             print(f"N={r.N}\tdefect valuation >= {r.valuation}{tag}")
@@ -345,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_padic.add_argument("--n", type=int, required=True, help="moment index")
     p_padic.add_argument("--p", type=int, required=True, help="an odd prime")
     p_padic.add_argument("--q-offset", type=int, default=1, help="q = 1 + offset*p")
-    p_padic.add_argument("--K", type=int, default=DEFAULT_PRECISION)
+    p_padic.add_argument("--K", type=int, default=None)  # None: cmd_padic reads padic's default
     p_padic.add_argument("--N-max", dest="N_max", type=int, default=6)
     p_padic.add_argument("--json", action="store_true")
     p_padic.set_defaults(func=cmd_padic)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 BigRat = Fraction
 
@@ -452,32 +452,43 @@ _QP_ONE = _wrap(Fraction(1), (1,))
 _QP_Q = _wrap(Fraction(1), (0, 1))
 
 
-def signed_terms(coeffs: Sequence[RatLike], term: Callable[[RatLike, int], str]) -> str:
-    """The nonzero terms ``term(|c_k|, k)`` joined by their signs, ascending; "0" for no coeffs."""
+@lru_cache(maxsize=None)
+def _power_suffixes(var: str, latex: bool, size: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(bare, after) for k < size: var^k alone, and after a magnitude; both "" at k = 0.
+
+    Text writes q, q^3 and 2*q^3; LaTeX q, q^{3} and 2 q^{3}.
+    """
+    bare = ("",) + tuple(
+        var if k == 1 else f"{var}^{{{k}}}" if latex else f"{var}^{k}" for k in range(1, size))
+    return bare, ("",) + tuple((" " if latex else "*") + power for power in bare[1:])
+
+
+def signed_terms(coeffs: Sequence[RatLike], var: str, latex: bool = False) -> str:
+    """The nonzero terms c_k var^k joined by their signs, ascending; "0" for no coeffs.
+
+    Text writes ``1 + 2*q - 3/2*q^3``, LaTeX ``1 + 2 q - \\frac{3}{2} q^{3}``; a
+    magnitude 1 is left out before a power.  Ints and Fractions take the one
+    comprehension, over power suffixes cached for the next power of two of
+    the length, so a table of many lengths caches few.
+    """
     if not coeffs:
         return "0"
-    parts: list[str] = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        body = term(-c if c < 0 else c, k)
-        if parts:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        else:
-            parts.append(body if c > 0 else f"-{body}")
+    bare, after = _power_suffixes(var, latex, 1 << (len(coeffs) - 1).bit_length())
+    parts = [
+        ("- " if c < 0 else "+ ") + (
+            bare[k] if k and (c == 1 or c == -1)
+            else (str(c)[c < 0:] if not latex or c.denominator == 1  # str(c) without its "-"
+                  else f"\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}") + after[k])
+        for k, c in enumerate(coeffs) if c
+    ]
+    if parts:  # the first term carries its sign unspaced, and no "+"
+        parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
     return " ".join(parts)
 
 
 def poly_str(coeffs: Sequence[RatLike], var: str) -> str:
     """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
-
-    def term(mag: RatLike, k: int) -> str:
-        if k == 0:
-            return str(mag)
-        power = var if k == 1 else f"{var}^{k}"
-        return power if mag == 1 else f"{mag}*{power}"
-
-    return signed_terms(coeffs, term)
+    return signed_terms(coeffs, var)
 
 
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:

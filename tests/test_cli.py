@@ -111,6 +111,30 @@ def test_json_table_is_written_item_by_item(monkeypatch):
     assert peak < 1 << 20
 
 
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+              | st.sampled_from(["", "\"", "\\", "\n", "\x00\x1f\x7f", "\u00e9", "\U0001d11e"]))
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=6), _JSON_VALUE, max_size=4),
+       st.lists(_JSON_VALUE, max_size=4))
+def test_record_writer_matches_json_dumps(metadata, payload):
+    # nested dicts, lists and tuples, escapes, non-ASCII, empty containers,
+    # bools, None, ints and floats (nan and the infinities included), against
+    # the stdlib's indented encoder, whole and streamed from a generator
+    record = OutputRecord("report", metadata, payload)
+    assert record.serialize() + "\n" == whole_document(record)
+    streamed = io.StringIO()
+    OutputRecord("report", metadata, iter(payload)).write(streamed)
+    assert streamed.getvalue() == whole_document(record)
+
+
 @pytest.mark.parametrize("text", [
     "1", "null", "[]", '"kind"', "{",
     '{"kind": "number", "metadata": {}}',
@@ -206,6 +230,55 @@ def test_renderers_print_integer_content_as_its_fractions(coeffs):
     assert str(p) == poly_str(p.coeffs, "q")
     assert _ratfn_payload(QRatFn(p))["num"] == [str(c) for c in p.coeffs]
     assert latex_ratfn(QRatFn(p)) == latex_poly(p.coeffs)
+
+
+def _signed_terms_by_callback(coeffs, term):
+    """The oracle of ``exactq.signed_terms``: its old code, one ``term(|c_k|, k)`` per term."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        body = term(-c if c < 0 else c, k)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts)
+
+
+def _text_term(var):
+    def term(mag, k):
+        if k == 0:
+            return str(mag)
+        power = var if k == 1 else f"{var}^{k}"
+        return power if mag == 1 else f"{mag}*{power}"
+    return term
+
+
+def _latex_term(var):
+    def term(mag, k):
+        mag_s = (str(mag.numerator) if mag.denominator == 1
+                 else f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}")
+        if k == 0:
+            return mag_s
+        power = var if k == 1 else f"{var}^{{{k}}}"
+        return power if mag == 1 else f"{mag_s} {power}"
+    return term
+
+
+_COEFF = st.integers(-3, 3) | st.integers(-(10**40), 10**40) | st.fractions(
+    min_value=-30, max_value=30, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COEFF, max_size=40), st.sampled_from(["q", "x"]))
+def test_signed_terms_match_the_callback_renderer(coeffs, var):
+    # ints and Fractions, zeros, units and long integers, in text and LaTeX,
+    # with lengths on both sides of the cached suffixes' powers of two
+    assert poly_str(coeffs, var) == _signed_terms_by_callback(coeffs, _text_term(var))
+    assert latex_poly(coeffs, var) == _signed_terms_by_callback(coeffs, _latex_term(var))
 
 
 def test_table_frobenius_prints_the_qeuler_table(capsys):
@@ -506,10 +579,10 @@ def test_passing_verify_builds_moment_lists_only_for_expected_failures(
         monkeypatch, capsys, fresh_caches):
     # every moment identity is decided at q = 2^b; the lists are unpacked only
     # for the witnesses of the instances that fail by design: the k=0 remark,
-    # on its own and as thm8's (n, 0, "k0-remark") rows, and thm5 at n = 0
+    # whose rows thm8's (n, 0, "k0-remark") rows share, judged once, and thm5 at n = 0
     calls = _spy_on_unpacked_sides(monkeypatch)
     assert run_cli(capsys, "verify", "--suite", "all", "--n-max", "12")[0] == 0
-    expected = [0] * 2 + list(range(1, 13)) * 4  # both sides of each failing instance
+    expected = [0] * 2 + list(range(1, 13)) * 2  # both sides of each failing row, once
     assert sorted(c[2] for c in calls) == sorted(expected)
     assert all(list(c) == [2] for c in calls)  # each over (1+q)^n
 
@@ -632,6 +705,33 @@ def _python(args, stdout, text=True, **popen) -> subprocess.CompletedProcess:
 
 def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
     return _python(["-m", "qeuler.cli", *argv], stdout, **popen)
+
+
+_LOADED_LAYERS = (
+    "import sys; from qeuler import cli; code = cli.main(sys.argv[1:]); "
+    "print(code, sorted(m for m in sys.modules if m.startswith('qeuler.')), file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("table weighted --alpha 2 --n-max 4 --format json", ["cli", "euler", "exactq"]),
+    ("table frobenius --n-max 3 --format latex", ["cli", "euler", "exactq"]),
+    ("verify --suite thm8 --n-max 3", ["bernstein", "cli", "euler", "exactq"]),
+    ("padic --n 2 --p 5 --N-max 4", ["cli", "euler", "exactq", "padic"]),
+])
+def test_each_command_loads_only_the_layers_it_uses(argv, loaded):
+    # bernstein and padic load on first use: a table run imports neither
+    done = _python(["-c", _LOADED_LAYERS, *argv.split()], subprocess.DEVNULL)
+    assert done.stderr == f"0 {[f'qeuler.{m}' for m in loaded]}\n"
+
+
+def test_star_import_binds_every_public_name():
+    code = ("from qeuler import *; import qeuler; "
+            "missing = [n for n in qeuler.__all__ if n not in globals()]; "
+            "assert not missing, missing")
+    assert _python(["-c", code], subprocess.DEVNULL).returncode == 0
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        qeuler.not_a_name
 
 
 _PROCESS_ARGV = {

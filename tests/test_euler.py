@@ -29,7 +29,8 @@ from qeuler.euler import (
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
 from test_exactq import _ipack, cyclotomic_exps, cyclotomic_product  # dense references
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
-from test_verdicts import _list_moment, _list_weighted_sides, _weighted_moment_by_division
+from test_verdicts import _list_moment, _list_weighted_sides, _moment_values
+from test_verdicts import _weighted_moment_by_division
 
 ONE = QRatFn.one()
 
@@ -56,7 +57,7 @@ def test_weight0_denominator_is_the_full_power_of_1_plus_q():
     # E_n = N_n / (1+q)^n is already in lowest terms: at q = -1 only the
     # k = n-1 term of the recurrence survives, so N_n(-1) = n N_{n-1}(-1) = n!
     # and Phi_2 = 1 + q never divides N_n.  So (1+q)^n, the denominator that
-    # _moment_values puts each weight-0 side over, is E_n's own.  The entry
+    # the moment tables put each weight-0 side over, is E_n's own.  The entry
     # takes that by proof (N_n = -q A_n(-q), A_n Eulerian), so N_n(-1) = n! is
     # checked on the list loop too
     seq = q_euler_numbers(60)
@@ -147,6 +148,38 @@ def test_frobenius_stirling_oracle():
             assert frobenius_numbers(plain, 10) == h, str(u)
     h = frobenius_numbers(-1, 10)
     assert [(f.num, f.den) for f in h[2::2]] == [(QPoly.zero(), QPoly.one())] * 5
+
+
+def _frobenius_by_lists(u, n):
+    """H_n(u) = N/c^n by homogeneous Horner on int lists, F(n,k) by its alternating sum.
+
+    The list route the packed ``euler._frobenius_number`` replaced, kept as its oracle.
+    """
+    r = u.num.content / u.den.content
+    a, b = [r.numerator * x for x in u.num.prim], [r.denominator * x for x in u.den.prim]
+    c = exactq._icombination(a, [(-1, 0, b)])
+    acc, c_pow = [factorial(n)], [1]
+    for k in range(n - 1, -1, -1):
+        c_pow = exactq._imul(c_pow, c)
+        f = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+        acc = exactq._icombination(exactq._imul(acc, b), [(f, 0, c_pow)])
+    if not acc:
+        return QRatFn.zero()
+    return QRatFn._raw(exactq._qpoly(acc, Fraction(1, c_pow[-1])), exactq._qpoly(c_pow).monic())
+
+
+@pytest.mark.parametrize("u", [
+    MINUS_Q_INV, QRatFn.const(2), QRatFn.const(Fraction(1, 2)), ratfn((0, 0, 1)), ratfn((0, -1)),
+    ratfn((1, 1), (0, 0, 1)), ratfn((2, 4), (0, 0, 3)), ratfn((Fraction(-3, 4), 0, 6), (5, 10, 1)),
+], ids=["-1/q", "2", "1/2", "q^2", "-q", "(1+q)/q^2", "content 2/3", "content -3/4"])
+def test_packed_frobenius_matches_the_list_route(u, fresh_caches):
+    # the packed Horner at q = 2^w, w from the norm bound, against the list loop
+    h = frobenius_numbers(u, 25)
+    for n in range(26):
+        assert h[n] == _frobenius_by_lists(u, n), n
+    # the memoized Fubini row against k! S(n,k)
+    assert all(euler._fubini_row(n) == tuple(factorial(k) * _stirling2(n, k) for k in range(n + 1))
+               for n in range(26))
 
 
 def test_frobenius_first_values():
@@ -281,8 +314,9 @@ def test_reduce_over_cyclotomics_matches_generic_ratfn(base, common, factors):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_moment_functionals_match_the_qratfn_route(data):
-    # _moment_values: sum c q^s I(y^l) over (1+q)^n at q = 2^b, with I(y^l) = E_l,
-    # or E_{l,1/q} reflected, against the QRatFn sum and the list oracle
+    # the term-list route _moment_values: sum c q^s I(y^l) over (1+q)^n at
+    # q = 2^b, with I(y^l) = E_l, or E_{l,1/q} reflected, against the QRatFn
+    # sum and the list oracle
     n = data.draw(st.integers(0, 10))
     term = st.tuples(st.integers(-9, 9), st.integers(0, 5), st.integers(0, n))
     terms = data.draw(st.lists(term, max_size=6))
@@ -291,7 +325,7 @@ def test_moment_functionals_match_the_qratfn_route(data):
     if reflected:
         e = [v.subst_q_inverse() for v in e]
     expected = sum((e[l] * QRatFn.q() ** s * c for c, s, l in terms), QRatFn.zero())
-    b, (value,) = euler._moment_values(n, [(terms, reflected)])
+    b, (value,) = _moment_values(n, [(terms, reflected)])
     assert exactq._iunpack(value, b) == _list_moment(n, terms, reflected)
     assert euler._unpacked_over(value, b, Counter({2: n})) == expected
     # _weighted_moment: sum c_j I(X^j) over prod_{k<=n} (1+q^(alpha*k+1)) at

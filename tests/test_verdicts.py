@@ -5,7 +5,8 @@ over a shared known denominator.  Here every such verdict is checked
 against the canonical comparison of the identity's two sides, built from
 the public API in ``QRatFn``/``XPoly`` arithmetic; and each check is shown
 to turn FAIL, with witnesses whose sides really differ, when one of its
-inputs is broken on purpose.
+inputs is broken on purpose.  The moment tables are checked against the
+term-list route kept here, each side a list of (c, s, l) terms.
 """
 
 import inspect
@@ -98,6 +99,13 @@ def fresh_caches():
         f.cache_clear()
 
 
+def _clear_caches():
+    """Empty every euler cache now, as ``fresh_caches`` does around a test."""
+    for f in vars(euler).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+
+
 def _perturb_numerator(monkeypatch, n_bad=5, change=lambda b: 1 << b * 2):
     """Add change(b) to the weight-0 N_{n_bad}(2^b), where the recurrence makes it; 1 at q^2."""
     honest = euler._packed_step
@@ -144,7 +152,7 @@ def test_perturbed_numerator_reaches_the_lists(fresh_caches, monkeypatch):
     assert numerator == [c + (i == 2) for i, c in enumerate(honest)]
     # the judge's moments at its own b: M_5 = N_5 over (1+q)^5, and its six
     # digits reversed, which puts N_5's zero constant term on top
-    b = euler._moment_values(5, list(_moment_rows(5)[0]))[0]
+    b = euler._bernstein_table(5)[0]
     assert exactq._iunpack(euler._packed_moments(5, False, b)[5], b) == numerator
     assert exactq._iunpack(euler._packed_moments(5, True, b)[5], b) == numerator[::-1][:5]
 
@@ -227,38 +235,193 @@ def _list_weighted_sides(alpha, n):
     return exactq._itrim([-c for c in scaled] if n % 2 else scaled), closed
 
 
+# The term-list route: a side is its (c, s, l) terms, each c*q^s*I(y^l), and
+# whether I is the reflected functional I'(y^l) = E_{l,1/q}.  Every moment
+# side is built here term by term, the oracle the judge's tables are checked
+# against.
+
+def _bernstein_left(n, k):
+    """I(y^k (1-y)^(n-k)) = sum_l C(n-k,l) (-1)^l I(y^(k+l)), over (1+q)^n."""
+    return [(comb(n - k, l) * (-1) ** l, 0, k + l) for l in range(n - k + 1)], False
+
+
+def _bernstein_right(n, k, full):
+    """sum_l C(k,l) (-1)^(k+l) ([1+q] + q^2 I'(y^(n-l))), over (1+q)^n; [1+q] if full."""
+    terms = []
+    for l in range(k + 1):
+        c = comb(k, l) * (-1) ** (k + l)
+        terms += [(c, 2, n - l), (c, 0, 0), (c, 1, 0)] if full else [(c, 2, n - l)]
+    return terms, True
+
+
+def _shift_sides(n, m):
+    """q^n E_m(n) + E_m and [2]_q sum_{l<n} (-1)^l l^m q^l I(1), over (1+q)^m: cor3 and thm4."""
+    left = [(comb(m, l) * n ** (m - l), n, l) for l in range(m + 1)] + [(1, 0, m)], False
+    right = [((-1) ** l * l**m, s, 0) for l in range(n) for s in (l, l + 1)], False
+    return left, right
+
+
+def _thm5_sides(n):
+    """q^2 I((y+2)^n) and (q + q^2) I(1) + I(y^n), over (1+q)^n."""
+    return ([(comb(n, l) * 2 ** (n - l), 2, l) for l in range(n + 1)], False), \
+        ([(1, 1, 0), (1, 2, 0), (1, 0, n)], False)
+
+
+def _thm6_sides(n, scaled=True):
+    """Per x^j, C(n,j) (-1)^j I'((1+y)^(n-j)) and (-1)^n C(n,j) I(y^(n-j)), over (1+q)^n.
+
+    Without ``scaled``, each side of x^j over C(n,j), as the judge compares them.
+    """
+    scale = [comb(n, j) if scaled else 1 for j in range(n + 1)]
+    left = [([(scale[j] * (-1) ** j * comb(n - j, l), 0, l) for l in range(n - j + 1)], True)
+            for j in range(n + 1)]
+    right = [([((-1) ** n * scale[j], 0, n - j)], False) for j in range(n + 1)]
+    return left, right
+
+
+def _weight(sides):
+    """W, the sum of |c| over all the sides' terms, from which ``euler._moment_width`` takes b."""
+    return sum(abs(c) for terms, _ in sides for c, _, _ in terms)
+
+
+def _moment_values(n, sides):
+    """(b, values): each side's numerator over (1+q)^n at q = 2^b, sum c * (P_l << b*s).
+
+    P_l = M_l(2^b) (``euler._packed_moments``), at the sides' own ``euler._moment_width``.
+    """
+    b = euler._moment_width(n, _weight(sides))
+    return b, [sum(c * euler._packed_moments(n, reflected, b)[l] << b * s for c, s, l in terms)
+               for terms, reflected in sides]
+
+
+def _moment_rows(n):
+    """Every Bernstein row (n, k) thm8 checks, with and without the 1 + q constant at k = 0."""
+    rows = [(_bernstein_left(n, 0), _bernstein_right(n, 0, True))]
+    return rows + [(_bernstein_left(n, k), _bernstein_right(n, k, False)) for k in range(n)]
+
+
+def _row_keys(n):
+    """The (k, full) of each of ``_moment_rows(n)``, as ``euler._bernstein_row`` takes them."""
+    return [(0, True)] + [(k, False) for k in range(n)]
+
+
 def _list_route(monkeypatch):
     """Make every moment and weighted side on coefficient lists, by the oracles above.
 
     Each list is packed at the b the judge takes for the sides, where equal
     values are equal lists and every list unpacks again (the width proofs).
+    The memos are emptied, so no verdict of the packed route is read back.
     """
-    moment_values, weighted_values = euler._moment_values, euler._weighted_values
+    weighted_values = euler._weighted_values
 
-    def moments(n, sides):
-        b = moment_values(n, sides)[0]
-        return b, [_ipack(_list_moment(n, *side), b) for side in sides]
+    def packed(n, b, side):
+        return _ipack(_list_moment(n, *side), b)
+
+    def bernstein_table(n):
+        b = euler._moment_width(n, (1 << n) + 3)
+        return (b, tuple(packed(n, b, _bernstein_left(n, k)) for k in range(n + 1)),
+                tuple(packed(n, b, _bernstein_right(n, k, False)) for k in range(n + 1)),
+                packed(n, b, _bernstein_right(n, 0, True)))
+
+    def reflection_values(n):
+        b = euler._moment_width(n, (1 << n) + 3)
+        return (b, *([packed(n, b, side) for side in sides] for sides in _thm6_sides(n, False)))
+
+    def sides_values(n, sides):
+        b = euler._moment_width(n, _weight(sides))
+        return (b, *(packed(n, b, side) for side in sides))
 
     def weighted(alpha, n):
         b = weighted_values(alpha, n)[0]
         return (b, *(_ipack(side, b) for side in _list_weighted_sides(alpha, n)))
 
-    monkeypatch.setattr(euler, "_moment_values", moments)
+    monkeypatch.setattr(euler, "_bernstein_table", bernstein_table)
+    monkeypatch.setattr(euler, "_reflection_values", reflection_values)
+    monkeypatch.setattr(euler, "_shift_values", lambda n, m: sides_values(m, _shift_sides(n, m)))
+    monkeypatch.setattr(euler, "_thm5_values", lambda n: sides_values(n, _thm5_sides(n)))
     monkeypatch.setattr(euler, "_weighted_values", weighted)
+    _clear_caches()
 
 
 @pytest.mark.parametrize("identity", [run.identity for run in SUITES["all"]])
-def test_verdicts_equal_the_list_route(identity, monkeypatch):
+def test_verdicts_equal_the_list_route(identity, monkeypatch, fresh_caches):
     packed = [verify_identity(identity, n) for n in (1, 12, 30)]
     _list_route(monkeypatch)
     assert packed == [verify_identity(identity, n) for n in (1, 12, 30)]
 
 
-def _moment_rows(n):
-    """Every Bernstein row (n, k) thm8 checks, with and without the 1 + q constant at k = 0."""
-    rows = [(euler._bernstein_left(n, 0), euler._bernstein_right(n, 0, True))]
-    return rows + [(euler._bernstein_left(n, k), euler._bernstein_right(n, k, False))
-                   for k in range(n)]
+@pytest.mark.parametrize("n", range(26))
+def test_moment_tables_equal_the_term_lists(n):
+    # every side the tables make, unpacked, against the same side summed term
+    # by term on coefficient lists
+    def unpacked(b, value):
+        return exactq._iunpack(value, b)
+
+    b, lefts, rights, full = euler._bernstein_table(n)
+    for k in range(n + 1):
+        assert unpacked(b, lefts[k]) == _list_moment(n, *_bernstein_left(n, k)), k
+        assert unpacked(b, rights[k]) == _list_moment(n, *_bernstein_right(n, k, False)), k
+        right = full if k == 0 else rights[k]  # the 1 + q summands cancel for k >= 1
+        assert unpacked(b, right) == _list_moment(n, *_bernstein_right(n, k, True)), k
+    # each row's own term-list width is at most the table's
+    assert all(_moment_values(n, row)[0] <= b for row in _moment_rows(n))
+    b6, lefts, rights = euler._reflection_values(n)
+    assert b6 == b
+    for j, (left, right) in enumerate(zip(*_thm6_sides(n))):
+        assert [comb(n, j) * c for c in unpacked(b, lefts[j])] == _list_moment(n, *left), j
+        assert [comb(n, j) * c for c in unpacked(b, rights[j])] == _list_moment(n, *right), j
+    b, left, right = euler._thm5_values(n)
+    assert b == _moment_values(n, _thm5_sides(n))[0]
+    assert [unpacked(b, v) for v in (left, right)] == [_list_moment(n, *s) for s in _thm5_sides(n)]
+    for m in range(euler._COR3_M_MAX + 1) if n % 2 else ():
+        b, left, right = euler._shift_values(n, m)
+        sides = _shift_sides(n, m)
+        assert b == _moment_values(m, sides)[0]
+        assert [unpacked(b, v) for v in (left, right)] == [_list_moment(m, *s) for s in sides], m
+
+
+def test_full_rows_above_k0_are_the_reduced_rows():
+    # the 1 + q summands of a row cancel for k >= 1, so only row (n, 0) reads
+    # the table's full right side
+    for n in range(1, 13):
+        for k in range(1, n):
+            assert euler._bernstein_row(n, k, True) == euler._bernstein_row(n, k, False), (n, k)
+
+
+@pytest.mark.parametrize("reflected", (False, True))
+@pytest.mark.parametrize("n", (5, 8))
+def test_a_unit_change_in_one_moment_fails_exactly_its_readers(
+        n, reflected, monkeypatch, fresh_caches):
+    # +1 in M_j (or M'_j) of one n, where the tables read it: a Bernstein row
+    # fails exactly when one of its sides reads that moment (the k=0 remark
+    # fails by design), and thm6 changes exactly the x^i coefficients that read it.
+    # The honest memo is filled first, so M'_l stays honest when M_j changes
+    honest = euler._packed_moments
+    _, honest_lefts, honest_rights = euler._reflection_values(n)
+    for j in range(n + 1):
+        def perturbed(m, refl, b, j=j):
+            values = honest(m, refl, b)
+            if (m, refl) != (n, reflected):
+                return values
+            return values[:j] + (values[j] + 1,) + values[j + 1:]
+
+        euler._bernstein_table.cache_clear()
+        euler._bernstein_row.cache_clear()
+        monkeypatch.setattr(euler, "_packed_moments", perturbed)
+        failed = {key for key in _row_keys(n) if euler._bernstein_row(n, *key).verdict == FAIL}
+        if reflected:  # right(n, k) reads M'_(n-l), l <= k; the full k = 0 row also M'_0
+            readers = {(k, False) for k in range(n - j, n)}
+            readers |= {(0, True)} if j in (0, n) else set()
+        else:  # left(n, k) reads M_(k+l), l <= n - k
+            readers = {(k, full) for k, full in _row_keys(n) if k <= j}
+        assert failed == readers | {(0, False)}, j
+        assert all(euler._bernstein_row(n, *key).left != euler._bernstein_row(n, *key).right
+                   for key in failed)
+        # x^i reads M'_l for l <= n - i on the left, M_(n-i) on the right
+        _, lefts, rights = euler._reflection_values(n)
+        changed = {i for i in range(n + 1)
+                   if (lefts[i], rights[i]) != (honest_lefts[i], honest_rights[i])}
+        assert changed == (set(range(n - j + 1)) if reflected else {n - j}), j
 
 
 @pytest.mark.parametrize("delta", (1, -1))
@@ -268,37 +431,35 @@ def test_moment_judge_detects_a_unit_change(delta, where, monkeypatch, fresh_cac
     # row of n = 8 fails on the packed route exactly when it does on the lists
     n, k = 8, {"constant": 0, "middle": 3, "top": 5}[where]
     _perturb_numerator(monkeypatch, change=lambda b: delta << b * k)
-    for left, right in _moment_rows(n):
-        verdict = euler._moment_instance((), n, left, right).verdict
+    for key, (left, right) in zip(_row_keys(n), _moment_rows(n)):
+        verdict = euler._bernstein_row(n, *key).verdict
         assert verdict == (PASS if _list_moment(n, *left) == _list_moment(n, *right) else FAIL)
     # each left side of n = 8 reads E_8, which N_5 feeds; no row of n = 4
     # reads N_5, and there only the k=0 remark fails, by design
-    verdicts = [euler._moment_instance((), m, *row).verdict
-                for m in (4, 8) for row in _moment_rows(m)]
+    verdicts = [euler._bernstein_row(m, *key).verdict for m in (4, 8) for key in _row_keys(m)]
     assert verdicts == [PASS, FAIL] + [PASS] * 3 + [FAIL] * 9
 
 
 def test_moment_judge_detects_a_carry(monkeypatch, fresh_caches):
     # +2^c at q^k and -1 at q^(k+1) of N_5 vanish at the width c read from the
     # honest moments, bitlen(W) + beta + 1 with beta the bit length of their
-    # largest coefficient.  The judge's b comes from the proven bound B_8
+    # largest coefficient.  The table's b comes from the proven bound B_8
     # instead, a multiple of 64 above c, so the carry is seen
     n, k = 8, 3
     left, right = _moment_rows(n)[3]  # row (8, 2), whose left side reads M_5
-    w = sum(abs(c) for terms, _ in (left, right) for c, _, _ in terms)
+    w = _weight((left, right))
     numerators = tuple(tuple(euler._weighted_numerator(0, l)) for l in range(n + 1))
     beta = max(abs(c) for m in _moments_over(numerators)[0] for c in m).bit_length()
     c = w.bit_length() + beta + 1
-    assert c < euler._moment_values(n, [left, right])[0]
+    assert c < euler._bernstein_table(n)[0]
     carried = list(numerators[5])
     carried[k] += 1 << c
     carried[k + 1] -= 1
     assert _ipack(carried, c) == _ipack(numerators[5], c)
-    euler._packed_chain.cache_clear()  # and the moments read from it
-    euler._packed_moments.cache_clear()
+    _clear_caches()  # the chain, the moments read from it and the tables
     _perturb_numerator(monkeypatch, change=lambda b: (1 << c + b * k) - (1 << b * (k + 1)))
     assert euler._weighted_numerator(0, 5) == carried
-    inst = euler._moment_instance((), n, left, right)
+    inst = euler._bernstein_row(n, 2, False)
     assert inst.verdict == FAIL and inst.left != inst.right
 
 
@@ -324,16 +485,18 @@ def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monk
         assert inst.left != inst.right
 
 
-def test_theorem8_sign_mutation_fails_with_real_witnesses(monkeypatch):
-    # (-1)^(k+l) -> (-1)^l negates the reduced right side of every odd-k row,
-    # on the integer route and on the canonical one its witnesses come from
-    sign = "(-1) ** (k + l)"
+def test_theorem8_sign_mutation_fails_with_real_witnesses(monkeypatch, fresh_caches):
+    # (-1)^(k+l) -> (-1)^l drops the (-1)^k the table puts on nabla^k M'_n: it
+    # negates the reduced right side of every odd-k row, on the integer route
+    # and on the canonical one its witnesses come from
+    sign = "(-t if k % 2 else t) << 2 * b"
     assert sum(inspect.getsource(m).count(sign) for m in (euler, bernstein)) == 1
     namespace = dict(vars(euler))
-    source = inspect.getsource(euler._bernstein_right).replace(sign, "(-1) ** l")
+    source = inspect.getsource(euler._bernstein_table).replace(sign, "t << 2 * b")
     exec(compile(source, euler.__file__, "exec"), namespace)
     assert bernstein.verify_theorem8(12).ok
-    monkeypatch.setattr(euler, "_bernstein_right", namespace["_bernstein_right"])
+    _clear_caches()
+    monkeypatch.setattr(euler, "_bernstein_table", namespace["_bernstein_table"])
     report = bernstein.verify_theorem8(12)
     failed = report.failures()
     assert len(failed) == 36
