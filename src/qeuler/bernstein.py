@@ -23,14 +23,12 @@ from fractions import Fraction
 from math import comb
 
 from .euler import (
-    FAIL,
     ZERO,
-    IdentityInstance,
     IdentityReport,
-    _bernstein_instance,
     _bernstein_table,
     _scaled,
     _unpacked_over,
+    verify_identity,
     weighted_recurrence,
 )
 from .exactq import BigRat, QRatFn, XPoly
@@ -102,23 +100,13 @@ def moment_via_basis_expansion(k: int, n: int) -> QRatFn:
 def verify_theorem8(n_max: int) -> IdentityReport:
     """Check the alternating-moment identity, every Bernstein row with n <= n_max.
 
-    Row (n, k), 1 <= k < n, is I(y^k (1-y)^(n-k)) = q^2 I'(sum_l C(k,l)
-    (-1)^(k+l) y^(n-l)), judged by ``euler._bernstein_instance``.  The
-    k = 0 row is checked twice: against the claimed k=0 shortcut (expected
-    to fail -- the dropped 1+q) and against the full form (expected to
-    pass); both outcomes are part of the contract.  Each row is judged once
-    per process (``euler._bernstein_row``), so the rows thm7 and the k=0
-    remark judged are read back here, witnesses included.
+    The rows are judged by ``euler``'s thm8 check: the k = 0 row twice,
+    against the claimed k=0 shortcut (expected to fail -- the dropped 1+q)
+    and in full (expected to pass); both outcomes are part of the contract.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    instances: list[IdentityInstance] = []
-    note = "claimed k=0 shortcut drops the 1+q term"
-    for n in range(1, n_max + 1):
-        instances.append(_bernstein_instance((n, 0, "k0-remark"), n, 0, expected=FAIL, note=note))
-        instances.append(_bernstein_instance((n, 0, "full"), n, 0, full=True))
-        instances.extend(_bernstein_instance((n, k), n, k) for k in range(1, n))
-    return IdentityReport("thm8", tuple(instances))
+    return verify_identity("thm8", n_max)
 
 
 def padic_moment_crosscheck(

@@ -15,9 +15,10 @@ check it and are never merged with it:
   (X-1)^n; ``q_euler_numbers_weighted`` and the weighted check compare the two
   numerators by their values at q = 2^b.
 
-The recurrence itself runs on ints at q = 2^b (``_packed_step``), at a width
-b proven to hold every coefficient of its numerators (``_weighted_width``);
-a table unpacks each numerator once, by bytes (``_iunpack``).
+The recurrence itself runs on ints at q = 2^b (``_packed_step``); a table
+unpacks each numerator once, by bytes (``_iunpack``).  Every value packed at
+q = 2^b, outside the Frobenius route, takes its b from one rule, ``_width(n,
+w)``, whose docstring proves that b for n and a term weight w.
 
 Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
 of some f equals some g, and both sides are linear in the moments
@@ -34,10 +35,9 @@ and their I(1) side as one small polynomial times M_0 (``_shift_values``,
 I(X^j) = [2]_q/(1+q^(alpha*j+1)), X = q^(alpha*x) (``_weighted_moment``).
 The verdict is the equality of the two numerators (field equality: the
 denominator is nonzero), decided by their values at q = 2^b, one int per side,
-at a b for which that is exact equality by the argument in ``_weighted_width``
-(``_moment_width`` for the moment sides).  That b holds every coefficient of
-each side below 2^(b-1), so a failing instance unpacks both values
-(``_unpacked_over``) and keeps them, in canonical form, as its witness.
+at b = ``_width(n, w)``, where that is exact equality and every side unpacks.
+So a failing instance unpacks both values (``_unpacked_over``) and keeps
+them, in canonical form, as its witness.
 thm1, thm2 and classical compare canonical values: the recurrence against
 the Frobenius closed form or the classical Euler numbers.
 """
@@ -194,35 +194,32 @@ def _check_weight(alpha: int, minimum: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _numerator_bound(n: int) -> int:
-    """B_n >= ||N_n||_1 for every weight: B_0 = 1, B_n = sum_{k<n} C(n,k) 2^(n-1-k) B_k.
+def _width(n: int, w: int = 1) -> int:
+    """The least multiple b of 64 with 2^(b-2) > w max(2^n B_n, 4^n), B_n = sum_k F(n,k) 2^(n-k).
 
-    N_n = -q sum_{k<n} C(n,k) q^(alpha*k) N_k prod_{k<j<n} f_j (``_packed_step``),
-    each f_j = 1 + q^(alpha*j+1) has 1-norm 2, and ||A B||_1 <= ||A||_1 ||B||_1.
+    Every value packed at q = 2^b takes its b from here, for the n of the
+    numerators it reads and its term weight w.  Three facts prove it.
+
+    * (q^alpha-1)^n N_n and every moment M_l or its reversal have coefficients
+      at most 2^n B_n.  N_n = -q sum_{k<n} C(n,k) q^(alpha*k) N_k prod_{k<j<n}
+      f_j (``_packed_step``), f_j = 1 + q^(alpha*j+1) has 1-norm 2, and
+      ||AB||_1 <= ||A||_1 ||B||_1, so ||N_n||_1 <= B_n for B_0 = 1, 2 B_n =
+      sum_{k<n} C(n,k) 2^(n-k) B_k.  Its EGF is 2/(3 - e^(2t)) = 1/(1 -
+      (e^(2t)-1)/2), so B_n = sum_k F(n,k) 2^(n-k), F(n,k) = k! S(n,k)
+      (``_fubini_form(n, 1, 2)``), nondecreasing.  1 - q^alpha at most doubles
+      a coefficient, and M_l = N_l (1+q)^(n-l) has 1-norm <= 2^(n-l) B_l.
+    * The closed form's products prod_{k<=n, k != j} f_k (``_weighted_moment``)
+      have n factors of 1-norm 2, so their sum with weights C(n,j) is <= 4^n.
+    * So a side of term weight <= w, sum |c| <= w over its terms c q^s P,
+      stays below 2^(b-2): it unpacks (``_iunpack``), each M_l reverses
+      (``_ireverse``), and a difference of two sides is below 2^(b-1).  A
+      nonzero integer P with every |c_i| < 2^b cannot vanish at 2^b: with c_k
+      its lowest nonzero coefficient, P(2^b) / 2^(bk) = c_k != 0 mod 2^b.
+
+    max(2^n B_n, 4^n) is ``max(_fubini_form(n, 2, 4))``.  A multiple of 64
+    lets one b serve many n, and the families at one n share their moments.
     """
-    for k in range(n):  # ascending, so a cold request nests one call deep
-        _numerator_bound(k)
-    return sum(comb(n, k) * _numerator_bound(k) << (n - 1 - k) for k in range(n)) if n else 1
-
-
-def _weighted_width(n: int) -> int:
-    """The least width b the proof covers: N_n unpacks, and the weighted route check is exact.
-
-    b is max(bitlen(B_n) + n, 2n) + 2 rounded up to a multiple of 8, with B_n
-    from ``_numerator_bound``, so that 2^(b-1) > B_n >= max|N_n| and N_n
-    unpacks from its value at 2^b (``_iunpack``).  The route check compares
-    (q^alpha-1)^n N_n with sum_j C(n,j) (-1)^(n-j) prod_{k<=n, k != j} f_k
-    (``_weighted_moment``).  Multiplying by 1 - q^alpha at most doubles a
-    coefficient, so every coefficient of the first is at most 2^n max|N_n|
-    < 2^M, M = max(bitlen(B_n) + n, 2n).  Each product in the second has n
-    factors of 1-norm 2, so its coefficients are at most sum_j C(n,j) 2^n =
-    4^n <= 2^M.  So each side unpacks from its value at 2^b, and every
-    coefficient of the difference is below 2^(M+1) <= 2^(b-1).  A nonzero
-    integer polynomial P with all |c_i| < 2^b cannot vanish at 2^b: with c_k
-    its lowest nonzero coefficient, P(2^b) / 2^(bk) = c_k mod 2^b, and
-    0 < |c_k| < 2^b.  Every larger multiple of 8 serves as well.
-    """
-    return -(-(max(_numerator_bound(n).bit_length() + n, 2 * n) + 2) // 8) * 8
+    return -(-((w * max(_fubini_form(n, 2, 4))).bit_length() + 2) // 64) * 64
 
 
 def _packed_step(alpha: int, n: int, packed: Sequence[int], b: int) -> int:
@@ -231,11 +228,11 @@ def _packed_step(alpha: int, n: int, packed: Sequence[int], b: int) -> int:
     Horner over the sparse factors f_j = 1 + q^(alpha*j+1):
     S = sum_{k<n} C(n,k) q^(alpha*k) N_k prod_{j=k+1..n-1} f_j, built
     ascending so the k-th term picks up exactly the factors j > k, and
-    N_n = -q S.  At q = 2^b each f_j is one shift and one add.  A b the width
-    proof does not cover (``_weighted_width``) is refused.
+    N_n = -q S.  At q = 2^b each f_j is one shift and one add.  A b below
+    ``_width(n)``, or not a whole number of bytes, is refused.
     """
-    if b < _weighted_width(n) or b % 8:
-        raise ValueError(f"width {b} is below the proven width {_weighted_width(n)} of N_{n}")
+    if b < _width(n) or b % 8:
+        raise ValueError(f"width {b} is below the proven width {_width(n)} of N_{n}")
     s = 0
     for k in range(n):
         s += s << b * (alpha * k + 1)
@@ -252,22 +249,13 @@ def _packed_chain(alpha: int, b: int, n: int) -> tuple[int, ...]:
     return chain + (_packed_step(alpha, n, chain, b),)
 
 
-def _packed_numerator(alpha: int, n: int) -> tuple[int, int]:
-    """(b, N_n(2^b)), b = ``_weighted_width(n)`` rounded up to a multiple of 64.
-
-    So one b serves many n; at each 64-bit step the chain starts again at the new b.
-    """
-    b = -(-_weighted_width(n) // 64) * 64
-    return b, _packed_chain(alpha, b, n)[n]
-
-
 def _weighted_numerator(alpha: int, n: int) -> list[int]:
     """The unreduced numerator N_n with N_n / prod_{1<=k<=n} (1+q^(alpha*k+1)) = E^(alpha)_n.
 
-    Unpacked from ``_packed_numerator``, whose width keeps every |coefficient| below 2^(b-1).
+    Unpacked from ``_packed_chain`` at b = ``_width(n)``.
     """
-    b, value = _packed_numerator(alpha, n)
-    return _iunpack(value, b)
+    b = _width(n)
+    return _iunpack(_packed_chain(alpha, b, n)[n], b)
 
 
 @lru_cache(maxsize=None)
@@ -395,12 +383,12 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
     which is T_n / ((1-q^alpha)^n D_n) = (-1)^n T_n / ((q^alpha-1)^n D_n), with
     (-1)^n T_n from ``_alternating_numerator`` and D_n = prod_{1<=k<=n}
     (1+q^(alpha*k+1)): [2]_q is the j = 0 factor.  (-1)^n T_n is unpacked from
-    its value at q = 2^b, b = ``_weighted_width(n)``, which holds its coefficients.
+    its value at q = 2^b, b = ``_width(n)``.
     """
     _check_weight(alpha, 1)
     if n < 0:
         raise ValueError("n must be >= 0")
-    b = _weighted_width(n)
+    b = _width(n)
     return _unpacked_over(_alternating_numerator(alpha, n, b), b, _closed_form_factors(alpha, n))
 
 
@@ -414,14 +402,14 @@ def _closed_form_factors(alpha: int, n: int) -> Counter:
 def _weighted_values(alpha: int, n: int) -> tuple[int, int, int]:
     """(b, left, right): (q^alpha-1)^n N_n and I((X-1)^n) at q = 2^b.
 
-    Both are E^(alpha)_n over ``_closed_form_factors``, by each route, and they
-    are equal exactly when the polynomials are; every coefficient of each is
-    below 2^(b-1), so each unpacks at b (``_weighted_width``).  N_n(2^b) comes
-    from the memo of the recurrence (``_packed_numerator``), at its
-    b >= ``_weighted_width(n)``, and is scaled by n passes of x - x*2^(b*alpha);
-    the closed form runs ``_weighted_moment`` at the same b.
+    Both are E^(alpha)_n over ``_closed_form_factors``, by each route, and at
+    b = ``_width(n)`` they are equal exactly when the polynomials are, and each
+    unpacks.  N_n(2^b) comes from the memo of the recurrence (``_packed_chain``)
+    and is scaled by n passes of x - x*2^(b*alpha); the closed form runs
+    ``_weighted_moment`` at the same b.
     """
-    b, left = _packed_numerator(alpha, n)
+    b = _width(n)
+    left = _packed_chain(alpha, b, n)[n]
     for _ in range(n):
         left -= left << (b * alpha)  # times 1 - q^alpha
     return b, -left if n % 2 else left, _alternating_numerator(alpha, n, b)
@@ -436,7 +424,7 @@ def q_euler_numbers_weighted(alpha: int, n_max: int) -> tuple[QRatFn, ...]:
     shared nonzero denominator (q^alpha-1)^n D_n the two values are equal in
     the field exactly when the integer polynomials (q^alpha-1)^n N_n and
     (-1)^n T_n are equal, and those are equal exactly when their values at
-    q = 2^b are (``_weighted_values``; the proof is in ``_weighted_width``).
+    q = 2^b are (``_weighted_values``; the proof is in ``_width``).
     That identity is checked for every n; a mismatch would mean a kernel bug
     and raises.  The values returned are the recurrence's, in canonical form.
     """
@@ -497,7 +485,7 @@ class IdentityInstance(NamedTuple):
 
     The verdict is an exact comparison: for cor3, thm4-thm8, the k=0 remark
     and weighted, of the integer numerators of I(f) and g over a known
-    denominator, by their values at q = 2^b (see ``_moment_width``), of
+    denominator, by their values at q = 2^b (see ``_width``), of
     canonical values for the rest.
     ``left``/``right`` hold the two sides compared, reduced to canonical
     form (QRatFn or XPoly) only when the verdict is ``fail``, as a witness.
@@ -585,8 +573,7 @@ def _packed_moments(n: int, reflected: bool, b: int) -> tuple[int, ...]:
 
     M_l = N_l (1+q)^(n-l), N_l from ``_packed_chain(0, b, n)``.  E_{l,1/q}'s
     numerator is q^n M_l(1/q), M_l's n+1 digits reversed (``_ireverse``) from
-    the direct memo, which raises if deg N_l > l.  ``_moment_width`` proves
-    that b holds them.
+    the direct memo, which raises if deg N_l > l; b comes from ``_width``.
     """
     if reflected:
         return tuple(_ireverse(value, b, n + 1) for value in _packed_moments(n, False, b))
@@ -596,23 +583,6 @@ def _packed_moments(n: int, reflected: bool, b: int) -> tuple[int, ...]:
             value += value << b  # times 1 + q
         moments.append(value)
     return tuple(moments)
-
-
-def _moment_width(n: int, w: int) -> int:
-    """The width b, a multiple of 64, at which two moment sides of term weight w compare exactly.
-
-    A side is a sum of terms c*q^s*M_l, or c*q^s*M'_l with M'_l reflected
-    (``_packed_moments``), however it is computed, and w bounds the sum of
-    |c| over the terms of both sides.  b >= bitlen(w) + ww, ww =
-    ``_weighted_width(n)``, and a coefficient of M_l or of its reversal is at
-    most B_l 2^(n-l) <= B_n 2^n < 2^(ww-2), since C(n-l, k) <= 2^(n-l) and B
-    (``_numerator_bound``) is nondecreasing.  So every coefficient of a side,
-    or of a difference of two, is below 2^(b-2): each side unpacks and each
-    M_l reverses at b, and the comparison is exact (``_weighted_width``).
-    The recurrence runs at every multiple of 8 at or above ww; rounding up to
-    64 lets the identities at one n share their packed moments.
-    """
-    return -(-(w.bit_length() + _weighted_width(n)) // 64) * 64
 
 
 def _pascal_rows(values: Sequence[int], op: Callable[[int, int], int]) -> Iterator[list[int]]:
@@ -643,9 +613,9 @@ def _bernstein_table(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int
     rights[0] + (1+q) M'_0: the 1+q summands of a row add up to
     (1+q) M'_0 sum_l C(k,l) (-1)^(k+l), which is 0 for k >= 1.  A row's term
     weight is W = 2^(n-k) + 2^k <= 2^n + 1, and 2^n + 3 for the full k = 0
-    row, so b = ``_moment_width(n, 2^n + 3)`` serves every row of n.
+    row, so b = ``_width(n, 2^n + 3)`` serves every row of n.
     """
-    b = _moment_width(n, (1 << n) + 3)
+    b = _width(n, (1 << n) + 3)
     tails = [row[-1] for row in _pascal_rows(_packed_moments(n, False, b), sub)]
     lefts = tuple(-t if m % 2 else t for m, t in reversed(list(enumerate(tails))))
     reflected = _packed_moments(n, True, b)
@@ -693,10 +663,10 @@ _COR3_M_MAX = 15
 def _shift_values(n: int, m: int) -> tuple[int, int, int]:
     """(b, left, right): q^n E_m(n) + E_m and [2]_q sum_{l<n} (-1)^l l^m q^l I(1), over (1+q)^m.
 
-    Their term weights are (n+1)^m + 1 and 2 sum_{l<n} l^m (``_moment_width``).
+    Their term weights are (n+1)^m + 1 and 2 sum_{l<n} l^m (``_width``).
     """
     alt = [(-1) ** l * l**m for l in range(n)]
-    b = _moment_width(m, (n + 1) ** m + 1 + 2 * sum(map(abs, alt)))
+    b = _width(m, (n + 1) ** m + 1 + 2 * sum(map(abs, alt)))
     unit = [x + y for x, y in zip(alt + [0], [0] + alt)]  # times 1 + q
     return b, _shifted_moment(m, n, b) + _packed_moments(m, False, b)[m], _unit_moment(m, unit, b)
 
@@ -722,7 +692,7 @@ def _check_thm4(n_max: int) -> list[IdentityInstance]:
 
 def _thm5_values(n: int) -> tuple[int, int, int]:
     """(b, left, right): q^2 E_n(2) and (q + q^2) I(1) + E_n over (1+q)^n; term weights 3^n, 3."""
-    b = _moment_width(n, 3**n + 3)
+    b = _width(n, 3**n + 3)
     right = _unit_moment(n, (0, 1, 1), b) + _packed_moments(n, False, b)[n]
     return b, _shifted_moment(n, 2, b), right
 
@@ -753,7 +723,7 @@ def _reflection_values(n: int) -> tuple[int, list[int], list[int]]:
     weight is 2^(n-j) + 1 <= 2^n + 3, so the Bernstein rows' width serves
     (``_bernstein_table``), and both read the same packed moments.
     """
-    b = _moment_width(n, (1 << n) + 3)
+    b = _width(n, (1 << n) + 3)
     sums = [row[0] for row in _pascal_rows(_packed_moments(n, True, b), add)]
     lefts = [-p if j % 2 else p for j, p in enumerate(reversed(sums))]
     rights = [-v if n % 2 else v for v in reversed(_packed_moments(n, False, b))]
@@ -802,10 +772,20 @@ def _check_weighted(n_max: int) -> list[IdentityInstance]:
     return out
 
 
-def _check_thm8(n_max: int) -> tuple[IdentityInstance, ...]:
-    from . import bernstein  # imported here because bernstein imports this module
+def _check_thm8(n_max: int) -> list[IdentityInstance]:
+    """Every Bernstein row (n, k), 1 <= n <= n_max; row (n, 0) as the k=0 shortcut and in full.
 
-    return bernstein.verify_theorem8(n_max).instances if n_max >= 1 else ()
+    The shortcut drops the 1+q, so it is expected to fail.  Each row is judged
+    once per process (``_bernstein_row``), so the rows thm7 and the k=0 remark
+    judged are read back here, witnesses included.
+    """
+    out = []
+    note = "claimed k=0 shortcut drops the 1+q term"
+    for n in range(1, n_max + 1):
+        out.append(_bernstein_instance((n, 0, "k0-remark"), n, 0, expected=FAIL, note=note))
+        out.append(_bernstein_instance((n, 0, "full"), n, 0, full=True))
+        out.extend(_bernstein_instance((n, k), n, k) for k in range(1, n))
+    return out
 
 
 class SuiteRun(NamedTuple):
@@ -859,8 +839,7 @@ def verify_identity(identity_id: str, n_max: int) -> IdentityReport:
     Both sides of every instance are built independently from the
     operations above and compared exactly (see ``IdentityInstance``);
     failures are data (witness attached), not errors.  ``cor3`` runs
-    every m = 0..15 at each odd n <= n_max.
-    "thm8" runs the Bernstein-moment suite of the bernstein module.
+    every m = 0..15 at each odd n <= n_max, "thm8" every Bernstein row.
     """
     key = identity_id.lower()
     if key not in _CHECK_BY_ID:

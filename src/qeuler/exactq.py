@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 BigRat = Fraction
@@ -115,10 +115,10 @@ def _icombination(out: list[int], terms: Iterable[tuple[int, int, Sequence[int]]
     return _itrim(out)
 
 
-def _ishift_add(cs: list[int], m: int, c: int = 1) -> list[int]:
-    """cs * (1 + c*q^m), c = 1 or -1, on ascending int coefficients: one ``map`` over slices."""
+def _ishift_add(cs: list[int], m: int) -> list[int]:
+    """cs * (1 - q^m) on ascending int coefficients: one ``map`` over slices."""
     out = cs + [0] * m
-    out[m:] = map(add if c == 1 else sub, out[m:], cs)
+    out[m:] = map(sub, out[m:], cs)
     return out
 
 
@@ -159,15 +159,12 @@ def _ireverse(value: int, b: int, digits: int) -> int:
                           "little") - repunit
 
 
-def _ishift_div(cs: list[int], m: int, c: int = 1) -> list[int]:
-    """cs / (1 + c*q^m), c = 1 or -1, the inverse of ``_ishift_add``; raises if it is not exact.
+def _ishift_div(cs: list[int], m: int) -> list[int]:
+    """cs / (1 - q^m), the inverse of ``_ishift_add``; raises if it is not exact.
 
-    Dividing by 1 - q^m, each residue class mod m of the quotient is the
-    running sum of the same class of cs (``accumulate``); the top m sums are
-    the remainder.  1 + q^m is (1 - q^(2m)) / (1 - q^m).
+    Each residue class mod m of the quotient is the running sum of the same
+    class of cs (``accumulate``); the top m sums are the remainder.
     """
-    if c == 1:
-        return _ishift_div(_ishift_add(cs, m, -1), 2 * m, -1)
     out = list(cs)
     for r in range(min(m, len(out))):
         out[r::m] = accumulate(cs[r::m])
@@ -210,7 +207,7 @@ def _cyclotomic_scale(cs: Sequence[int], exps: Mapping[int, int]) -> list[int]:
     out = list(cs)
     for e, m in sorted(total.items(), key=lambda em: -em[1]):
         for _ in range(abs(m)):
-            out = _ishift_add(out, e, -1) if m > 0 else _ishift_div(out, e, -1)
+            out = _ishift_add(out, e) if m > 0 else _ishift_div(out, e)
     # q^e - 1 = -(1 - q^e)
     return [-c for c in out] if sum(total.values()) % 2 else out
 

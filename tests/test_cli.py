@@ -716,11 +716,11 @@ _LOADED_LAYERS = (
 @pytest.mark.parametrize("argv, loaded", [
     ("table weighted --alpha 2 --n-max 4 --format json", ["cli", "euler", "exactq"]),
     ("table frobenius --n-max 3 --format latex", ["cli", "euler", "exactq"]),
-    ("verify --suite thm8 --n-max 3", ["bernstein", "cli", "euler", "exactq"]),
+    ("verify --suite thm8 --n-max 3", ["cli", "euler", "exactq"]),
     ("padic --n 2 --p 5 --N-max 4", ["cli", "euler", "exactq", "padic"]),
 ])
 def test_each_command_loads_only_the_layers_it_uses(argv, loaded):
-    # bernstein and padic load on first use: a table run imports neither
+    # bernstein and padic load on first use: a table or verify run imports neither
     done = _python(["-c", _LOADED_LAYERS, *argv.split()], subprocess.DEVNULL)
     assert done.stderr == f"0 {[f'qeuler.{m}' for m in loaded]}\n"
 

@@ -27,10 +27,10 @@ from qeuler.euler import (
     weighted_recurrence,
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
-from test_exactq import _ipack, cyclotomic_exps, cyclotomic_product  # dense references
+from test_exactq import _ipack, _times_one_plus, cyclotomic_exps, cyclotomic_product
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
-from test_verdicts import _list_moment, _list_weighted_sides, _moment_values
-from test_verdicts import _weighted_moment_by_division
+from test_verdicts import _list_moment, _list_weighted_sides, _moment_rows, _moment_values
+from test_verdicts import _shift_sides, _thm5_sides, _thm6_sides, _weighted_moment_by_division
 
 ONE = QRatFn.one()
 
@@ -419,7 +419,7 @@ def test_weighted_memos_fill_without_deep_recursion(fresh_caches):
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
         euler._weighted_numerator(0, 150)
-        euler._numerator_bound(400)
+        euler._width(400)
         euler._canonical_denominator(0, 400)
         euler._weighted_entry(2, 60)
     finally:
@@ -478,7 +478,7 @@ def _oracle_numerator(alpha, n):
     s = []
     for k in range(n):
         term = (comb(n, k), alpha * k, _oracle_numerator(alpha, k))
-        s = exactq._icombination(exactq._ishift_add(s, alpha * k + 1), [term])
+        s = exactq._icombination(_times_one_plus(s, alpha * k + 1), [term])
     return tuple([0] + [-c for c in s]) if n else (1,)
 
 
@@ -486,14 +486,46 @@ def test_packed_recurrence_matches_the_list_loop(fresh_caches):
     for alpha in range(7):
         for n in range(31):
             assert tuple(euler._weighted_numerator(alpha, n)) == _oracle_numerator(alpha, n), n
-    # the memo's b is the proven width rounded up to a multiple of 64, and
-    # the chain at that b holds every N_k, k <= n
-    b, value = euler._packed_numerator(3, 30)
-    assert b == -(-euler._weighted_width(30) // 64) * 64
+    # the memo's b is _width(n), and the chain at that b holds every N_k, k <= n
+    b = euler._width(30)
     chain = euler._packed_chain(3, b, 30)
     assert [exactq._iunpack(v, b) for v in chain] == [list(_oracle_numerator(3, k))
                                                       for k in range(31)]
-    assert chain[30] == value
+    assert exactq._iunpack(chain[30], b) == euler._weighted_numerator(3, 30)
+
+
+def _bound(n):
+    """B_n, the bound ``euler._width`` takes from the Fubini form: sum_k F(n,k) 2^(n-k)."""
+    return euler._fubini_form(n, 1, 2)[0]
+
+
+# The width rules before ``euler._width``, kept as oracles: B_n by its
+# recurrence, the weighted route's width and the moment sides' width.
+
+@lru_cache(maxsize=None)
+def _bound_by_recurrence(n):
+    """B_0 = 1, B_n = sum_{k<n} C(n,k) 2^(n-1-k) B_k, from ||N_n||_1 <= B_n."""
+    for k in range(n):  # ascending, so a cold request nests one call deep
+        _bound_by_recurrence(k)
+    return sum(comb(n, k) * _bound_by_recurrence(k) << (n - 1 - k) for k in range(n)) if n else 1
+
+
+def _weighted_width_by_recurrence(n):
+    """max(bitlen(B_n) + n, 2n) + 2, rounded up to a multiple of 8."""
+    return -(-(max(_bound_by_recurrence(n).bit_length() + n, 2 * n) + 2) // 8) * 8
+
+
+def _moment_width_by_recurrence(n, w):
+    """bitlen(w) + the weighted width, rounded up to a multiple of 64."""
+    return -(-(w.bit_length() + _weighted_width_by_recurrence(n)) // 64) * 64
+
+
+def _family_weights(n):
+    """Every term weight w a moment family asks ``euler._width(n, w)`` for, cor3 shifts s <= 59."""
+    weights = {(1 << n) + 3, 3**n + 3}  # every Bernstein row and thm6; thm5
+    for s in range(1, 60, 2):  # cor3 at odd s, and thm4 at s = 1
+        weights.add((s + 1) ** n + 1 + 2 * sum(l**n for l in range(s)))
+    return weights
 
 
 def test_numerator_bound_covers_every_numerator():
@@ -501,18 +533,41 @@ def test_numerator_bound_covers_every_numerator():
     for n in range(61):
         for alpha in (0, 1, 2) if n > 40 else (0, 1, 2, 3):
             l1_norm = sum(map(abs, _oracle_numerator(alpha, n)))
-            assert euler._numerator_bound(n) >= l1_norm, (alpha, n)
-    assert euler._numerator_bound(60).bit_length() == 324
+            assert _bound(n) >= l1_norm, (alpha, n)
+    assert _bound(60).bit_length() == 324
+    # the Fubini form solves the recurrence: 2/(3 - e^(2t)) is the EGF of both
+    assert [_bound(n) for n in range(200)] == [_bound_by_recurrence(n) for n in range(200)]
+
+
+def test_width_is_the_old_weighted_width_rounded_to_64():
+    for n in range(301):
+        assert euler._width(n) == -(-_weighted_width_by_recurrence(n) // 64) * 64, n
+
+
+def test_width_is_at_most_the_old_moment_width(monkeypatch, fresh_caches):
+    # every family's width is at most the old rule's, and at least the chain's
+    for n in range(61):
+        for w in _family_weights(n):
+            assert euler._width(n) <= euler._width(n, w) <= _moment_width_by_recurrence(n, w), n
+    # and those are the term weights the families ask for
+    asked = set()
+    honest = euler._width
+    monkeypatch.setattr(euler, "_width", lambda n, w=1: asked.add((n, w)) or honest(n, w))
+    for identity in ("cor3", "thm4", "thm5", "thm6", "thm7", "thm8"):
+        assert verify_identity(identity, 13).instances
+    moments = {(n, w) for n, w in asked if w != 1}
+    assert moments and all(w in _family_weights(n) for n, w in moments)
 
 
 def test_packed_step_refuses_a_width_below_the_proof():
-    packed = [euler._packed_numerator(1, k)[1] for k in range(8)]
-    b, value = euler._packed_numerator(1, 8)
-    least = euler._weighted_width(8)
-    assert euler._packed_step(1, 8, packed, b) == value
+    least = euler._width(8)
+    packed = euler._packed_chain(1, least, 7)
+    value = euler._packed_chain(1, least, 8)[8]
+    assert euler._packed_step(1, 8, packed, least) == value
     assert euler._packed_chain(1, least + 64, 8)[8] == _ipack(
-        exactq._iunpack(value, b), least + 64)
-    for narrow in (least - 8, least + 4):  # below the bound, or not a whole number of bytes
+        exactq._iunpack(value, least), least + 64)
+    # below the bound, or not a whole number of bytes
+    for narrow in (least - 64, least - 8, least + 4):
         with pytest.raises(ValueError, match="proven width"):
             euler._packed_step(1, 8, packed, narrow)
 
@@ -523,18 +578,33 @@ def test_weighted_values_match_the_list_sides():
         for n in range(31):
             left, right = _list_weighted_sides(alpha, n)
             b, *values = euler._weighted_values(alpha, n)
-            assert b == euler._packed_numerator(alpha, n)[0] >= euler._weighted_width(n)
+            assert b == euler._width(n)
             assert values == [_ipack(left, b), _ipack(right, b)], (alpha, n)
             assert (values[0] == values[1]) == (left == right), (alpha, n)
 
 
+def _moment_sides(n):
+    """(b, sides): every moment side at n, as term lists, with the width it is packed at."""
+    b = euler._bernstein_table(n)[0]
+    yield b, [side for row in _moment_rows(n) for side in row]
+    yield b, [side for sides in _thm6_sides(n, False) for side in sides]
+    yield euler._thm5_values(n)[0], _thm5_sides(n)
+    for s in range(1, 26, 2) if n <= euler._COR3_M_MAX else (1,):  # cor3, and thm4 at s = 1
+        yield euler._shift_values(s, n)[0], _shift_sides(s, n)
+
+
 def test_weighted_width_bounds_both_sides():
-    # b - 1 exceeds every coefficient of both list sides, so their difference
-    # stays below 2^(b-1) in the widest measured case too
+    # every coefficient of (q^alpha-1)^n N_n and of the closed form's side, and
+    # of every moment side, is below 2^(b-2) at the b it is packed at
     for n in range(41):
-        b = euler._weighted_width(n)
-        left, right = _list_weighted_sides(3, n)
-        assert b - 1 > max(map(abs, left + right)).bit_length(), n
+        b = euler._width(n)
+        for alpha in (1, 2, 3):
+            left, right = _list_weighted_sides(alpha, n)
+            assert max(map(abs, left + right)).bit_length() <= b - 2, (alpha, n)
+    for n in range(26):
+        for b, sides in _moment_sides(n):
+            for side in sides:
+                assert max(map(abs, _list_moment(n, *side)), default=0).bit_length() <= b - 2, n
 
 
 def _with_numerator(monkeypatch, alpha, n, numerator):
@@ -568,10 +638,11 @@ def test_weighted_values_detect_a_unit_change(alpha, n, where, delta, monkeypatc
 def test_weighted_values_detect_a_carry(alpha, n, monkeypatch, fresh_caches):
     # +2^c at q^k and -1 at q^(k+1) vanish at the width c = max(bitlen(max|N_n|)
     # + n, 2n) + 2 read from the numerator.  The memo's b comes from the proven
-    # bound B_n instead, a multiple of 64 above c, so the carry is seen
+    # bound B_n instead (``euler._width``), a multiple of 64 above c, so the
+    # carry is seen
     numerator = list(euler._weighted_numerator(alpha, n))
     c = max(max(map(abs, numerator)).bit_length() + n, 2 * n) + 2
-    b, k = euler._packed_numerator(alpha, n)[0], len(numerator) // 2
+    b, k = euler._width(n), len(numerator) // 2
     assert c < b
     numerator[k] += 1 << c
     numerator[k + 1] -= 1

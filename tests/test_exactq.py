@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -130,40 +131,53 @@ ints = st.lists(st.integers(-50, 50), max_size=12)
 wide_ints = st.lists(st.integers(-(2**200), 2**200), max_size=12)
 
 
-def _shift_add_loop(cs, m, c):
-    """Reference: cs * (1 + c*q^m), one coefficient at a time."""
+def _shift_add_loop(cs, m):
+    """Reference: cs * (1 - q^m), one coefficient at a time."""
     out = cs + [0] * m
     for i, a in enumerate(cs):
-        out[i + m] += c * a
+        out[i + m] -= a
     return out
 
 
-def _shift_div_loop(cs, m, c):
-    """Reference: cs / (1 + c*q^m), one coefficient at a time; None when it is not exact."""
+def _shift_div_loop(cs, m):
+    """Reference: cs / (1 - q^m), one coefficient at a time; None when it is not exact."""
     out = list(cs)
     for i in range(m, len(out)):
-        out[i] -= c * out[i - m]
+        out[i] += out[i - m]
     top = max(len(out) - m, 0)
     return None if any(out[top:]) else out[:top]
 
 
+def _times_one_plus(cs, m):
+    """cs * (1 + q^m), the factor the oracles build the moments and weighted sides from."""
+    out = cs + [0] * m
+    out[m:] = map(add, out[m:], cs)
+    return out
+
+
+def _over_one_plus(cs, m):
+    """cs / (1 + q^m) = cs (1 - q^m) / (1 - q^(2m)); raises ArithmeticError if it is not exact."""
+    return _ishift_div(_ishift_add(cs, m), 2 * m)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(ints, wide_ints), st.integers(1, 16), st.sampled_from([1, -1]), ints)
-@example([], 3, -1, [1])
-@example([2**200 - 1, -(2**199)], 5, 1, [0, 0, 0, 0, 7])
-def test_ishift_div_inverts_ishift_add(a, m, c, low):
+@given(st.one_of(ints, wide_ints), st.integers(1, 16), ints)
+@example([], 3, [1])
+@example([2**200 - 1, -(2**199)], 5, [0, 0, 0, 0, 7])
+def test_ishift_div_inverts_ishift_add(a, m, low):
     # the slice kernels against the coefficient loops, m >= len(a) included
-    b = _ishift_add(a, m, c)
-    assert b == _shift_add_loop(a, m, c)
-    assert _ishift_div(b, m, c) == _shift_div_loop(b, m, c) == a
-    # adding a nonzero remainder of degree < m leaves a non-multiple of 1 + c*q^m
+    b = _ishift_add(a, m)
+    assert b == _shift_add_loop(a, m)
+    assert _ishift_div(b, m) == _shift_div_loop(b, m) == a
+    assert _over_one_plus(_times_one_plus(a, m), m) == a  # the oracles' 1 + q^m
+    # adding a nonzero remainder of degree < m leaves a non-multiple of 1 - q^m
     low = low[:m]
     if any(low):
         for i, r in enumerate(low):
             b[i] += r
-        assert _shift_div_loop(b, m, c) is None
+        assert _shift_div_loop(b, m) is None
         with pytest.raises(ArithmeticError):
-            _ishift_div(b, m, c)
+            _ishift_div(b, m)
 
 
 def _ipack(cs, b):

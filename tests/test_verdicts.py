@@ -27,7 +27,7 @@ from qeuler.euler import (
     weighted_recurrence,
 )
 from qeuler.exactq import QPoly, QRatFn, XPoly
-from test_exactq import _ipack  # the packing oracle
+from test_exactq import _ipack, _over_one_plus, _times_one_plus  # packing, 1 + q^m
 
 ONE, Q = QRatFn.one(), QRatFn.q()
 N_MAX = 10
@@ -197,7 +197,7 @@ def _moments_over(numerators):
         assert shift >= 0, f"deg N_{l} > {l}"
         d = list(num)
         for _ in range(n - l):
-            d = exactq._ishift_add(d, 1)
+            d = _times_one_plus(d, 1)
         direct.append(tuple(d))
         reflected.append(tuple(exactq._itrim([0] * shift + d[::-1])))
     return tuple(direct), tuple(reflected)
@@ -220,8 +220,8 @@ def _weighted_moment_by_division(alpha, n, coeffs):
     # the full product built once and divided by each f_j
     full = [1]
     for k in range(n + 1):
-        full = exactq._ishift_add(full, alpha * k + 1)
-    terms = ((c, 0, exactq._ishift_div(full, alpha * j + 1)) for j, c in enumerate(coeffs))
+        full = _times_one_plus(full, alpha * k + 1)
+    terms = ((c, 0, _over_one_plus(full, alpha * j + 1)) for j, c in enumerate(coeffs))
     return exactq._icombination([], terms)
 
 
@@ -229,7 +229,7 @@ def _list_weighted_sides(alpha, n):
     """(q^alpha-1)^n N_n and I((X-1)^n) as lists, the closed form by product and divide."""
     scaled = list(euler._weighted_numerator(alpha, n))
     for _ in range(n):
-        scaled = exactq._ishift_add(scaled, alpha, -1)  # times 1 - q^alpha
+        scaled = exactq._ishift_add(scaled, alpha)  # times 1 - q^alpha
     closed = _weighted_moment_by_division(alpha, n, [comb(n, j) * (-1) ** (n - j)
                                                      for j in range(n + 1)])
     return exactq._itrim([-c for c in scaled] if n % 2 else scaled), closed
@@ -280,16 +280,16 @@ def _thm6_sides(n, scaled=True):
 
 
 def _weight(sides):
-    """W, the sum of |c| over all the sides' terms, from which ``euler._moment_width`` takes b."""
+    """W, the sum of |c| over all the sides' terms, from which ``euler._width`` takes b."""
     return sum(abs(c) for terms, _ in sides for c, _, _ in terms)
 
 
 def _moment_values(n, sides):
     """(b, values): each side's numerator over (1+q)^n at q = 2^b, sum c * (P_l << b*s).
 
-    P_l = M_l(2^b) (``euler._packed_moments``), at the sides' own ``euler._moment_width``.
+    P_l = M_l(2^b) (``euler._packed_moments``), at the sides' own ``euler._width``.
     """
-    b = euler._moment_width(n, _weight(sides))
+    b = euler._width(n, _weight(sides))
     return b, [sum(c * euler._packed_moments(n, reflected, b)[l] << b * s for c, s, l in terms)
                for terms, reflected in sides]
 
@@ -318,17 +318,17 @@ def _list_route(monkeypatch):
         return _ipack(_list_moment(n, *side), b)
 
     def bernstein_table(n):
-        b = euler._moment_width(n, (1 << n) + 3)
+        b = euler._width(n, (1 << n) + 3)
         return (b, tuple(packed(n, b, _bernstein_left(n, k)) for k in range(n + 1)),
                 tuple(packed(n, b, _bernstein_right(n, k, False)) for k in range(n + 1)),
                 packed(n, b, _bernstein_right(n, 0, True)))
 
     def reflection_values(n):
-        b = euler._moment_width(n, (1 << n) + 3)
+        b = euler._width(n, (1 << n) + 3)
         return (b, *([packed(n, b, side) for side in sides] for sides in _thm6_sides(n, False)))
 
     def sides_values(n, sides):
-        b = euler._moment_width(n, _weight(sides))
+        b = euler._width(n, _weight(sides))
         return (b, *(packed(n, b, side) for side in sides))
 
     def weighted(alpha, n):
