@@ -46,10 +46,11 @@ class OutputRecord(NamedTuple):
         Each value is written by ``text``, which gives the text ``json.dumps``
         gives with those arguments for str-keyed dicts, lists, tuples, str,
         int, float, bool and None, without the stdlib's pure-Python encoder,
-        which ``indent`` selects: strings are quoted by the stdlib's own
-        ``encode_basestring_ascii``.
+        which ``indent`` selects: strings are quoted by ``encode_basestring_ascii``
+        from ``_json``, the C function ``json.encoder`` itself wraps, so no run
+        imports the ``json`` package.
         """
-        from json.encoder import encode_basestring_ascii as quote  # here, so text output skips json
+        from _json import encode_basestring_ascii as quote  # here, so text output skips it
 
         def text(value, indent: str) -> str:
             """``value`` written at a nesting whose lines start with ``indent``."""

@@ -555,6 +555,26 @@ def test_cli_commands_make_no_generic_gcd_call(argv, monkeypatch, capsys, fresh_
     assert (run_cli(capsys, *argv.split())[0], calls) == (0, [])
 
 
+def test_passing_verify_reaches_no_canonical_route(monkeypatch, capsys, fresh_caches):
+    # thm1, thm2 and classical are judged on the packed weight-0 chain, so a
+    # passing verify never builds the sequences, polynomials or values at q = 1
+    # that the tables print
+    calls = []
+    for name in ("weighted_recurrence", "frobenius_numbers", "q_euler_polynomial",
+                 "frobenius_polynomial"):
+        honest = getattr(euler, name)
+        monkeypatch.setattr(euler, name, lambda *args, name=name, honest=honest: calls.append(
+            name) or honest(*args))
+    honest_eval = QRatFn.eval
+    monkeypatch.setattr(QRatFn, "eval",
+                        lambda self, c: calls.append("eval") or honest_eval(self, c))
+    assert (run_cli(capsys, "verify", "--suite", "all", "--n-max", "20")[0], calls) == (0, [])
+    # the spies see the table routes
+    assert run_cli(capsys, "table", "qeuler-poly", "--n-max", "2")[0] == 0
+    assert euler.q_euler_numbers(1)[1].eval(1) == Fraction(-1, 2)
+    assert sorted(set(calls)) == ["eval", "q_euler_polynomial", "weighted_recurrence"]
+
+
 def _spy_on_unpacked_sides(monkeypatch) -> list:
     """Record the Phi_d exponents of every side unpacked from its value at q = 2^b."""
     calls = []
@@ -709,7 +729,8 @@ def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
 
 _LOADED_LAYERS = (
     "import sys; from qeuler import cli; code = cli.main(sys.argv[1:]); "
-    "print(code, sorted(m for m in sys.modules if m.startswith('qeuler.')), file=sys.stderr)"
+    "print(code, sorted(m for m in sys.modules if m.startswith('qeuler.')), "
+    "'json' in sys.modules, file=sys.stderr)"
 )
 
 
@@ -718,11 +739,15 @@ _LOADED_LAYERS = (
     ("table frobenius --n-max 3 --format latex", ["cli", "euler", "exactq"]),
     ("verify --suite thm8 --n-max 3", ["cli", "euler", "exactq"]),
     ("padic --n 2 --p 5 --N-max 4", ["cli", "euler", "exactq", "padic"]),
+    ("verify --suite all --n-max 3 --json", ["cli", "euler", "exactq"]),
+    ("padic --n 2 --p 5 --N-max 4 --json", ["cli", "euler", "exactq", "padic"]),
 ])
 def test_each_command_loads_only_the_layers_it_uses(argv, loaded):
-    # bernstein and padic load on first use: a table or verify run imports neither
+    # bernstein and padic load on first use: a table or verify run imports
+    # neither.  No run imports the json package: a record quotes its strings
+    # with _json's C function
     done = _python(["-c", _LOADED_LAYERS, *argv.split()], subprocess.DEVNULL)
-    assert done.stderr == f"0 {[f'qeuler.{m}' for m in loaded]}\n"
+    assert done.stderr == f"0 {[f'qeuler.{m}' for m in loaded]} False\n"
 
 
 def test_star_import_binds_every_public_name():

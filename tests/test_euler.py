@@ -29,6 +29,7 @@ from qeuler.euler import (
 from qeuler.exactq import QPoly, QRatFn, XPoly, _cyclotomic_quotient, cyclotomic
 from test_exactq import _ipack, _times_one_plus, cyclotomic_exps, cyclotomic_product
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
+from test_verdicts import _assert_matches_canonical, _classical_by_fractions, _sides
 from test_verdicts import _list_moment, _list_weighted_sides, _moment_rows, _moment_values
 from test_verdicts import _shift_sides, _thm5_sides, _thm6_sides, _weighted_moment_by_division
 
@@ -86,6 +87,55 @@ def test_classical_specialization():
     assert oracle[1] == Fraction(-1, 2)
     for n in range(9):
         assert seq[n].eval(1) == oracle[n]
+
+
+def test_classical_numbers_match_the_fraction_loop():
+    # the int recurrence e_n = 2^n E_n against the Fraction loop it replaced
+    numbers = classical_euler_numbers(60)
+    assert type(numbers) is list and all(type(x) is Fraction for x in numbers)
+    assert numbers == _classical_by_fractions(60)
+    assert euler._classical_numerators(60) == [x * 2**n for n, x in enumerate(numbers)]
+
+
+@lru_cache(maxsize=None)
+def _frobenius_list(l):
+    """F_l = sum_k k! S(l,k) q^k (-1-q)^(l-k) as an ascending int list, from ``_stirling2``."""
+    powers = [[1]]  # (-1-q)^i
+    for _ in range(l):
+        powers.append([-c for c in _times_one_plus(powers[-1], 1)])
+    terms = ((factorial(k) * _stirling2(l, k), k, powers[l - k]) for k in range(l + 1))
+    return tuple(exactq._icombination([], terms))
+
+
+def _frobenius_over(n, l):
+    """(-1)^l F_l (1+q)^(n-l): H_l(-1/q)'s numerator over (1+q)^n, a list."""
+    side = [(-1) ** l * c for c in _frobenius_list(l)]
+    for _ in range(n - l):
+        side = _times_one_plus(side, 1)
+    return side
+
+
+def test_weight0_packed_sides_unpack_to_the_canonical_routes():
+    # thm1, thm2 and classical judge ints read from the weight-0 chain and the
+    # Frobenius closed form at q = 2^b.  For n <= 30 each unpacks to the
+    # canonical value of the route these suites once compared, the Frobenius
+    # values to the list route, and every verdict is that route's comparison
+    e, h = weighted_recurrence(0, 30), frobenius_numbers(MINUS_Q_INV, 30)
+    for n in range(31):
+        b, over = euler._width(n, (1 << n) + 3), {2: n}
+        chain = euler._packed_chain(0, b, n)[n]
+        assert euler._unpacked_over(chain, b, over) == e[n]
+        assert euler._unpacked_over(euler._frobenius_value(n, b), b, over) == h[n]
+        assert Fraction(sum(exactq._iunpack(chain, b)), 1 << n) == e[n].eval(1)
+        frobenius = euler._frobenius_values(n, b)
+        assert [exactq._iunpack(v, b) for v in frobenius] == [
+            exactq._itrim(_frobenius_over(n, l)) for l in range(n + 1)]
+        for values, poly in ((euler._packed_moments(n, False, b), q_euler_polynomial(n)),
+                             (frobenius, frobenius_polynomial(MINUS_Q_INV, n))):
+            assert XPoly(euler._scaled(euler._unpacked_over(values[n - j], b, over), comb(n, j))
+                         for j in range(n + 1)) == poly, n
+    for identity in ("thm1", "thm2", "classical"):
+        _assert_matches_canonical(verify_identity(identity, 30), _sides(identity, 30))
 
 
 def test_weight0_power_series_oracle():
@@ -454,7 +504,8 @@ def test_numerator_above_its_degree_raises(monkeypatch, fresh_caches):
             verify_identity("thm7", 3)
 
 
-def test_weighted_routes_disagreeing_raise(monkeypatch):
+def test_weighted_routes_disagreeing_raise(monkeypatch, fresh_caches):
+    # the memos are empty, so the perturbed closed form is what the check reads
     honest = euler._alternating_numerator
 
     def perturbed(alpha, n, b):
@@ -466,8 +517,21 @@ def test_weighted_routes_disagreeing_raise(monkeypatch):
 
     monkeypatch.setattr(euler, "_alternating_numerator", perturbed)
     q_euler_numbers_weighted(2, 2)  # accepted: the perturbed n = 3 is not reached
-    with pytest.raises(ArithmeticError, match="alpha=2, n=3"):
-        q_euler_numbers_weighted(2, 4)
+    for _ in range(2):  # the verdict is kept, so a second request raises too
+        with pytest.raises(ArithmeticError, match="alpha=2, n=3"):
+            q_euler_numbers_weighted(2, 4)
+
+
+def test_weighted_route_check_runs_once_per_entry(monkeypatch, fresh_caches):
+    # the verdict is kept per (alpha, n), not the ints: a caller that asks twice checks once
+    calls = []
+    honest = euler._weighted_values
+    monkeypatch.setattr(euler, "_weighted_values",
+                        lambda alpha, n: calls.append((alpha, n)) or honest(alpha, n))
+    first = q_euler_numbers_weighted(2, 10)
+    assert q_euler_numbers_weighted(2, 10) == first
+    assert q_euler_numbers_weighted(2, 12)[:11] == first
+    assert calls == [(2, n) for n in range(13)]
 
 
 @lru_cache(maxsize=None)
@@ -594,13 +658,16 @@ def _moment_sides(n):
 
 
 def test_weighted_width_bounds_both_sides():
-    # every coefficient of (q^alpha-1)^n N_n and of the closed form's side, and
-    # of every moment side, is below 2^(b-2) at the b it is packed at
+    # every coefficient of (q^alpha-1)^n N_n and of the closed form's side, of
+    # every moment side, and of every Frobenius side F_l (1+q)^(n-l), is below
+    # 2^(b-2) at the b it is packed at; the Frobenius sides already at _width(n)
     for n in range(41):
         b = euler._width(n)
         for alpha in (1, 2, 3):
             left, right = _list_weighted_sides(alpha, n)
             assert max(map(abs, left + right)).bit_length() <= b - 2, (alpha, n)
+        for l in range(n + 1):
+            assert max(map(abs, _frobenius_over(n, l))).bit_length() <= b - 2, (n, l)
     for n in range(26):
         for b, sides in _moment_sides(n):
             for side in sides:

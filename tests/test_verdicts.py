@@ -1,15 +1,20 @@
 """Integer-numerator verdicts against the canonical route, and under mutations.
 
-cor3, thm4-thm8 and weighted decide each verdict by comparing integer numerators
-over a shared known denominator.  Here every such verdict is checked
-against the canonical comparison of the identity's two sides, built from
-the public API in ``QRatFn``/``XPoly`` arithmetic; and each check is shown
-to turn FAIL, with witnesses whose sides really differ, when one of its
-inputs is broken on purpose.  The moment tables are checked against the
-term-list route kept here, each side a list of (c, s, l) terms.
+Every identity decides each verdict by comparing two ints: integer
+numerators over a shared known denominator at q = 2^b, or for classical
+2^n E_n at q = 1.  Here every such verdict is checked against the canonical
+comparison of the identity's two sides, built from the public API in
+``QRatFn``/``XPoly`` arithmetic (for thm1, thm2 and classical, the routes
+their verdicts were once decided on: ``weighted_recurrence(0, n)``,
+``frobenius_numbers``, their polynomials and ``QRatFn.eval(1)`` against the
+classical Fraction loop); and each check is shown to turn FAIL, with
+witnesses whose sides really differ, when one of its inputs is broken on
+purpose.  The moment tables are checked against the term-list route kept
+here, each side a list of (c, s, l) terms.
 """
 
 import inspect
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -18,8 +23,11 @@ import pytest
 from qeuler import bernstein, euler, exactq
 from qeuler.euler import (
     FAIL,
+    MINUS_Q_INV,
     PASS,
     SUITES,
+    frobenius_numbers,
+    frobenius_polynomial,
     q_euler_numbers,
     q_euler_polynomial,
     verify_identity,
@@ -40,9 +48,24 @@ def _alt(e, n):
     return total
 
 
+def _classical_by_fractions(n_max):
+    """The classical Euler numbers by the Fraction loop: E_0 = 1, 2 E_n = -sum_{k<n} C(n,k) E_k."""
+    out = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        out.append(Fraction(-sum(comb(n, k) * out[k] for k in range(n)), 2))
+    return out
+
+
 def _sides(identity, n_max):
     """(left, right) of every instance, in report order, by the canonical route."""
     e = q_euler_numbers(n_max)
+    if identity == "thm1":
+        return list(zip(e, frobenius_numbers(MINUS_Q_INV, n_max)))
+    if identity == "thm2":
+        return [(q_euler_polynomial(n), frobenius_polynomial(MINUS_Q_INV, n))
+                for n in range(n_max + 1)]
+    if identity == "classical":
+        return [(x.eval(1), c) for x, c in zip(e, _classical_by_fractions(n_max))]
     refl = [e[n].subst_q_inverse() for n in range(n_max + 1)]
     if identity == "cor3":  # every m = 0..15 at each odd n
         e = q_euler_numbers(15)
@@ -85,7 +108,7 @@ def _sides(identity, n_max):
     return out
 
 
-CONVERTED = ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "weighted", "thm8")
+CONVERTED = tuple(run.identity for run in SUITES["all"])  # every identity is judged on ints
 
 
 @pytest.fixture
@@ -134,7 +157,8 @@ def test_integer_verdict_matches_canonical_comparison(identity, fresh_caches):
     _assert_matches_canonical(verify_identity(identity, N_MAX), _sides(identity, N_MAX))
 
 
-@pytest.mark.parametrize("identity", ("cor3", "thm4", "thm5", "thm6", "thm7", "k0-remark", "thm8"))
+@pytest.mark.parametrize("identity", ("thm1", "thm2", "cor3", "thm4", "thm5", "thm6", "thm7",
+                                      "classical", "k0-remark", "thm8"))
 def test_perturbed_numerator_fails_with_real_witnesses(identity, fresh_caches, monkeypatch):
     _perturb_numerator(monkeypatch)
     report = verify_identity(identity, N_MAX)
@@ -485,23 +509,71 @@ def test_weighted_off_by_one_fails_with_real_witnesses(n_bad, fresh_caches, monk
         assert inst.left != inst.right
 
 
+def _mutated(monkeypatch, name, old, new):
+    """euler's ``name`` recompiled with its one ``old`` replaced by ``new``, and patched in."""
+    source = inspect.getsource(getattr(euler, name))
+    assert sum(inspect.getsource(m).count(old) for m in (euler, bernstein)) == 1
+    namespace = dict(vars(euler))
+    exec(compile(source.replace(old, new), euler.__file__, "exec"), namespace)
+    _clear_caches()
+    monkeypatch.setattr(euler, name, namespace[name])
+
+
 def test_theorem8_sign_mutation_fails_with_real_witnesses(monkeypatch, fresh_caches):
     # (-1)^(k+l) -> (-1)^l drops the (-1)^k the table puts on nabla^k M'_n: it
     # negates the reduced right side of every odd-k row, on the integer route
     # and on the canonical one its witnesses come from
-    sign = "(-t if k % 2 else t) << 2 * b"
-    assert sum(inspect.getsource(m).count(sign) for m in (euler, bernstein)) == 1
-    namespace = dict(vars(euler))
-    source = inspect.getsource(euler._bernstein_table).replace(sign, "t << 2 * b")
-    exec(compile(source, euler.__file__, "exec"), namespace)
     assert bernstein.verify_theorem8(12).ok
-    _clear_caches()
-    monkeypatch.setattr(euler, "_bernstein_table", namespace["_bernstein_table"])
+    _mutated(monkeypatch, "_bernstein_table", "(-t if k % 2 else t) << 2 * b", "t << 2 * b")
     report = bernstein.verify_theorem8(12)
     failed = report.failures()
     assert len(failed) == 36
     assert {i.params for i in failed} == {(n, k) for n in range(2, 13) for k in range(1, n, 2)}
     assert all(i.left != i.right for i in failed)
+
+
+def test_wrong_fubini_term_fails_thm1_and_thm2_with_real_witnesses(monkeypatch, fresh_caches):
+    # F(5,2) + 1 where the Fubini rows are made: row 5 and every row built
+    # from it change, on the packed Frobenius side and on the canonical
+    # route alike, and the recurrence does not read them
+    honest = euler._fubini_row
+    monkeypatch.setattr(euler, "_fubini_row", lambda n: tuple(
+        f + (n == 5 and k == 2) for k, f in enumerate(honest(n))))
+    for identity in ("thm1", "thm2"):
+        report = verify_identity(identity, N_MAX)
+        _assert_matches_canonical(report, _sides(identity, N_MAX))
+        assert [i.params for i in report.failures()] == [(n,) for n in range(5, N_MAX + 1)]
+    assert verify_identity("classical", N_MAX).ok
+
+
+def test_frobenius_sign_mutation_fails_with_real_witnesses(monkeypatch, fresh_caches):
+    # (-1)^l dropped from H_l(-1/q) = (-1)^l F_l / (1+q)^l negates every odd l
+    e = q_euler_numbers(N_MAX)
+    _mutated(monkeypatch, "_frobenius_value", "return -value if l % 2 else value", "return value")
+    report = verify_identity("thm1", N_MAX)
+    assert [i.params for i in report.failures()] == [(n,) for n in range(1, N_MAX + 1, 2)]
+    assert all((i.left, i.right) == (e[n], -e[n]) for i in report.failures() for n in i.params)
+    report = verify_identity("thm2", N_MAX)
+    assert [i.params for i in report.failures()] == [(n,) for n in range(1, N_MAX + 1)]
+    for inst in report.failures():
+        (n,) = inst.params
+        poly = q_euler_polynomial(n)
+        flipped = XPoly(-c if (n - j) % 2 else c for j, c in enumerate(poly.coeffs))
+        assert (inst.left, inst.right) == (poly, flipped) and poly != flipped
+
+
+def test_uncentred_residue_fails_classical_with_real_witnesses(monkeypatch, fresh_caches):
+    # N_n(2^b) mod 2^b - 1 left in [0, 2^b - 1): every negative N_n(1) fails
+    _mutated(monkeypatch, "_check_classical", "if 2 * value > modulus:", "if False:")
+    report = euler._check_classical(N_MAX)
+    oracle = _classical_by_fractions(N_MAX)
+    negative = [(n,) for n in range(N_MAX + 1) if oracle[n] < 0]
+    assert [i.params for i in report if not i.ok] == negative
+    assert len([i for i in report if not i.ok]) == 3  # E_1, E_5, E_9
+    for inst in (i for i in report if not i.ok):
+        (n,) = inst.params
+        modulus = (1 << euler._width(n, (1 << n) + 3)) - 1
+        assert (inst.left, inst.right) == (oracle[n] + Fraction(modulus, 1 << n), oracle[n])
 
 
 def test_every_fail_in_the_full_suite_carries_real_witnesses():
@@ -537,7 +609,7 @@ def test_passing_instances_build_no_ratfn(fresh_caches, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(QRatFn, "__init__", counting_init)
         patched.setattr(QRatFn, "_raw", classmethod(counting_raw))
-        for identity in ("cor3", "thm4", "thm6", "thm7", "weighted"):
+        for identity in ("thm1", "thm2", "cor3", "thm4", "thm6", "thm7", "classical", "weighted"):
             assert verify_identity(identity, N_MAX).ok
         assert built == []
         assert bernstein.verify_theorem8(3).ok
