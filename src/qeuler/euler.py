@@ -17,7 +17,7 @@ check it and are never merged with it:
 
 The recurrence itself runs on ints at q = 2^b (``_packed_step``); a table
 unpacks each numerator once, by bytes (``_iunpack``).  Every value packed at
-q = 2^b, outside the Frobenius route, takes its b from one rule, ``_width(n,
+q = 2^b, outside ``_frobenius_number``, takes its b from one rule, ``_width(n,
 w)``, whose docstring proves that b for n and a term weight w.
 
 Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
@@ -621,9 +621,9 @@ def _over_one_plus_power(values: Iterable[int], n: int, b: int) -> tuple[int, ..
 def _frobenius_value(l: int, b: int) -> int:
     """(-1)^l F_l at q = 2^b, F_l = sum_k F(l,k) q^k (-1-q)^(l-k): H_l(-1/q) over (1+q)^l.
 
-    It is ``_frobenius_number``'s numerator at u = -1/q, whose denominator
-    there is q and whose c is -1 - q, so H_l(-1/q) = F_l / (-(1+q))^l;
-    ``_width`` bounds F_l.
+    It is ``_frobenius_number``'s numerator at u = -1/q = a/b with a = -1 and
+    b = q (that docstring's b, not the width here), so c = a - b = -(1+q) and
+    H_l(-1/q) = F_l / c^l.  ``_width`` bounds F_l.
     """
     value = _fubini_form(l, 1 << b, -1 - (1 << b))[0]
     return -value if l % 2 else value
@@ -658,8 +658,8 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
     out = []
     for n in range(n_max + 1):
         b = _width(n, (1 << n) + 3)
-        lefts, rights = (list(reversed(side)) for side in (_packed_moments(n, False, b),
-                                                           _frobenius_values(n, b)))
+        lefts = list(reversed(_packed_moments(n, False, b)))
+        rights = list(reversed(_frobenius_values(n, b)))
         scales = [comb(n, j) for j in range(n + 1)]
         out.append(_judged((n,), lefts, rights, {2: n}, b, scales=scales))
     return out
