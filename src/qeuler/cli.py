@@ -123,16 +123,12 @@ def _json_row(n: int, value: "QRatFn | XPoly") -> dict:
 # rendering
 # ---------------------------------------------------------------------------
 
-def latex_poly(coeffs: "tuple[Fraction, ...] | list[int]", var: str = "q") -> str:
-    """Single-line LaTeX for a polynomial, ascending powers, balanced braces."""
-    return signed_terms(coeffs, var, latex=True)
-
-
 def latex_ratfn(f: QRatFn) -> str:
-    num = latex_poly(_display_coeffs(f.num))
+    num = signed_terms(_display_coeffs(f.num), "q", latex=True)
     if f.den == 1:
         return num
-    return f"\\frac{{{num}}}{{{latex_poly(_display_coeffs(f.den))}}}"
+    den = signed_terms(_display_coeffs(f.den), "q", latex=True)
+    return f"\\frac{{{num}}}{{{den}}}"
 
 
 class _Table(NamedTuple):

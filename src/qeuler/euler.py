@@ -17,8 +17,8 @@ check it and are never merged with it:
 
 The recurrence itself runs on ints at q = 2^b (``_packed_step``); a table
 unpacks each numerator once, by bytes (``_iunpack``).  Every value packed at
-q = 2^b, outside ``_frobenius_number``, takes its b from one rule, ``_width(n,
-w)``, whose docstring proves that b for n and a term weight w.
+q = 2^b takes its b from one rule, ``_width(n, w)``, whose docstring proves
+that b for n and a term weight w.
 
 Each of cor3, thm4-thm8 and the k=0 remark says that the fermionic integral
 of some f equals some g, and both sides are linear in the moments
@@ -123,18 +123,15 @@ def _frobenius_number(u: QRatFn, n: int) -> QRatFn:
     That is canonical: mod c, N = F(n,n) b^n = n! b^n, and gcd(b, c) = gcd(b, a) = 1.
 
     N and c^n are made as ints at q = 2^w (``_fubini_form``) and unpacked
-    (``_iunpack``).  Each coefficient of b^k c^(n-k) is at most
-    ||b||_1^k ||c||_1^(n-k) in size, as ||PQ||_1 <= ||P||_1 ||Q||_1, so
-    every coefficient of N and of c^n is at most
-    max(sum_k F(n,k) ||b||_1^k ||c||_1^(n-k), ||c||_1^n): ``_fubini_form``
-    at the two norms.  w is the least multiple of 8 that puts 2^(w-1) above it.
+    (``_iunpack``), at the width w = ``_width(n, m^n)``, m = max(||b||_1,
+    ceil(||c||_1 / 2)), whose docstring bounds their coefficients.
     """
     r = u.num.content / u.den.content
     a, b = [r.numerator * x for x in u.num.prim], [r.denominator * x for x in u.den.prim]
     c = _icombination(a, [(-1, 0, b)])
     if not c:
         raise ValueError("singular Frobenius parameter u = 1")
-    w = -(-(max(_fubini_form(n, sum(map(abs, b)), sum(map(abs, c)))).bit_length() + 1) // 8) * 8
+    w = _width(n, max(sum(map(abs, b)), -(-sum(map(abs, c)) // 2)) ** n)
     num, den = _fubini_form(n, *(sum(x << w * i for i, x in enumerate(p)) for p in (b, c)))
     if not num:
         return ZERO
@@ -224,6 +221,10 @@ def _width(n: int, w: int = 1) -> int:
       (``_frobenius_value``) has ||F_l||_1 <= sum_k F(l,k) 2^(l-k) = B_l: the
       same Fubini form, at ||q||_1 = 1 and ||-1-q||_1 = 2.  So F_l (1+q)^(n-l)
       has coefficients at most 2^(n-l) B_l <= 2^n B_n, as M_l does.
+    * At any u = a/b, c = a - b, N = sum_k F(n,k) b^k c^(n-k) and c^n
+      (``_frobenius_number``) have coefficients at most m^n B_n and (2m)^n,
+      m = max(||b||_1, ceil(||c||_1 / 2)), as ||b^k c^(n-k)||_1 <= m^k (2m)^(n-k):
+      both at most m^n max(2^n B_n, 4^n), so they take w = m^n.  At u = -1/q, m = 1.
     * |N_n(1)| <= ||N_n||_1 <= B_n < 2^(b-2), so N_n(2^b) mod 2^b - 1, taken
       in (-(2^b-1)/2, (2^b-1)/2], is N_n(1) (``_check_classical``).
     * So a side of term weight <= w, sum |c| <= w over its terms c q^s P,
@@ -629,7 +630,6 @@ def _frobenius_value(l: int, b: int) -> int:
     return -value if l % 2 else value
 
 
-@lru_cache(maxsize=None)
 def _frobenius_values(n: int, b: int) -> tuple[int, ...]:
     """R_0..R_n at q = 2^b: H_l(-1/q)'s numerators over (1+q)^n, shaped like ``_packed_moments``."""
     return _over_one_plus_power((_frobenius_value(l, b) for l in range(n + 1)), n, b)

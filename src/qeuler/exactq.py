@@ -13,8 +13,8 @@ Three layers, all immutable and safe to share between threads:
   int (Kronecker substitution): ``_iunpack`` reads the digits back through
   bytes, ``_ireverse`` reverses their order, and no packed int is ever
   divided.  Multiplying or dividing by a product of cyclotomic polynomials is
-  sparse (``_cyclotomic_scale``), and so is a Phi_d divisibility test, after
-  one evaluation at q = 2^32 (``_cyclotomic_quotient``).
+  sparse (``_cyclotomic_scale``), and so is a Phi_d divisibility test, one
+  exact division (``_cyclotomic_quotient``).
 * ``QRatFn`` -- the field of rational functions in q, kept in a unique
   canonical form: numerator and denominator coprime, denominator monic.
   Equal field elements therefore have identical representations, and
@@ -212,26 +212,8 @@ def _cyclotomic_scale(cs: Sequence[int], exps: Mapping[int, int]) -> list[int]:
     return [-c for c in out] if sum(total.values()) % 2 else out
 
 
-@lru_cache(maxsize=None)
-def _icyclotomic(n: int) -> tuple[int, ...]:
-    """Ascending int coefficients of Phi_n, monic."""
-    return tuple(_cyclotomic_scale([1], {n: 1}))
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic_at_radix(d: int) -> int:
-    return sum(c << (32 * i) for i, c in enumerate(_icyclotomic(d)))  # Phi_d(2^32)
-
-
 def _cyclotomic_quotient(num: Sequence[int], d: int) -> list[int] | None:
-    """num / Phi_d when Phi_d divides num, else None.
-
-    Phi_d is monic and divides q^d - 1, so if Phi_d | num, Phi_d(R) divides the
-    fold num mod q^d - 1 at R = 2^32: a nonzero residue proves Phi_d does not
-    divide num, and a zero one is settled by the exact sparse division.
-    """
-    if sum(sum(num[i::d]) << (32 * i) for i in range(d)) % _cyclotomic_at_radix(d):
-        return None
+    """num / Phi_d when Phi_d divides num, else None: the exact sparse division decides."""
     try:
         return _cyclotomic_scale(num, {d: -1})
     except ArithmeticError:
@@ -402,7 +384,7 @@ class QPoly:
         return self.eval(c)
 
     def __str__(self) -> str:
-        return poly_str(_display_coeffs(self), "q")
+        return signed_terms(_display_coeffs(self), "q")
 
     def __repr__(self) -> str:
         return f"QPoly({[str(c) for c in self.coeffs]})"
@@ -483,11 +465,6 @@ def signed_terms(coeffs: Sequence[RatLike], var: str, latex: bool = False) -> st
     return " ".join(parts)
 
 
-def poly_str(coeffs: Sequence[RatLike], var: str) -> str:
-    """Ascending-power display: ``1 + 2*q - q^3``.  Fixed for snapshots."""
-    return signed_terms(coeffs, var)
-
-
 def qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
     """Monic gcd in Q[q], computed from the primitive parts alone."""
     if a.is_zero:
@@ -510,7 +487,7 @@ def cyclotomic(n: int) -> QPoly:
     """n-th cyclotomic polynomial (integer coefficients, monic)."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return _wrap(Fraction(1), _icyclotomic(n))
+    return _qpoly(_cyclotomic_scale([1], {n: 1}))
 
 
 @lru_cache(maxsize=None)

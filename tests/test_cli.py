@@ -25,9 +25,9 @@ from hypothesis import strategies as st
 
 import qeuler
 from qeuler import bernstein, cli, euler, exactq
-from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_poly, latex_ratfn, main
+from qeuler.cli import TABLE_KINDS, OutputRecord, _ratfn_payload, latex_ratfn, main
 from qeuler.euler import SUITES
-from qeuler.exactq import QPoly, QRatFn, XPoly, poly_str
+from qeuler.exactq import QPoly, QRatFn, XPoly, signed_terms
 from qeuler.padic import PRIME_LIMIT, is_odd_prime
 from test_verdicts import fresh_caches  # noqa: F401 (a fixture: every euler cache emptied)
 
@@ -218,7 +218,7 @@ def test_table_latex_poly_well_formed(capsys):
 def test_latex_poly_writes_fractions_with_frac():
     # no table has a non-integer coefficient, so only a direct call reaches \frac
     coeffs = (Fraction(1, 2), Fraction(-3, 4), Fraction(1))
-    assert latex_poly(coeffs) == "\\frac{1}{2} - \\frac{3}{4} q + q^{2}"
+    assert signed_terms(coeffs, "q", latex=True) == "\\frac{1}{2} - \\frac{3}{4} q + q^{2}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,9 +227,9 @@ def test_renderers_print_integer_content_as_its_fractions(coeffs):
     # text, JSON and LaTeX read coefficients as ints when the content is
     # integral; each must print exactly what the Fraction coefficients print
     p = QPoly(coeffs)
-    assert str(p) == poly_str(p.coeffs, "q")
+    assert str(p) == signed_terms(p.coeffs, "q")
     assert _ratfn_payload(QRatFn(p))["num"] == [str(c) for c in p.coeffs]
-    assert latex_ratfn(QRatFn(p)) == latex_poly(p.coeffs)
+    assert latex_ratfn(QRatFn(p)) == signed_terms(p.coeffs, "q", latex=True)
 
 
 def _signed_terms_by_callback(coeffs, term):
@@ -277,8 +277,9 @@ _COEFF = st.integers(-3, 3) | st.integers(-(10**40), 10**40) | st.fractions(
 def test_signed_terms_match_the_callback_renderer(coeffs, var):
     # ints and Fractions, zeros, units and long integers, in text and LaTeX,
     # with lengths on both sides of the cached suffixes' powers of two
-    assert poly_str(coeffs, var) == _signed_terms_by_callback(coeffs, _text_term(var))
-    assert latex_poly(coeffs, var) == _signed_terms_by_callback(coeffs, _latex_term(var))
+    assert signed_terms(coeffs, var) == _signed_terms_by_callback(coeffs, _text_term(var))
+    assert signed_terms(coeffs, var, latex=True) == _signed_terms_by_callback(
+        coeffs, _latex_term(var))
 
 
 def test_table_frobenius_prints_the_qeuler_table(capsys):

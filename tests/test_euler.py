@@ -200,11 +200,8 @@ def test_frobenius_stirling_oracle():
     assert [(f.num, f.den) for f in h[2::2]] == [(QPoly.zero(), QPoly.one())] * 5
 
 
-def _frobenius_by_lists(u, n):
-    """H_n(u) = N/c^n by homogeneous Horner on int lists, F(n,k) by its alternating sum.
-
-    The list route the packed ``euler._frobenius_number`` replaced, kept as its oracle.
-    """
+def _frobenius_lists(u, n):
+    """(N, c^n) as int lists by homogeneous Horner, F(n,k) by its alternating sum."""
     r = u.num.content / u.den.content
     a, b = [r.numerator * x for x in u.num.prim], [r.denominator * x for x in u.den.prim]
     c = exactq._icombination(a, [(-1, 0, b)])
@@ -213,6 +210,15 @@ def _frobenius_by_lists(u, n):
         c_pow = exactq._imul(c_pow, c)
         f = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
         acc = exactq._icombination(exactq._imul(acc, b), [(f, 0, c_pow)])
+    return acc, c_pow
+
+
+def _frobenius_by_lists(u, n):
+    """H_n(u) = N/c^n from ``_frobenius_lists``.
+
+    The list route the packed ``euler._frobenius_number`` replaced, kept as its oracle.
+    """
+    acc, c_pow = _frobenius_lists(u, n)
     if not acc:
         return QRatFn.zero()
     return QRatFn._raw(exactq._qpoly(acc, Fraction(1, c_pow[-1])), exactq._qpoly(c_pow).monic())
@@ -222,11 +228,19 @@ def _frobenius_by_lists(u, n):
     MINUS_Q_INV, QRatFn.const(2), QRatFn.const(Fraction(1, 2)), ratfn((0, 0, 1)), ratfn((0, -1)),
     ratfn((1, 1), (0, 0, 1)), ratfn((2, 4), (0, 0, 3)), ratfn((Fraction(-3, 4), 0, 6), (5, 10, 1)),
 ], ids=["-1/q", "2", "1/2", "q^2", "-q", "(1+q)/q^2", "content 2/3", "content -3/4"])
-def test_packed_frobenius_matches_the_list_route(u, fresh_caches):
-    # the packed Horner at q = 2^w, w from the norm bound, against the list loop
+def test_packed_frobenius_matches_the_list_route(u, fresh_caches, monkeypatch):
+    # the packed Horner at q = 2^w, w = _width(n, m^n), against the list loop;
+    # every coefficient of N and of c^n is below 2^(w-2), and at u = -1/q,
+    # m = 1, so w is _width(n)
+    widths, width = [], euler._width
+    monkeypatch.setattr(euler, "_width", lambda n, w=1: widths.append(width(n, w)) or widths[-1])
     h = frobenius_numbers(u, 25)
+    assert len(widths) == 26
     for n in range(26):
         assert h[n] == _frobenius_by_lists(u, n), n
+        num, den = _frobenius_lists(u, n)
+        assert max(map(abs, num + den)) < 1 << widths[n] - 2, n
+        assert u != MINUS_Q_INV or widths[n] == width(n), n
     # the memoized Fubini row against k! S(n,k)
     assert all(euler._fubini_row(n) == tuple(factorial(k) * _stirling2(n, k) for k in range(n + 1))
                for n in range(26))
@@ -342,8 +356,9 @@ def test_cyclotomic_quotient_matches_long_division(num, d, multiple):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 7, 12, 30])
 def test_cyclotomic_quotient_settles_a_false_zero_exactly(d, monkeypatch):
-    # the constant Phi_d(2^32) vanishes mod Phi_d(2^32), yet Phi_d does not divide it:
-    # the evaluation cannot decide, so the exact division must, and must say no
+    # the constant Phi_d(2^32) vanishes mod Phi_d(2^32), so no evaluation at q = 2^32
+    # could tell it from a multiple, yet Phi_d does not divide it: one exact
+    # division decides, and says no
     value = int(cyclotomic(d).eval(2**32))
     calls, scale = [], exactq._cyclotomic_scale
     monkeypatch.setattr(
@@ -416,7 +431,7 @@ def test_weighted_entry_matches_the_plain_search():
 def test_residue_sums_decide_what_the_folds_decide():
     # Phi_d of den_n stays in the canonical denominator iff the residue sum R
     # is nonzero (d != 2), and always at d = 2 (even alpha): each verdict
-    # against the fold of the reduced numerator mod q^d - 1
+    # against the exact division of the reduced numerator by Phi_d
     cells = [(alpha, n) for alpha in range(1, 7) for n in range(25)]
     cells += [(alpha, n) for alpha in (9, 10, 15) for n in range(15)]
     multi_term = 0

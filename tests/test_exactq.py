@@ -22,9 +22,9 @@ from qeuler.exactq import (
     _iunpack,
     cyclotomic,
     one_plus_q_power_factors,
-    poly_str,
     q_integer,
     qpoly_gcd,
+    signed_terms,
 )
 
 ONE = QRatFn.one()
@@ -340,7 +340,7 @@ def test_debug_string_form():
     assert str(ratfn((0, -1), (1, 1))) == "(-q)/(1 + q)"
     assert str(ratfn((0, -1, 1), (1, 2, 1))) == "(-q + q^2)/(1 + 2*q + q^2)"
     assert str(QRatFn.zero()) == "(0)/(1)"
-    assert poly_str((Fraction(1, 2), Fraction(0), Fraction(-3)), "q") == "1/2 - 3*q^2"
+    assert signed_terms((Fraction(1, 2), Fraction(0), Fraction(-3)), "q") == "1/2 - 3*q^2"
 
 
 def test_pow_including_negative():
