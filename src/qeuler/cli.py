@@ -344,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--alpha", type=int, default=None,
                          help="integer weight >= 1 (kind 'weighted' only)")
     p_table.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_table, parser=p_table)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", choices=list(euler.SUITES), default="all")
     p_verify.add_argument("--n-max", type=int, default=20, help="largest n checked (default 20); "
                           "cost grows faster than linearly (timings in the README)")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
 
     p_padic = sub.add_parser("padic", help="finite-level fermionic integral convergence")
     p_padic.add_argument("--n", type=int, required=True, help="moment index")
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_padic.add_argument("--K", type=int, default=None)  # None: cmd_padic reads padic's default
     p_padic.add_argument("--N-max", dest="N_max", type=int, default=6)
     p_padic.add_argument("--json", action="store_true")
-    p_padic.set_defaults(func=cmd_padic)
+    p_padic.set_defaults(func=cmd_padic, parser=p_padic)
 
     return parser
 
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             raise OSError("stdout is closed")
         try:
             args = parser.parse_args(argv)  # --help and usage errors end in SystemExit
-            return args.func(args, parser)
+            return args.func(args, args.parser)  # the subcommand's: its usage errors name it
         finally:
             sys.stdout.flush()  # a buffered write fails here, not at exit
     except BrokenPipeError:

@@ -29,9 +29,9 @@ moments of one n at once: thm7, the k=0 remark and thm8 are one family of
 Bernstein rows, all the rows of one n read from two forward-difference
 tables and each judged once per process (``_bernstein_table``,
 ``_bernstein_row``); thm6 reads one Pascal table of the M'_l
-(``_reflection_values``); cor3, thm4 and thm5 take q^s E_m(s) by Horner in s
-and their I(1) side as one small polynomial times M_0 (``_shift_values``,
-``_thm5_values``).  The weighted closed form maps its terms through
+(``_reflection_values``); cor3, thm4 and thm5 are views on one shift family,
+q^s E_m(s) by Horner in s against one small polynomial times M_0 and M_m
+(``_shift_values``).  The weighted closed form maps its terms through
 I(X^j) = [2]_q/(1+q^(alpha*j+1)), X = q^(alpha*x) (``_weighted_moment``).
 The verdict is the equality of the two numerators (field equality: the
 denominator is nonzero), decided by their values at q = 2^b, one int per side,
@@ -732,59 +732,57 @@ def _shifted_moment(m: int, s: int, b: int) -> int:
     return acc << b * s
 
 
-def _unit_moment(m: int, coeffs: Sequence[int], b: int) -> int:
-    """sum_i c_i q^i I(1) over (1+q)^m at q = 2^b: the polynomial's value times M_0 = (1+q)^m."""
-    return sum(c << b * i for i, c in enumerate(coeffs)) * _packed_moments(m, False, b)[0]
-
-
 # cor3 is checked for every m = 0.._COR3_M_MAX at each odd n <= n_max.
 _COR3_M_MAX = 15
 
 
-def _shift_values(n: int, m: int) -> tuple[int, int, int]:
-    """(b, left, right): q^n E_m(n) + E_m and [2]_q sum_{l<n} (-1)^l l^m q^l I(1), over (1+q)^m.
+def _shift_values(s: int, m: int, first: int = 0) -> tuple[int, int, int]:
+    """(b, left, right): the shift family at s and f = y^m, both sides over (1+q)^m at q = 2^b.
 
-    Their term weights are (n+1)^m + 1 and 2 sum_{l<n} l^m (``_width``).
+    s steps of q I(f(y+1)) + I(f) = [2]_q f(0) give, for every s >= 1,
+    q^s I(f(y+s)) + (-1)^(s-1) I(f) = [2]_q sum_{l<s} (-1)^(s-1-l) f(l) q^l.
+    left is q^s E_m(s) (``_shifted_moment``); right is [2]_q sum_{first<=l<s}
+    (-1)^(s-1-l) l^m q^l I(1) - (-1)^(s-1) E_m, one small polynomial times
+    M_0 = (1+q)^m, and M_m.  first = 1 leaves out the l = 0 term, 0^m.  The
+    term weights are (s+1)^m and 1 + 2 sum_{first<=l<s} l^m (``_width``).
     """
-    alt = [(-1) ** l * l**m for l in range(n)]
-    b = _width(m, (n + 1) ** m + 1 + 2 * sum(map(abs, alt)))
-    unit = [x + y for x, y in zip(alt + [0], [0] + alt)]  # times 1 + q
-    return b, _shifted_moment(m, n, b) + _packed_moments(m, False, b)[m], _unit_moment(m, unit, b)
-
-
-def _shift_instance(params: tuple, n: int, m: int) -> IdentityInstance:
-    """q^n E_m(n) + E_m = [2]_q sum_{l<n} (-1)^l l^m q^l for odd n: cor3, and thm4 at n = 1."""
-    b, left, right = _shift_values(n, m)
-    return _judged(params, left, right, {2: m}, b)
+    alt = [(-1) ** (s - 1 - l) * l**m for l in range(first, s)]
+    b = _width(m, (s + 1) ** m + 1 + 2 * sum(map(abs, alt)))
+    moments = _packed_moments(m, False, b)
+    unit = sum(c << b * l for l, c in enumerate(alt, first))
+    right = (unit + (unit << b)) * moments[0] - (-1) ** (s - 1) * moments[m]  # unit times 1 + q
+    return b, _shifted_moment(m, s, b), right
 
 
 def _check_cor3(n_max: int) -> list[IdentityInstance]:
-    return [
-        _shift_instance((n, m), n, m)
-        for n in range(1, n_max + 1, 2)
-        for m in range(_COR3_M_MAX + 1)
-    ]
+    """q^n E_m(n) + E_m = [2]_q sum_{l<n} (-1)^l l^m q^l: the shift family at odd s = n."""
+    out = []
+    for n in range(1, n_max + 1, 2):
+        for m in range(_COR3_M_MAX + 1):
+            b, left, right = _shift_values(n, m)
+            out.append(_judged((n, m), left, right, {2: m}, b))
+    return out
 
 
 def _check_thm4(n_max: int) -> list[IdentityInstance]:
-    """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1."""
-    return [_shift_instance((n,), 1, n) for n in range(n_max + 1)]
-
-
-def _thm5_values(n: int) -> tuple[int, int, int]:
-    """(b, left, right): q^2 E_n(2) and (q + q^2) I(1) + E_n over (1+q)^n; term weights 3^n, 3."""
-    b = _width(n, 3**n + 3)
-    right = _unit_moment(n, (0, 1, 1), b) + _packed_moments(n, False, b)[n]
-    return b, _shifted_moment(n, 2, b), right
+    """q E_n(1) + E_n = [2]_q at n = 0 and 0 for n >= 1: the shift family at s = 1."""
+    out = []
+    for n in range(n_max + 1):
+        b, left, right = _shift_values(1, n)
+        out.append(_judged((n,), left, right, {2: n}, b))
+    return out
 
 
 def _check_thm5(n_max: int) -> list[IdentityInstance]:
-    """q^2 I((y+2)^n) = (q + q^2) I(1) + I(y^n), that is q^2 E_n(2) = q + q^2 + E_n, for n >= 1."""
+    """q^2 I((y+2)^n) = (q + q^2) I(1) + I(y^n), that is q^2 E_n(2) = q + q^2 + E_n, for n >= 1.
+
+    It is the shift family at s = 2 without its l = 0 term, -[2]_q 0^n, which
+    is 0 for n >= 1.  At n = 0, outside the hypothesis, 0^0 = 1: both sides are
+    computable and differ by exactly that term, an expected failure.
+    """
     out = []
     for n in range(n_max + 1):
-        b, left, right = _thm5_values(n)
-        # n = 0 sits outside the hypothesis (n >= 1): both sides are computable
-        # and must differ, which the suite asserts as an expected failure.
+        b, left, right = _shift_values(2, n, 1)
         probe = {} if n else {
             "expected": FAIL,
             "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",

@@ -331,7 +331,9 @@ def test_usage_error_exits_2_with_its_message(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    assert err.startswith(f"usage: qeuler {argv[0]} ")
 
 
 # ---------------------------------------------------------------------------

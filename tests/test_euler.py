@@ -667,7 +667,7 @@ def _moment_sides(n):
     b = euler._bernstein_table(n)[0]
     yield b, [side for row in _moment_rows(n) for side in row]
     yield b, [side for sides in _thm6_sides(n, False) for side in sides]
-    yield euler._thm5_values(n)[0], _thm5_sides(n)
+    yield euler._shift_values(2, n, 1)[0], _thm5_sides(n)
     for s in range(1, 26, 2) if n <= euler._COR3_M_MAX else (1,):  # cor3, and thm4 at s = 1
         yield euler._shift_values(s, n)[0], _shift_sides(s, n)
 

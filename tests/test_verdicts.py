@@ -69,12 +69,12 @@ def _sides(identity, n_max):
     refl = [e[n].subst_q_inverse() for n in range(n_max + 1)]
     if identity == "cor3":  # every m = 0..15 at each odd n
         e = q_euler_numbers(15)
-        return [(Q**n * q_euler_polynomial(m).eval(QRatFn.const(n)) + e[m],
-                 (ONE + Q) * QRatFn(QPoly([(-1) ** l * l**m for l in range(n)])))
+        return [(Q**n * q_euler_polynomial(m).eval(QRatFn.const(n)),
+                 (ONE + Q) * QRatFn(QPoly([(-1) ** l * l**m for l in range(n)])) - e[m])
                 for n in range(1, n_max + 1, 2) for m in range(16)]
     if identity == "thm4":
-        return [(Q * q_euler_polynomial(n).eval(ONE) + e[n], ONE + Q if n == 0 else QRatFn.zero())
-                for n in range(n_max + 1)]
+        return [(Q * q_euler_polynomial(n).eval(ONE),
+                 (ONE + Q if n == 0 else QRatFn.zero()) - e[n]) for n in range(n_max + 1)]
     if identity == "thm5":
         return [(Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2)), Q + Q * Q + e[n])
                 for n in range(n_max + 1)]
@@ -278,11 +278,14 @@ def _bernstein_right(n, k, full):
     return terms, True
 
 
-def _shift_sides(n, m):
-    """q^n E_m(n) + E_m and [2]_q sum_{l<n} (-1)^l l^m q^l I(1), over (1+q)^m: cor3 and thm4."""
-    left = [(comb(m, l) * n ** (m - l), n, l) for l in range(m + 1)] + [(1, 0, m)], False
-    right = [((-1) ** l * l**m, s, 0) for l in range(n) for s in (l, l + 1)], False
-    return left, right
+def _shift_sides(s, m, first=0):
+    """q^s I((y+s)^m) and [2]_q sum_{first<=l<s} (-1)^(s-1-l) l^m q^l I(1) - (-1)^(s-1) I(y^m).
+
+    Both over (1+q)^m: the shift family, cor3 at odd s and thm4 at s = 1.
+    """
+    left = [(comb(m, l) * s ** (m - l), s, l) for l in range(m + 1)], False
+    right = [((-1) ** (s - 1 - l) * l**m, t, 0) for l in range(first, s) for t in (l, l + 1)]
+    return left, (right + [(-(-1) ** (s - 1), 0, m)], False)
 
 
 def _thm5_sides(n):
@@ -361,8 +364,8 @@ def _list_route(monkeypatch):
 
     monkeypatch.setattr(euler, "_bernstein_table", bernstein_table)
     monkeypatch.setattr(euler, "_reflection_values", reflection_values)
-    monkeypatch.setattr(euler, "_shift_values", lambda n, m: sides_values(m, _shift_sides(n, m)))
-    monkeypatch.setattr(euler, "_thm5_values", lambda n: sides_values(n, _thm5_sides(n)))
+    monkeypatch.setattr(euler, "_shift_values",
+                        lambda s, m, first=0: sides_values(m, _shift_sides(s, m, first)))
     monkeypatch.setattr(euler, "_weighted_values", weighted)
     _clear_caches()
 
@@ -394,13 +397,15 @@ def test_moment_tables_equal_the_term_lists(n):
     for j, (left, right) in enumerate(zip(*_thm6_sides(n))):
         assert [comb(n, j) * c for c in unpacked(b, lefts[j])] == _list_moment(n, *left), j
         assert [comb(n, j) * c for c in unpacked(b, rights[j])] == _list_moment(n, *right), j
-    b, left, right = euler._thm5_values(n)
+    b, left, right = euler._shift_values(2, n, 1)
     assert b == _moment_values(n, _thm5_sides(n))[0]
     assert [unpacked(b, v) for v in (left, right)] == [_list_moment(n, *s) for s in _thm5_sides(n)]
-    for m in range(euler._COR3_M_MAX + 1) if n % 2 else ():
+    # the shift family at every s = n >= 1, even s too, where (-1)^(s-1) = -1;
+    # no suite runs an even s but thm5's, so its verdict is asserted here
+    for m in range(euler._COR3_M_MAX + 1) if n else ():
         b, left, right = euler._shift_values(n, m)
         sides = _shift_sides(n, m)
-        assert b == _moment_values(m, sides)[0]
+        assert b == _moment_values(m, sides)[0] and left == right, m
         assert [unpacked(b, v) for v in (left, right)] == [_list_moment(m, *s) for s in sides], m
 
 
@@ -560,6 +565,28 @@ def test_frobenius_sign_mutation_fails_with_real_witnesses(monkeypatch, fresh_ca
         poly = q_euler_polynomial(n)
         flipped = XPoly(-c if (n - j) % 2 else c for j, c in enumerate(poly.coeffs))
         assert (inst.left, inst.right) == (poly, flipped) and poly != flipped
+
+
+def test_thm5_is_the_shift_family_without_its_l0_term(monkeypatch, fresh_caches):
+    # the family at s = 2 holds at m = 0, where thm5 leaves out its l = 0
+    # term -[2]_q 0^0; for m >= 1 that term is 0 and both builds agree
+    b, left, right = euler._shift_values(2, 0)
+    assert left == right
+    assert euler._shift_values(2, 0, 1) == (b, left, right + 1 + (1 << b))
+    assert all(euler._shift_values(2, m) == euler._shift_values(2, m, 1) for m in range(1, 31))
+    # (-1)^(s-1) -> +1 before E_m negates E_m at every even s: thm5 fails at
+    # each n >= 1 with the sides q^2 E_n(2) and q + q^2 - E_n, and the odd
+    # shifts of cor3 and thm4 do not see it
+    e = q_euler_numbers(N_MAX)
+    _mutated(monkeypatch, "_shift_values", "(-1) ** (s - 1) * moments[m]", "moments[m]")
+    report = verify_identity("thm5", N_MAX)
+    assert [i.params for i in report.failures()] == [(n,) for n in range(1, N_MAX + 1)]
+    for inst in report.failures():
+        (n,) = inst.params
+        assert (inst.left, inst.right) == (Q * Q * q_euler_polynomial(n).eval(QRatFn.const(2)),
+                                           Q + Q * Q - e[n])
+        assert inst.left != inst.right
+    assert verify_identity("cor3", N_MAX).ok and verify_identity("thm4", N_MAX).ok
 
 
 def test_uncentred_residue_fails_classical_with_real_witnesses(monkeypatch, fresh_caches):
