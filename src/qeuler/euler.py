@@ -37,7 +37,9 @@ The verdict is the equality of the two numerators (field equality: the
 denominator is nonzero), decided by their values at q = 2^b, one int per side,
 at b = ``_width(n, w)``, where that is exact equality and every side unpacks.
 So a failing instance unpacks both values (``_unpacked_over``) and keeps
-them, in canonical form, as its witness.
+them, in canonical form, as its witness.  One judge, ``_judged``, does that
+for every identity and expects a pass; the k=0 remark and thm5 at n = 0,
+which fail by design, attach their own expectation.
 thm1 and thm2 judge the same chain against the Frobenius closed form at
 u = -1/q, evaluated at q = 2^b (``_frobenius_value``, ``_frobenius_values``),
 and classical reads N_n(1) from it as a residue mod 2^b - 1 against the
@@ -62,6 +64,7 @@ from .exactq import (
     _coerce,
     _cyclotomic_quotient,
     _cyclotomic_scale,
+    _divisors,
     _icombination,
     _ireverse,
     _itrim,
@@ -337,10 +340,16 @@ def _weighted_entry(alpha: int, n: int) -> QRatFn:
       coefficient is a nonzero multiple of sum_l C(n,l) (-1)^l / (alpha*l+1)
       = int_0^1 (1-x^alpha)^n dx > 0, and Phi_2^n stays.
 
+    * At odd alpha, R != 0: for each l with alpha*l + 1 = d/2 mod d, e = d/2
+      divides alpha*l + 1, so gcd(alpha, e) = 1, and with alpha odd,
+      gcd(alpha, d) = 1.  So all such l are congruent mod d, which is even,
+      and share one parity; every term of R has the sign (-1)^l.
+
     The proof rests on E_n being the closed form, the paper's theorem, which
     ``q_euler_numbers_weighted`` checks at q = 2^b for every n it returns.
-    That R is never zero is unproven: a zero R sends the entry to trial
-    division by den_n's Phi_d.
+    That R is never zero at even alpha is unproven: there gcd(alpha, d) = 2,
+    and a progression of two or more l alternates in sign.  A zero R sends
+    the entry to trial division by den_n's Phi_d; the sums run at every alpha.
 
     At alpha = 0, den_n = D_n = Phi_2^n and rest is empty.  The recurrence's
     generating function is (1+q)/(q e^t + 1) = (1-u)/(e^t - u) at u = -1/q, so
@@ -419,7 +428,7 @@ def weighted_closed_form(alpha: int, n: int) -> QRatFn:
 def _closed_form_factors(alpha: int, n: int) -> Counter:
     """The Phi_d exponents of (q^alpha - 1)^n D_n, the denominator both weighted routes share."""
     factors = Counter(d for k in range(1, n + 1) for d in one_plus_q_power_factors(alpha * k + 1))
-    factors.update({d: n for d in range(1, alpha + 1) if alpha % d == 0})  # q^alpha - 1
+    factors.update(dict.fromkeys(_divisors(alpha), n))  # q^alpha - 1
     return factors
 
 
@@ -527,10 +536,12 @@ class IdentityInstance(NamedTuple):
     q = 1 by both routes.
     ``left``/``right`` hold the two sides compared, reduced to canonical
     form (QRatFn, XPoly, or a Fraction for classical) only when the verdict
-    is ``fail``, as a witness.
-    An instance is in order when its verdict matches its expectation (some
-    identities are *supposed* to fail, e.g. the k=0 erratum and the thm5
-    hypothesis probe).
+    is ``fail``, as a witness; an XPoly side is read from x^j coefficients
+    packed over C(n, j) (``_judged``).
+    An instance is in order when its verdict matches its expectation.  The
+    judge expects a pass; an identity that is *supposed* to fail, the k=0
+    remark everywhere and thm5 at n = 0, attaches its own expectation and
+    note with ``_replace``.
     """
 
     params: tuple
@@ -563,36 +574,31 @@ class IdentityReport(NamedTuple):
         return [inst for inst in self.instances if not inst.ok]
 
 
-def _judged(
-    params: tuple,
-    left: object,
-    right: object,
-    over: Optional[Mapping[int, int]] = None,
-    b: int = 0,
-    expected: str = PASS,
-    note: str = "",
-    scales: Sequence[int] = (),
-) -> IdentityInstance:
-    """One instance, judged by the exact comparison ``left == right``.
+def _judged(params: tuple, left: object, right: object,
+            over: Optional[Mapping[int, int]] = None, b: int = 0) -> IdentityInstance:
+    """One instance, judged by the exact comparison ``left == right``, expected to pass.
 
     With ``over``, a mapping of Phi_d exponents, each side is the value at
     q = 2^b of an integer numerator over it (the moment tables, the
-    Frobenius values or ``_weighted_values``), or a list of them, one per
-    power of x, the x^j coefficient over ``scales[j]``; a failing instance
-    unpacks both sides and keeps them, reduced to a canonical QRatFn or
-    XPoly, as its witness (``_unpacked_over``).  Else they are ints or
-    canonical values, kept as they are.
+    Frobenius values or ``_weighted_values``), or a list of them, the x^j
+    coefficient of a polynomial in x of degree n = len(side) - 1 over
+    C(n, j); a failing instance unpacks both sides and keeps them, reduced
+    to a canonical QRatFn or XPoly, as its witness (``_unpacked_over``).
+    Else they are ints or canonical values, kept as they are.  An identity
+    that says otherwise of itself attaches its expectation and note with
+    ``IdentityInstance._replace``.
     """
     if left == right:
-        return IdentityInstance(params, PASS, expected, note)
+        return IdentityInstance(params, PASS)
     if over is not None:
         left, right = (
-            XPoly(_scaled(_unpacked_over(v, b, over), c) for v, c in zip(side, scales))
+            XPoly(_scaled(_unpacked_over(v, b, over), comb(len(side) - 1, j))
+                  for j, v in enumerate(side))
             if isinstance(side, list)
             else _unpacked_over(side, b, over)
             for side in (left, right)
         )
-    return IdentityInstance(params, FAIL, expected, note, left, right)
+    return IdentityInstance(params, FAIL, left=left, right=right)
 
 
 @lru_cache(maxsize=None)
@@ -660,8 +666,7 @@ def _check_thm2(n_max: int) -> list[IdentityInstance]:
         b = _width(n, (1 << n) + 3)
         lefts = list(reversed(_packed_moments(n, False, b)))
         rights = list(reversed(_frobenius_values(n, b)))
-        scales = [comb(n, j) for j in range(n + 1)]
-        out.append(_judged((n,), lefts, rights, {2: n}, b, scales=scales))
+        out.append(_judged((n,), lefts, rights, {2: n}, b))
     return out
 
 
@@ -710,18 +715,12 @@ def _bernstein_row(n: int, k: int, full: bool) -> IdentityInstance:
 
     The right side's 1 + q telescopes away for k >= 1, but not at k = 0:
     thm7 is row (n, 0) in full, the k=0 remark is that row without it, and
-    thm8 every row; they share this verdict and its witness.
+    thm8 every row; they share this verdict and its witness.  Each identity
+    attaches its params, and the k=0 remark its expectation and note, with
+    ``_replace``.
     """
     b, lefts, rights, full_right = _bernstein_table(n)
     return _judged((), lefts[k], full_right if full and not k else rights[k], {2: n}, b)
-
-
-def _bernstein_instance(
-    params: tuple, n: int, k: int, full: bool = False, expected: str = PASS, note: str = ""
-) -> IdentityInstance:
-    """``_bernstein_row(n, k, full)`` with the params, expectation and note of one identity."""
-    row = _bernstein_row(n, k, full)
-    return IdentityInstance(params, row.verdict, expected, note, row.left, row.right)
 
 
 def _shifted_moment(m: int, s: int, b: int) -> int:
@@ -783,11 +782,9 @@ def _check_thm5(n_max: int) -> list[IdentityInstance]:
     out = []
     for n in range(n_max + 1):
         b, left, right = _shift_values(2, n, 1)
-        probe = {} if n else {
-            "expected": FAIL,
-            "note": "n=0 excluded by the n >= 1 hypothesis; inequality confirmed",
-        }
-        out.append(_judged((n,), left, right, {2: n}, b, **probe))
+        inst = _judged((n,), left, right, {2: n}, b)
+        out.append(inst if n else inst._replace(
+            expected=FAIL, note="n=0 excluded by the n >= 1 hypothesis; inequality confirmed"))
     return out
 
 
@@ -814,14 +811,13 @@ def _check_thm6(n_max: int) -> list[IdentityInstance]:
     out = []
     for n in range(n_max + 1):
         b, lefts, rights = _reflection_values(n)
-        scales = [comb(n, j) for j in range(n + 1)]
-        out.append(_judged((n,), lefts, rights, {2: n}, b, scales=scales))
+        out.append(_judged((n,), lefts, rights, {2: n}, b))
     return out
 
 
 def _check_thm7(n_max: int) -> list[IdentityInstance]:
     """I((1-y)^n) = (1+q) I'(1) + q^2 I'(y^n): Bernstein row (n, 0) in full."""
-    return [_bernstein_instance((n,), n, 0, full=True) for n in range(1, n_max + 1)]
+    return [_bernstein_row(n, 0, True)._replace(params=(n,)) for n in range(1, n_max + 1)]
 
 
 def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
@@ -830,7 +826,8 @@ def _check_k0_remark(n_max: int) -> list[IdentityInstance]:
     So it contradicts thm7 and every instance is expected to fail;
     witnesses carry both canonical sides.
     """
-    return [_bernstein_instance((n,), n, 0, expected=FAIL, note="contradicts thm7")
+    return [_bernstein_row(n, 0, False)._replace(params=(n,), expected=FAIL,
+                                                 note="contradicts thm7")
             for n in range(1, n_max + 1)]
 
 
@@ -873,9 +870,10 @@ def _check_thm8(n_max: int) -> list[IdentityInstance]:
     out = []
     note = "claimed k=0 shortcut drops the 1+q term"
     for n in range(1, n_max + 1):
-        out.append(_bernstein_instance((n, 0, "k0-remark"), n, 0, expected=FAIL, note=note))
-        out.append(_bernstein_instance((n, 0, "full"), n, 0, full=True))
-        out.extend(_bernstein_instance((n, k), n, k) for k in range(1, n))
+        out.append(_bernstein_row(n, 0, False)._replace(params=(n, 0, "k0-remark"),
+                                                        expected=FAIL, note=note))
+        out.append(_bernstein_row(n, 0, True)._replace(params=(n, 0, "full")))
+        out.extend(_bernstein_row(n, k, False)._replace(params=(n, k)) for k in range(1, n))
     return out
 
 

@@ -334,6 +334,16 @@ def test_weighted_closed_form_n0_any_alpha():
         assert weighted_closed_form(alpha, 0) == ONE
 
 
+def test_closed_form_factors_read_the_divisors_of_alpha():
+    # Phi_d | q^alpha - 1 exactly for the divisors d of alpha, found up to
+    # sqrt(alpha): at alpha = 10^12 a scan of every d <= alpha does not finish
+    for alpha in range(1, 40):
+        for n in (0, 1, 3):
+            scan = Counter({d: n for d in range(1, alpha + 1) if alpha % d == 0})
+            assert euler._closed_form_factors(alpha, n) == _d_n_factors(alpha, n) + scan
+    assert weighted_closed_form(10**12, 0) == ONE
+
+
 def test_weighted_routes_agree():
     for alpha in (1, 2, 3):
         rec = weighted_recurrence(alpha, 10)
@@ -447,6 +457,29 @@ def test_residue_sums_decide_what_the_folds_decide():
             assert (euler._residue_sum(alpha, n, d) != 0) == stays, (alpha, n, d)
             multi_term += sum((alpha * l + 1) % d == d // 2 for l in range(n + 1)) > 1
     assert multi_term > 100
+
+
+def test_residue_sums_have_one_sign_at_odd_alpha():
+    # _weighted_entry's proof that R != 0 at odd alpha: the l <= n with
+    # alpha*l + 1 = d/2 (mod d) share one parity, so every term of R has the
+    # sign (-1)^l.  At even alpha, gcd(alpha, d) = 2 and the l of a
+    # progression alternate in parity, so its terms alternate in sign
+    cells = odd_multi = even_multi = 0
+    for alpha in range(1, 16):
+        s_n = set()  # S_n without Phi_2: the d with Phi_d | 1 + q^(alpha*k+1), k <= n
+        for n in range(46):
+            s_n.update(d for d in exactq.one_plus_q_power_factors(alpha * n + 1) if n and d != 2)
+            for d in s_n:
+                cells += 1
+                ls = [l for l in range(n + 1) if (alpha * l + 1) % d == d // 2]
+                if alpha % 2:
+                    assert len({l % 2 for l in ls}) == 1, (alpha, n, d)
+                    assert euler._residue_sum(alpha, n, d) * (-1) ** ls[0] > 0, (alpha, n, d)
+                    odd_multi += len(ls) > 1
+                elif len(ls) > 1:
+                    assert all((k - l) % 2 for k, l in zip(ls, ls[1:])), (alpha, n, d)
+                    even_multi += 1
+    assert (cells, odd_multi, even_multi) == (23803, 1969, 1888)
 
 
 @pytest.mark.parametrize("alpha, n", [(1, 3), (2, 4), (3, 5)])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qeuler import euler, padic
 from qeuler.exactq import XPoly
 from qeuler.padic import (
     PAdicNum,
@@ -444,6 +445,41 @@ def test_shift_identity_even_n_reported_only():
     # even n probed numerically; just record that a defect valuation comes back
     res = check_shift_identity_finite(XPoly((0, 1)), 2, QC3, 12, 3)
     assert isinstance(res.valuation, int)
+
+
+def test_shift_family_meets_the_padic_rate():
+    # the exact shift family q^s E_m(s) + (-1)^(s-1) E_m = [2]_q sum_{l<s}
+    # (-1)^(s-1-l) l^m q^l holds, and its level-N p-adic defect has v_p >= N
+    for p in (3, 5):
+        for q in (1 + p, 1 - p):
+            qc = QChoice(p, Fraction(q))
+            for s in range(1, 7):
+                for m in range(7):
+                    _, left, right = euler._shift_values(s, m)
+                    assert left == right, (s, m)
+                    f = XPoly((0,) * m + (1,))
+                    for N in range(1, 5):
+                        assert check_shift_identity_finite(f, s, qc, 12, N).valuation >= N
+
+
+def test_cor3_sign_at_even_shift_misses_the_padic_rate():
+    # cor3's form I(f) + q^s I(f(y+s)) = [2]_q sum_{l<s} (-1)^l f(l) q^l at even s
+    # falls below v_p >= N at some level, in every cell but one: at p = 3,
+    # q = -2, s = 2, m = 1 it differs from the true identity by
+    # 2 q^2 (2 + q) / (1 + q), which is 0 there
+    held = []
+    for p in (3, 5):
+        for q in (1 + p, 1 - p):
+            qc = QChoice(p, Fraction(q))
+            for s in (2, 4, 6):
+                for m in range(7):
+                    f = XPoly((0,) * m + (1,))
+                    g = f + XPoly((qc.q**s,)) * f.shift_x(s)
+                    rhs = (1 + qc.q) * sum((-1) ** l * Fraction(l**m) * qc.q**l for l in range(s))
+                    rows = padic._defect_rows(g, qc, rhs, [1, 2, 3, 4], 12)
+                    if all(row.valuation >= row.N for row in rows):
+                        held.append((p, q, s, m))
+    assert held == [(3, -2, 2, 1)]
 
 
 def test_shift_identity_rejects_bad_args():
