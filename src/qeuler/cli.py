@@ -5,6 +5,14 @@ Exit codes are a stable contract: 0 = success / all verdicts as expected,
 to compute (out of memory, recursion too deep), 130 = interrupted.
 All data output goes to stdout (UTF-8); diagnostics go to stderr.
 
+Every command's arguments are listed once, in ``_COMMANDS``.  ``_fast_args``
+reads a well-formed command line from that table without importing
+argparse; ``build_parser`` builds argparse's parser from the same table, and
+argparse reads ``--help`` and every command line the reader declines
+(abbreviations, ``--opt=value``, repeats, bad values), so their text and exit
+codes are argparse's.  A usage error a command finds builds the parser then,
+to print that command's usage line.
+
 Every table format is rendered from the canonical values the library
 returns (``QRatFn``, or ``XPoly`` for qeuler-poly): text through their
 ``str``, LaTeX through ``latex_ratfn``, JSON through ``_ratfn_payload``.
@@ -16,15 +24,18 @@ arrays, so records round-trip losslessly.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
 import sys
+import types
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn, TextIO
 
 from . import euler
 from .exactq import QRatFn, XPoly, _display_coeffs, signed_terms
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # ---------------------------------------------------------------------------
@@ -330,39 +341,126 @@ def cmd_padic(args, parser) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command: its help line, its function and its arguments in the order
+# argparse lists them, each with the keywords ``add_argument`` takes.  The one
+# positional, ``kind``, is read right after ``table``; every option but the
+# ``store_true`` flags takes one value, an int unless it has ``choices``.
+_COMMANDS: dict[str, tuple[str, Callable, dict[str, dict]]] = {
+    "table": ("print a sequence or polynomial table", cmd_table, {
+        "kind": {"choices": TABLE_KINDS},
+        "--n-max": {"type": int, "required": True},
+        "--alpha": {"type": int, "default": None,
+                    "help": "integer weight >= 1 (kind 'weighted' only)"},
+        "--format": {"choices": ("text", "json", "latex"), "default": "text"},
+    }),
+    "verify": ("run an identity suite", cmd_verify, {
+        "--suite": {"choices": tuple(euler.SUITES), "default": "all"},
+        "--n-max": {"type": int, "default": 20, "help": "largest n checked (default 20); "
+                    "cost grows faster than linearly (timings in the README)"},
+        "--json": {"action": "store_true"},
+    }),
+    "padic": ("finite-level fermionic integral convergence", cmd_padic, {
+        "--n": {"type": int, "required": True, "help": "moment index"},
+        "--p": {"type": int, "required": True, "help": "an odd prime"},
+        "--q-offset": {"type": int, "default": 1, "help": "q = 1 + offset*p"},
+        "--K": {"type": int, "default": None},  # None: cmd_padic reads padic's default
+        "--N-max": {"type": int, "default": 6},
+        "--json": {"action": "store_true"},
+    }),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of every command, built from ``_COMMANDS``.
+
+    ``main`` needs it only for ``--help`` and for the command lines
+    ``_fast_args`` declines, and a command only for a usage error.
+    """
+    import argparse  # here: a well-formed command line never loads it
+
     parser = argparse.ArgumentParser(
         prog="qeuler",
         description="Exact q-Euler / Frobenius-Euler tables, identity verification, "
         "and p-adic convergence experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="print a sequence or polynomial table")
-    p_table.add_argument("kind", choices=TABLE_KINDS)
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--alpha", type=int, default=None,
-                         help="integer weight >= 1 (kind 'weighted' only)")
-    p_table.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p_table.set_defaults(func=cmd_table, parser=p_table)
-
-    p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("--suite", choices=list(euler.SUITES), default="all")
-    p_verify.add_argument("--n-max", type=int, default=20, help="largest n checked (default 20); "
-                          "cost grows faster than linearly (timings in the README)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify, parser=p_verify)
-
-    p_padic = sub.add_parser("padic", help="finite-level fermionic integral convergence")
-    p_padic.add_argument("--n", type=int, required=True, help="moment index")
-    p_padic.add_argument("--p", type=int, required=True, help="an odd prime")
-    p_padic.add_argument("--q-offset", type=int, default=1, help="q = 1 + offset*p")
-    p_padic.add_argument("--K", type=int, default=None)  # None: cmd_padic reads padic's default
-    p_padic.add_argument("--N-max", dest="N_max", type=int, default=6)
-    p_padic.add_argument("--json", action="store_true")
-    p_padic.set_defaults(func=cmd_padic, parser=p_padic)
-
+    for command, (help_line, func, arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_line)
+        for name, spec in arguments.items():
+            p_command.add_argument(name, **spec)
+        p_command.set_defaults(func=func, parser=p_command)
     return parser
+
+
+def _is_value(token: str) -> bool:
+    """Whether argparse reads ``token`` after an option as its value, not as an option.
+
+    A token starting with ``-`` is a value only as a negative number;
+    this accepts the ASCII-digit ones, which every argparse reads so.
+    """
+    return not token.startswith("-") or (token[1:].isascii() and token[1:].isdecimal())
+
+
+def _fast_args(argv: list) -> "types.SimpleNamespace | None":
+    """The namespace ``build_parser().parse_args(argv)`` gives, read without argparse.
+
+    It has the same attributes with the same values, ``func`` included,
+    except that ``parser`` builds the command's argparse parser only when a
+    command calls its ``error``.  Returns None for every argv it cannot read
+    exactly as argparse does, and argparse reads those: an unknown command,
+    a table kind anywhere but right after ``table``, any token that is not
+    an exact option of the command (so ``-h``, ``--help``, ``--``,
+    abbreviations and ``--opt=value``), a repeated option, an option without
+    its value, a value argparse would refuse or read as an option, an extra
+    token, or a missing required argument.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *tokens = argv
+    _, func, arguments = _COMMANDS[command]
+    options = {name: spec for name, spec in arguments.items() if name.startswith("-")}
+    # argparse's defaults: False for a store_true flag, else None
+    values = {name: spec.get("default", False if "action" in spec else None)
+              for name, spec in options.items()}
+    for name, spec in arguments.items():
+        if name not in options:  # table's kind, read only right after the command
+            if not tokens or tokens[0] not in spec["choices"]:
+                return None
+            values[name] = tokens.pop(0)
+    given = set()
+    tokens_left = iter(tokens)
+    for name in tokens_left:
+        spec = options.get(name)
+        if spec is None or name in given:
+            return None
+        given.add(name)
+        if "action" in spec:  # store_true
+            values[name] = True
+            continue
+        value = next(tokens_left, None)
+        if value is None or not _is_value(value):
+            return None
+        if "choices" in spec:
+            if value not in spec["choices"]:
+                return None
+        else:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[name] = value
+    if any(spec.get("required") and name not in given for name, spec in options.items()):
+        return None
+
+    def error(message: str) -> NoReturn:
+        build_parser().parse_args(argv).parser.error(message)  # the argparse parser of this argv
+
+    return types.SimpleNamespace(
+        command=command,
+        **{name.lstrip("-").replace("-", "_"): value for name, value in values.items()},
+        func=func,
+        parser=types.SimpleNamespace(error=error),
+    )
 
 
 def _discard_stdout() -> None:
@@ -377,12 +475,13 @@ def _discard_stdout() -> None:
 
 def main(argv=None) -> int:
     sys.stderr = sys.stderr or open(os.devnull, "w")  # fd 2 closed: else argparse uses stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if sys.stdout is None:  # descriptor 1 was closed before start-up
             raise OSError("stdout is closed")
         try:
-            args = parser.parse_args(argv)  # --help and usage errors end in SystemExit
+            # argparse reads what the fast reader declines; --help and usage errors end in SystemExit
+            args = _fast_args(argv) or build_parser().parse_args(argv)
             return args.func(args, args.parser)  # the subcommand's: its usage errors name it
         finally:
             sys.stdout.flush()  # a buffered write fails here, not at exit

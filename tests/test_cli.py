@@ -20,7 +20,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qeuler
@@ -654,6 +654,23 @@ _VALUES = {
     "--K": ["-1", "0", "1", "8"],
     "--N-max": ["-1", "0", "1", "4"],
 }
+# Near misses of a well-formed command line, which argparse reads or refuses:
+# abbreviations (taking their option's values), --opt=value forms, help and
+# "--" tokens, and values int() reads as argparse does or refuses
+_ABBREVIATIONS = {
+    "table": {"--n-m": "--n-max", "--al": "--alpha", "--form": "--format"},
+    "verify": {"--su": "--suite", "--n-m": "--n-max", "--js": "--json"},
+    "padic": {"--N": "--N-max", "--q-off": "--q-offset", "--js": "--json"},
+    "bogus": {},
+}
+_EQUALS_FORMS = {
+    "table": ["--n-max=1", "--alpha=2", "--format=json"],
+    "verify": ["--suite=thm1", "--n-max=1"],
+    "padic": ["--n=2", "--p=5", "--N-max=2"],
+    "bogus": [],
+}
+_NEAR_TOKENS = ["-h", "--help", "--he", "--", "+3", "３", "²", "-", ""]
+_NEAR_VALUES = ["+3", " 3", "３", "²", "-", "", "--"]  # none above 3: padic sums p^N terms
 
 
 @st.composite
@@ -664,10 +681,13 @@ def _argv(draw):
         argv.append(draw(st.sampled_from(list(TABLE_KINDS) + ["nonsense"])))
     if command == "verify":  # its default --n-max 20 takes seconds
         argv += ["--n-max", "2"]
-    for opt in draw(st.lists(st.sampled_from(_OPTIONS[command]), max_size=4)):
+    abbreviations = _ABBREVIATIONS[command]
+    tokens = _OPTIONS[command] + list(abbreviations) + _EQUALS_FORMS[command] + _NEAR_TOKENS
+    for opt in draw(st.lists(st.sampled_from(tokens), max_size=4)):
         argv.append(opt)
-        if opt != "--json":
-            argv.append(draw(st.sampled_from(_VALUES[opt])))
+        opt = abbreviations.get(opt, opt)
+        if opt in _VALUES:
+            argv.append(draw(st.sampled_from(_VALUES[opt] + _NEAR_VALUES)))
     return argv
 
 
@@ -690,6 +710,70 @@ def test_cli_exit_code_contract(argv, full_stdout):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+
+
+_REQUIRED = {"table": ["--n-max", "3"], "padic": ["--n", "2", "--p", "5"]}
+# The token alphabet of the reader's property: every command, option spelling,
+# abbreviation and --opt=value form, the help and "--" tokens, and as values
+# ints, negatives, each allowed value, junk and the near misses: what int()
+# also reads (a sign, a space, an underscore, a non-ASCII digit), what it
+# refuses, "-" and "".  int() reads "-1_0" but argparse takes it for an option
+_READER_TOKENS = sorted({
+    "table", "verify", "padic", "bogus", "-h", "--help", "--he", "--",
+    *(opt for opts in _OPTIONS.values() for opt in opts),
+    *(abbr for abbrs in _ABBREVIATIONS.values() for abbr in abbrs),
+    *(form for forms in _EQUALS_FORMS.values() for form in forms),
+    *(value for values in _VALUES.values() for value in values),
+    *TABLE_KINDS, "nonsense", "-12", "1.5", "-x",
+})
+_READER_NEAR_VALUES = ["+3", " 3", "1_0", "-1_0", "-3 ", "３", "-３", "²", "-", ""]
+
+
+@st.composite
+def _reader_argv(draw):
+    # a command line near a well-formed one, so that both of the reader's answers come up:
+    # its required arguments and some options with values, then up to three random edits
+    command = draw(st.sampled_from(["table", "verify", "padic"]))
+    argv = [command] + (["qeuler"] if command == "table" else []) + _REQUIRED.get(command, [])
+    for opt in draw(st.lists(st.sampled_from(_OPTIONS[command]), max_size=3)):
+        argv += [opt] + ([draw(st.sampled_from(_VALUES[opt]))] if opt in _VALUES else [])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from(_READER_TOKENS) | st.sampled_from(_READER_NEAR_VALUES))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "swap"]))
+        if edit == "insert":
+            argv.insert(at, token)
+        elif at < len(argv):
+            if edit == "replace":
+                argv[at] = token
+            elif edit == "delete":
+                del argv[at]
+            else:
+                other = draw(st.integers(0, len(argv) - 1))
+                argv[at], argv[other] = argv[other], argv[at]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_reader_argv())
+@example(argv=["table", "qeuler", "--n-max", "-1_0"])  # an option to argparse
+@example(argv=["table", "qeuler", "--n-max", "-３"])  # -3 to 3.11's argparse; the reader declines
+@example(argv=["padic", "--n", "2", "--p", "5", "--K", "-3 "])
+def test_fast_reader_reads_argv_as_argparse_does(argv):
+    # the reader declines (None) or gives argparse's namespace: same attributes,
+    # same typed values, the same func; whenever argparse exits, it declined
+    fast = cli._fast_args(argv)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    if fast is not None:
+        assert parsed is not None, argv
+        read = vars(fast)
+        assert read.keys() == parsed.keys(), argv
+        for key in read.keys() - {"parser"}:  # the reader's parser is argparse's, built on error
+            assert (type(read[key]), read[key]) == (type(parsed[key]), parsed[key]), (argv, key)
 
 
 @pytest.mark.parametrize("error, reason", [
@@ -731,10 +815,14 @@ def _cli_into(stdout, argv=_TABLE_ARGV, **popen) -> subprocess.CompletedProcess:
 
 
 _LOADED_LAYERS = (
-    "import sys; from qeuler import cli; code = cli.main(sys.argv[1:]); "
+    "import sys; from qeuler import cli\n"
+    "try: code = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc: code = exc.code\n"
     "print(code, sorted(m for m in sys.modules if m.startswith('qeuler.')), "
-    "'json' in sys.modules, file=sys.stderr)"
+    "'json' in sys.modules, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)"
 )
+# argparse, with gettext under it, loads only for --help and usage errors: (argv, exit code)
+_ARGPARSE_RUNS = {"--help": 0, "table qeuler --n-max -1": 2}
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -744,13 +832,18 @@ _LOADED_LAYERS = (
     ("padic --n 2 --p 5 --N-max 4", ["cli", "euler", "exactq", "padic"]),
     ("verify --suite all --n-max 3 --json", ["cli", "euler", "exactq"]),
     ("padic --n 2 --p 5 --N-max 4 --json", ["cli", "euler", "exactq", "padic"]),
+    ("--help", ["cli", "euler", "exactq"]),
+    ("table qeuler --n-max -1", ["cli", "euler", "exactq"]),
 ])
 def test_each_command_loads_only_the_layers_it_uses(argv, loaded):
     # bernstein and padic load on first use: a table or verify run imports
     # neither.  No run imports the json package: a record quotes its strings
-    # with _json's C function
+    # with _json's C function.  A well-formed command line is read without argparse
     done = _python(["-c", _LOADED_LAYERS, *argv.split()], subprocess.DEVNULL)
-    assert done.stderr == f"0 {[f'qeuler.{m}' for m in loaded]} False\n"
+    code, argparse_runs = _ARGPARSE_RUNS.get(argv, 0), argv in _ARGPARSE_RUNS
+    *usage_error, report = done.stderr.split("\n")[:-1]
+    assert bool(usage_error) == (code == 2)  # a usage error prints its usage and error lines first
+    assert report == f"{code} {[f'qeuler.{m}' for m in loaded]} False {argparse_runs} {argparse_runs}"
 
 
 def test_star_import_binds_every_public_name():

@@ -163,3 +163,109 @@ PINNED = [
 def test_stdout_bytes_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# The argparse text of every --help at COLUMNS=80: (argv, stdout)
+HELP = [
+    ("--help",
+     "usage: qeuler [-h] {table,verify,padic} ...\n"
+     "\n"
+     "Exact q-Euler / Frobenius-Euler tables, identity verification, and p-adic\n"
+     "convergence experiments.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {table,verify,padic}\n"
+     "    table               print a sequence or polynomial table\n"
+     "    verify              run an identity suite\n"
+     "    padic               finite-level fermionic integral convergence\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"),
+    ("table --help",
+     "usage: qeuler table [-h] --n-max N_MAX [--alpha ALPHA]\n"
+     "                    [--format {text,json,latex}]\n"
+     "                    {qeuler,frobenius,weighted,qeuler-poly}\n"
+     "\n"
+     "positional arguments:\n"
+     "  {qeuler,frobenius,weighted,qeuler-poly}\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n-max N_MAX\n"
+     "  --alpha ALPHA         integer weight >= 1 (kind 'weighted' only)\n"
+     "  --format {text,json,latex}\n"),
+    ("verify --help",
+     "usage: qeuler verify [-h]\n"
+     "                     [--suite {all,thm1,thm2,thm3,thm4,thm5,thm6,thm7,thm8,cor3,classical,erratum,weighted}]\n"
+     "                     [--n-max N_MAX] [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --suite {all,thm1,thm2,thm3,thm4,thm5,thm6,thm7,thm8,cor3,classical,erratum,weighted}\n"
+     "  --n-max N_MAX         largest n checked (default 20); cost grows faster than\n"
+     "                        linearly (timings in the README)\n"
+     "  --json\n"),
+    ("padic --help",
+     "usage: qeuler padic [-h] --n N --p P [--q-offset Q_OFFSET] [--K K]\n"
+     "                    [--N-max N_MAX] [--json]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --n N                moment index\n"
+     "  --p P                an odd prime\n"
+     "  --q-offset Q_OFFSET  q = 1 + offset*p\n"
+     "  --K K\n"
+     "  --N-max N_MAX\n"
+     "  --json\n"),
+]
+
+_TABLE_USAGE = (
+    "usage: qeuler table [-h] --n-max N_MAX [--alpha ALPHA]\n"
+    "                    [--format {text,json,latex}]\n"
+    "                    {qeuler,frobenius,weighted,qeuler-poly}\n"
+)
+_VERIFY_USAGE = (
+    "usage: qeuler verify [-h]\n"
+    "                     [--suite {all,thm1,thm2,thm3,thm4,thm5,thm6,thm7,thm8,cor3,classical,erratum,weighted}]\n"
+    "                     [--n-max N_MAX] [--json]\n"
+)
+_PADIC_USAGE = (
+    "usage: qeuler padic [-h] --n N --p P [--q-offset Q_OFFSET] [--K K]\n"
+    "                    [--N-max N_MAX] [--json]\n"
+)
+
+# Usage errors at COLUMNS=80, found by argparse or by the command: (argv, stderr), exit code 2
+USAGE_ERRORS = [
+    ("table qeuler --n-max -1", _TABLE_USAGE + "qeuler table: error: --n-max must be >= 0\n"),
+    ("table weighted --n-max 3",
+     _TABLE_USAGE + "qeuler table: error: --alpha is required for kind 'weighted'\n"),
+    ("table qeuler --n-max 3 --alpha 2",
+     _TABLE_USAGE + "qeuler table: error: --alpha only applies to kind 'weighted'\n"),
+    ("verify --suite nope",
+     _VERIFY_USAGE + "qeuler verify: error: argument --suite: invalid choice: 'nope' (choose from "
+     "'all', 'thm1', 'thm2', 'thm3', 'thm4', 'thm5', 'thm6', 'thm7', 'thm8', 'cor3', "
+     "'classical', 'erratum', 'weighted')\n"),
+    ("padic --n 2 --p 9", _PADIC_USAGE + "qeuler padic: error: p must be an odd prime, got 9\n"),
+    ("padic --n 2 --p 3 --N-max 0", _PADIC_USAGE + "qeuler padic: error: --N-max must be >= 1\n"),
+]
+
+
+def _main_exit(argv):
+    try:
+        return main(argv.split())
+    except SystemExit as exc:  # argparse's --help and usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, text", HELP, ids=[row[0] for row in HELP])
+def test_help_text_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
+    assert _main_exit(argv) == 0
+    assert capsys.readouterr() == (text, "")
+
+
+@pytest.mark.parametrize("argv, text", USAGE_ERRORS, ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_error_text_pinned(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _main_exit(argv) == 2
+    assert capsys.readouterr() == ("", text)
