@@ -669,8 +669,8 @@ _EQUALS_FORMS = {
     "padic": ["--n=2", "--p=5", "--N-max=2"],
     "bogus": [],
 }
-_NEAR_TOKENS = ["-h", "--help", "--he", "--", "+3", "３", "²", "-", ""]
 _NEAR_VALUES = ["+3", " 3", "３", "²", "-", "", "--"]  # none above 3: padic sums p^N terms
+_NEAR_TOKENS = ["-h", "--help", "--he", *_NEAR_VALUES]
 
 
 @st.composite
@@ -714,19 +714,19 @@ def test_cli_exit_code_contract(argv, full_stdout):
 
 _REQUIRED = {"table": ["--n-max", "3"], "padic": ["--n", "2", "--p", "5"]}
 # The token alphabet of the reader's property: every command, option spelling,
-# abbreviation and --opt=value form, the help and "--" tokens, and as values
-# ints, negatives, each allowed value, junk and the near misses: what int()
-# also reads (a sign, a space, an underscore, a non-ASCII digit), what it
-# refuses, "-" and "".  int() reads "-1_0" but argparse takes it for an option
+# abbreviation and --opt=value form, the near-miss tokens, and as values ints,
+# negatives, each allowed value and junk
 _READER_TOKENS = sorted({
-    "table", "verify", "padic", "bogus", "-h", "--help", "--he", "--",
+    "table", "verify", "padic", "bogus", *_NEAR_TOKENS,
     *(opt for opts in _OPTIONS.values() for opt in opts),
     *(abbr for abbrs in _ABBREVIATIONS.values() for abbr in abbrs),
     *(form for forms in _EQUALS_FORMS.values() for form in forms),
     *(value for values in _VALUES.values() for value in values),
     *TABLE_KINDS, "nonsense", "-12", "1.5", "-x",
 })
-_READER_NEAR_VALUES = ["+3", " 3", "1_0", "-1_0", "-3 ", "３", "-３", "²", "-", ""]
+# drawn as often as the whole alphabet: int() reads "1_0", "-1_0" and "-3 " too,
+# but argparse takes "-1_0" for an option
+_READER_NEAR_VALUES = [*_NEAR_VALUES, "1_0", "-1_0", "-3 ", "-３"]
 
 
 @st.composite
